@@ -24,7 +24,8 @@ from .polarization import (EfficiencyCurveParams, EfficiencyFit,
                            reconstruct_chi, simulate_tomography)
 from .qpm import (DeviceConfig, InteractionTriple, group_index_mismatch,
                   make_device, phase_mismatch, phase_mismatch_vs_converted,
-                  pm_efficiency, pump_for, sinc, solve_poling_period)
+                  pm_efficiency, pump_for, sinc, solve_poling_period,
+                  wavenumber_mismatch)
 from .tuning import (HubSweepPoint, SpectrumPoint, SweetSpotReport,
                      TuningConstraints, TuningResult, channel_count, hub_sweep,
                      pm_spectrum, sweep_csv_rows, sweet_spot_report,

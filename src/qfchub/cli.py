@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import time
-from datetime import date
 from pathlib import Path
 
 from .config import ENV_CONFIG_PATH, RunConfig, apply_overrides, load_config
@@ -56,7 +55,7 @@ def _shared_options(parser: argparse.ArgumentParser) -> None:
     g.add_argument("--format", dest="output_format", choices=("csv", "json"),
                    help="output file format")
     g.add_argument("--output", help="output file path")
-    g.add_argument("--workers", type=int, help="parallel workers for sweeps")
+    g.add_argument("--workers", type=int, help="ignored; kept for compatibility")
     g.add_argument("--allow-extrapolation", dest="allow_extrapolation",
                    action="store_const", const=True,
                    help="evaluate dispersion outside stated validity (flagged)")
@@ -261,7 +260,6 @@ def cmd_tuning_range(config: RunConfig, args: argparse.Namespace) -> dict:
                "constraint_mode": constraints.constraint_mode,
                "constraint_value_nm": constraints.constraint_value_nm}
     summary.update(tuning_result_payload(result, constraints.efficiency_threshold))
-    summary["width_nm"] = round(result.width_nm, 4)
     if config.output:
         if config.output_format == "json":
             write_json(config.output, summary)
@@ -289,7 +287,7 @@ def cmd_hub_sweep(config: RunConfig, args: argparse.Namespace) -> dict:
     constraints = _constraints(config)
     points = hub_sweep((args.start, args.stop), args.step, args.target,
                        config.length_mm, config.temperature_c, model,
-                       constraints, workers=config.workers)
+                       constraints)
     ext = config.output_format
     out = _out_path(config, f"hub_sweep.{ext}")
     if ext == "json":
@@ -405,7 +403,7 @@ def cmd_fit(config: RunConfig, args: argparse.Namespace) -> dict:
 
 
 def cmd_reproduce_paper(config: RunConfig, args: argparse.Namespace) -> dict:
-    run_dir = Path(args.out_dir) / f"paper-run-{date.today():%Y%m%d}"
+    run_dir = Path(args.out_dir) / "paper-run"
     run_dir.mkdir(parents=True, exist_ok=True)
     model = get_material(config.material, config.material_file)
     produced: list[str] = []
@@ -433,7 +431,7 @@ def cmd_reproduce_paper(config: RunConfig, args: argparse.Namespace) -> dict:
     for target, name in ((1540.0, "sweep_cband.csv"), (1310.0, "sweep_oband.csv")):
         points = hub_sweep((400.0, 1000.0), args.sweep_step, target,
                            config.length_mm, config.temperature_c, model,
-                           sweep_constraints, workers=config.workers)
+                           sweep_constraints)
         produced.append(str(write_csv(run_dir / name, SWEEP_CSV_COLUMNS,
                                       sweep_csv_rows(points))))
 

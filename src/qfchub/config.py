@@ -36,7 +36,7 @@ class RunConfig:
     signal_frequency_thz: float = 384.200
     output_format: str = "csv"
     output: str | None = None
-    workers: int = 1
+    workers: int = 1  # accepted for compatibility; sweeps run in one process
     allow_extrapolation: bool = False
 
     def validate(self) -> "RunConfig":

@@ -50,33 +50,30 @@ class SellmeierModel:
         if self.form not in _FORMS:
             raise DomainError(f"unknown dispersion form {self.form!r}")
 
-    def in_validity(self, wavelength_um, temperature_c: float) -> bool:
+    def in_validity(self, wavelength_um, temperature_c):
+        """Elementwise: True where (wavelength, temperature) is inside the fit's domain."""
         lo, hi = self.wavelength_um
         tlo, thi = self.temperature_c
         w = np.asarray(wavelength_um, dtype=float)
-        return bool(
-            np.all(w >= lo) and np.all(w <= hi)
-            and tlo <= temperature_c <= thi
-        )
+        return (w >= lo) & (w <= hi) & ((temperature_c >= tlo) & (temperature_c <= thi))
 
 
 def _require_validity(model: SellmeierModel, wavelength_um, temperature_c: float) -> None:
-    lo, hi = model.wavelength_um
-    tlo, thi = model.temperature_c
     w = np.asarray(wavelength_um, dtype=float)
     if w.size == 0:
         return
-    if np.min(w) < lo or np.max(w) > hi:
-        bad = float(np.min(w)) if np.min(w) < lo else float(np.max(w))
-        raise ValidityError(
-            f"wavelength {bad:.4f} um outside {model.name} validity "
-            f"[{lo:.3f}, {hi:.3f}] um"
-        )
-    if not tlo <= temperature_c <= thi:
+    # the window is an interval, so the two extremes decide for every point
+    w = np.array([w.min(), w.max()])
+    if np.all(model.in_validity(w, temperature_c)):
+        return
+    (lo, hi), (tlo, thi) = model.wavelength_um, model.temperature_c
+    if np.all(model.in_validity(w, tlo)):
         raise ValidityError(
             f"temperature {temperature_c:.2f} C outside {model.name} validity "
-            f"[{tlo:.1f}, {thi:.1f}] C"
-        )
+            f"[{tlo:.1f}, {thi:.1f}] C")
+    raise ValidityError(
+        f"wavelength {w[0] if w[0] < lo else w[1]:.4f} um outside {model.name} "
+        f"validity [{lo:.3f}, {hi:.3f}] um")
 
 
 def _thermal_f(model: SellmeierModel, temperature_c: float) -> float:

@@ -15,8 +15,7 @@ import numpy as np
 from .constants import C_NM_THZ, C_UM_THZ
 from .dispersion import SellmeierModel, SpectralPoint
 from .errors import DomainError, RangeError
-from .qpm import DeviceConfig, solve_poling_period
-from .tuning import _efficiency_fn
+from .qpm import DeviceConfig, device_efficiency, solve_poling_period
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,7 @@ def plan_pumps(grid: DwdmGrid, signal_frequency_thz: float, laser: LaserSpec,
     period = solve_poling_period(
         signal, SpectralPoint.from_frequency_thz(center), temperature_c, material)
     device = DeviceConfig(period, length_mm, temperature_c, material)
-    eff = _efficiency_fn(signal, device)(np.array(freqs))
+    eff = device_efficiency(device, signal_frequency_thz, np.array(freqs))
 
     entries = []
     for port_index, (nu_c, e) in enumerate(zip(freqs, eff), start=1):
@@ -147,26 +146,20 @@ def relative_efficiency_curve(device: DeviceConfig, signal_frequency_thz: float,
         raise DomainError("pump range must be ascending and positive")
     if step_ghz <= 0:
         raise DomainError("step must be positive")
-    signal = SpectralPoint.from_frequency_thz(signal_frequency_thz)
     step = step_ghz / 1000.0
     count = int(np.floor((hi - lo) / step + 1e-9)) + 1
     nu_p = lo + step * np.arange(count)
     nu_c = signal_frequency_thz - nu_p
     if np.any(nu_c <= 0):
         raise DomainError("pump range reaches the signal frequency")
-    eff = _efficiency_fn(signal, device)(nu_c)
+    eff = device_efficiency(device, signal_frequency_thz, nu_c)
     peak = np.nanmax(eff)
     if not np.isfinite(peak) or peak <= 0:
         raise DomainError("efficiency is zero or undefined over the whole range")
     rel = eff / peak
 
-    w_lo, w_hi = device.material.wavelength_um
-    t_ok = (device.material.temperature_c[0] <= device.temperature_c
-            <= device.material.temperature_c[1])
-    lam_p_um = C_UM_THZ / nu_p
-    lam_c_um = C_UM_THZ / nu_c
-    in_domain = ((lam_p_um >= w_lo) & (lam_p_um <= w_hi)
-                 & (lam_c_um >= w_lo) & (lam_c_um <= w_hi) & t_ok)
+    in_domain = (device.material.in_validity(C_UM_THZ / nu_p, device.temperature_c)
+                 & device.material.in_validity(C_UM_THZ / nu_c, device.temperature_c))
     return [EfficiencyCurvePoint(float(nu), float(r), bool(~ok))
             for nu, r, ok in zip(nu_p, rel, in_domain)]
 

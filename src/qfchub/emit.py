@@ -11,6 +11,8 @@ import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .errors import DomainError
+
 CSV_SCHEMA = 1
 
 
@@ -37,20 +39,25 @@ def write_json(path: str | Path, payload) -> Path:
 
 
 def read_two_column_csv(path: str | Path) -> tuple[list[float], list[float]]:
-    """Read (x, y) pairs, skipping comment lines and an optional header row."""
+    """Read (x, y) pairs, skipping blank and comment lines and a leading header row.
+
+    Any later row that does not start with two numbers raises DomainError.
+    """
     xs: list[float] = []
     ys: list[float] = []
-    for line in Path(path).read_text().splitlines():
+    header_allowed = True
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) < 2:
-            continue
         try:
-            x, y = float(parts[0]), float(parts[1])
+            x, y = map(float, line.split(",")[:2])
         except ValueError:
-            continue  # header row
-        xs.append(x)
-        ys.append(y)
+            if not header_allowed:
+                raise DomainError(f"{path}, line {number}: expected two numbers, "
+                                  f"got {line!r}") from None
+        else:
+            xs.append(x)
+            ys.append(y)
+        header_allowed = False
     return xs, ys

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_UM_THZ, RAD_PER_UM_TO_RAD_PER_M
-from .dispersion import (SellmeierModel, SpectralPoint, group_index,
-                         refractive_index)
+from .dispersion import (SellmeierModel, SpectralPoint, _n_squared,
+                         _require_validity, group_index)
 from .errors import DomainError
 
 ENERGY_CONSERVATION_RTOL = 1e-9
@@ -66,23 +66,46 @@ def pump_for(signal: SpectralPoint, converted: SpectralPoint) -> SpectralPoint:
     return SpectralPoint.from_frequency_thz(nu_p)
 
 
-def wavenumber(model: SellmeierModel, wavelength_um, temperature_c: float,
-               allow_extrapolation: bool = False):
-    """k = 2*pi*n/lambda in rad/um."""
-    n = refractive_index(model, wavelength_um, temperature_c, allow_extrapolation)
-    return 2.0 * np.pi * n / np.asarray(wavelength_um, dtype=float) \
-        if not np.isscalar(wavelength_um) else 2.0 * np.pi * n / wavelength_um
+def wavenumber_mismatch(model: SellmeierModel, temperature_c, nu_s_thz, nu_c_thz,
+                        lam_s_um=None, lam_c_um=None):
+    """k_s - k_p - k_c in rad/um with nu_p = nu_s - nu_c, broadcasting.
+
+    ``lam_s_um``/``lam_c_um`` pass an exact wavelength the caller holds (one
+    given in nm), since c/(c/lambda) can differ from lambda in the last bit.
+    Unchecked, so a scan can touch its window's edges; n^2 < 0 gives NaN.
+    """
+    nu_s = np.asarray(nu_s_thz, dtype=float)
+    nu_c = np.asarray(nu_c_thz, dtype=float)
+
+    def k(lam):
+        return 2.0 * np.pi * np.sqrt(_n_squared(model, lam, temperature_c)) / lam
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (k(C_UM_THZ / nu_s if lam_s_um is None else lam_s_um)
+                - k(C_UM_THZ / (nu_s - nu_c))
+                - k(C_UM_THZ / nu_c if lam_c_um is None else lam_c_um))
 
 
-def phase_mismatch(triple: InteractionTriple, device: DeviceConfig,
-                   allow_extrapolation: bool = False) -> float:
-    """Signed phase mismatch k_s - k_p - k_c - 2*pi/period, in rad/m."""
-    t = device.temperature_c
-    d = (wavenumber(device.material, triple.signal.wavelength_um, t, allow_extrapolation)
-         - wavenumber(device.material, triple.pump.wavelength_um, t, allow_extrapolation)
-         - wavenumber(device.material, triple.converted.wavelength_um, t, allow_extrapolation)
-         - 2.0 * np.pi / device.poling_period_um)
+def grating_mismatch(material: SellmeierModel, temperature_c, period_um,
+                     nu_s_thz, nu_c_thz, lam_s_um=None):
+    """Phase mismatch k_s - k_p - k_c - 2*pi/period in rad/m, broadcasting (unchecked)."""
+    d = (wavenumber_mismatch(material, temperature_c, nu_s_thz, nu_c_thz, lam_s_um)
+         - 2.0 * np.pi / period_um)
     return d * RAD_PER_UM_TO_RAD_PER_M
+
+
+def device_efficiency(device: DeviceConfig, nu_s_thz, nu_c_thz, lam_s_um=None):
+    """sinc^2 phase-matching efficiency of a device (unchecked), in [0, 1]."""
+    return pm_efficiency(
+        grating_mismatch(device.material, device.temperature_c,
+                         device.poling_period_um, nu_s_thz, nu_c_thz, lam_s_um),
+        device.length_mm)
+
+
+def phase_mismatch(triple: InteractionTriple, device: DeviceConfig) -> float:
+    """Signed phase mismatch k_s - k_p - k_c - 2*pi/period, in rad/m."""
+    return float(phase_mismatch_vs_converted(triple.converted.frequency_thz,
+                                             triple.signal, device))
 
 
 def solve_poling_period(signal: SpectralPoint, converted: SpectralPoint,
@@ -94,10 +117,13 @@ def solve_poling_period(signal: SpectralPoint, converted: SpectralPoint,
     period = 2*pi / (k_s - k_p - k_c).
     """
     pump = pump_for(signal, converted)
-    d = (wavenumber(material, signal.wavelength_um, temperature_c, allow_extrapolation)
-         - wavenumber(material, pump.wavelength_um, temperature_c, allow_extrapolation)
-         - wavenumber(material, converted.wavelength_um, temperature_c, allow_extrapolation))
-    if d <= 0:
+    if not allow_extrapolation:
+        _require_validity(material, [signal.wavelength_um, pump.wavelength_um,
+                                     converted.wavelength_um], temperature_c)
+    d = float(wavenumber_mismatch(material, temperature_c, signal.frequency_thz,
+                                  converted.frequency_thz, signal.wavelength_um,
+                                  converted.wavelength_um))
+    if not d > 0:
         raise DomainError(
             "no first-order QPM solution: k_s - k_p - k_c = "
             f"{d:.6e} rad/um is not positive")
@@ -136,8 +162,7 @@ def pm_efficiency(dk_rad_per_m, length_mm: float):
 
 
 def group_index_mismatch(converted_um: float, pump_um: float,
-                         temperature_c: float, material: SellmeierModel,
-                         allow_extrapolation: bool = False) -> float:
+                         temperature_c: float, material: SellmeierModel) -> float:
     """Group-index difference N_g(converted) - N_g(pump), dimensionless.
 
     This is the coefficient of the linear term of the phase mismatch under
@@ -145,18 +170,11 @@ def group_index_mismatch(converted_um: float, pump_um: float,
     vanishes when the pump and converted wavelengths share a group index,
     which is what makes a hub wavelength broadband.
     """
-    return (group_index(material, converted_um, temperature_c, allow_extrapolation)
-            - group_index(material, pump_um, temperature_c, allow_extrapolation))
+    return (group_index(material, converted_um, temperature_c)
+            - group_index(material, pump_um, temperature_c))
 
 
-def detuned_frequencies(center_converted_thz: float, signal_thz: float, detuning_thz):
-    """Converted/pump frequency pair under antisymmetric detuning of the pair."""
-    nu_c = np.asarray(center_converted_thz, dtype=float) + np.asarray(detuning_thz, dtype=float)
-    return nu_c, signal_thz - nu_c
-
-
-def phase_mismatch_vs_converted(nu_c_thz, signal: SpectralPoint, device: DeviceConfig,
-                                allow_extrapolation: bool = False):
+def phase_mismatch_vs_converted(nu_c_thz, signal: SpectralPoint, device: DeviceConfig):
     """Vectorized mismatch (rad/m) as a function of converted frequency (THz).
 
     The pump follows from energy conservation at each point.
@@ -165,11 +183,9 @@ def phase_mismatch_vs_converted(nu_c_thz, signal: SpectralPoint, device: DeviceC
     nu_p = signal.frequency_thz - nu_c
     if np.any(nu_p <= 0):
         raise DomainError("converted frequency exceeds the signal frequency")
-    t = device.temperature_c
-    lam_c = C_UM_THZ / nu_c
-    lam_p = C_UM_THZ / nu_p
-    k_s = wavenumber(device.material, signal.wavelength_um, t, allow_extrapolation)
-    k_p = wavenumber(device.material, lam_p, t, allow_extrapolation)
-    k_c = wavenumber(device.material, lam_c, t, allow_extrapolation)
-    d = k_s - k_p - k_c - 2.0 * np.pi / device.poling_period_um
-    return d * RAD_PER_UM_TO_RAD_PER_M
+    extremes = [nu_p.min(), nu_p.max(), nu_c.min(), nu_c.max()] if nu_c.size else []
+    _require_validity(device.material, np.append(C_UM_THZ / np.array(extremes),
+                                                 signal.wavelength_um), device.temperature_c)
+    return grating_mismatch(device.material, device.temperature_c,
+                            device.poling_period_um, signal.frequency_thz, nu_c,
+                            signal.wavelength_um)

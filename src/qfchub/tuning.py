@@ -8,21 +8,24 @@ bisection refinement to 0.1 GHz.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
 from .constants import C_NM_THZ, C_UM_THZ, REFINE_GHZ
-from .dispersion import SellmeierModel, SpectralPoint, _n_squared
-from .errors import DomainError, ValidityError
-from .qpm import (DeviceConfig, group_index_mismatch, make_device,
-                  pm_efficiency, pump_for)
+from .dispersion import SellmeierModel, SpectralPoint
+from .errors import DomainError
+from .qpm import (DeviceConfig, device_efficiency, grating_mismatch,
+                  group_index_mismatch, make_device, pm_efficiency, pump_for,
+                  wavenumber_mismatch)
 
 ConstraintMode = Literal["max_converted_wavelength", "min_pump_converted_separation"]
 
 LimitTag = Literal["threshold", "cutoff", "separation", "scan_edge"]
+
+_BLOCK = 256  # coarse steps per block of the outward walk
+_SIGNAL_BATCH = 32  # signals solved together; bounds the working arrays and peak RSS
 
 
 @dataclass(frozen=True)
@@ -109,93 +112,146 @@ def channel_count(width_thz: float, spacing_ghz: float) -> int:
     return int(np.floor(width_thz * 1000.0 / spacing_ghz))
 
 
-def _efficiency_fn(signal: SpectralPoint, device: DeviceConfig):
-    """Vectorized efficiency vs converted frequency for one device.
-
-    Evaluation is done through the raw Sellmeier form so that the tuning scan
-    can touch its pre-clamped validity edges without per-point checks.
-    """
-    model = device.material
-    t = device.temperature_c
-    k_s = 2.0 * np.pi * np.sqrt(_n_squared(model, signal.wavelength_um, t)) \
-        / signal.wavelength_um
-    grating = 2.0 * np.pi / device.poling_period_um
-
-    def fn(nu_c):
-        nu_c = np.asarray(nu_c, dtype=float)
-        lam_c = C_UM_THZ / nu_c
-        lam_p = C_UM_THZ / (signal.frequency_thz - nu_c)
-        with np.errstate(invalid="ignore"):
-            k_c = 2.0 * np.pi * np.sqrt(_n_squared(model, lam_c, t)) / lam_c
-            k_p = 2.0 * np.pi * np.sqrt(_n_squared(model, lam_p, t)) / lam_p
-        dk = (k_s - k_p - k_c - grating) * 1.0e6
-        return pm_efficiency(dk, device.length_mm)
-
-    return fn
-
-
-def _validity_bounds_nu_c(signal: SpectralPoint, model: SellmeierModel) -> tuple[float, float]:
-    """Converted-frequency interval where both converted and pump stay in validity."""
+def _validity_bounds_nu_c(nu_s, model: SellmeierModel):
+    """Converted-frequency interval, per signal frequency, on which
+    ``model.in_validity`` holds for both converted and pump."""
     lam_lo, lam_hi = model.wavelength_um
-    lo = C_UM_THZ / lam_hi
-    hi = C_UM_THZ / lam_lo
-    # pump-side window mapped through nu_p = nu_s - nu_c
-    lo = max(lo, signal.frequency_thz - C_UM_THZ / lam_lo)
-    hi = min(hi, signal.frequency_thz - C_UM_THZ / lam_hi)
+    lo = np.maximum(C_UM_THZ / lam_hi, nu_s - C_UM_THZ / lam_lo)
+    hi = np.minimum(C_UM_THZ / lam_lo, nu_s - C_UM_THZ / lam_hi)
     return lo, hi
 
 
-def _separation_nm(nu_c: float, nu_s: float) -> float:
-    return abs(C_NM_THZ / (nu_s - nu_c) - C_NM_THZ / nu_c)
+def _separation_bound(nu_s, nu_c0, min_sep_nm: float):
+    """Root on the center's side of nu_s/2 of |lambda_p - lambda_c| = d, that is of
+    d*nu^2 + (2cs - d*nu_s)*nu - s*c*nu_s = 0 with s = +1 when the pump is the
+    longer wavelength and -1 otherwise, in its cancellation-free form."""
+    s = np.where(nu_c0 > nu_s / 2.0, 1.0, -1.0)
+    c, d = C_NM_THZ, min_sep_nm
+    return 2.0 * c * nu_s / (2.0 * c - s * d * nu_s + np.sqrt(4.0 * c * c + (d * nu_s) ** 2))
 
 
-def _bisect_boundary(eff_fn, nu_good: float, nu_bad: float, threshold: float) -> float:
-    """Refine a threshold crossing between a passing and a failing frequency."""
-    tol = REFINE_GHZ / 1000.0
-    while abs(nu_bad - nu_good) > tol:
-        mid = 0.5 * (nu_good + nu_bad)
-        if float(eff_fn(np.array([mid]))[0]) >= threshold:
-            nu_good = mid
-        else:
-            nu_bad = mid
-    return nu_good
-
-
-def _expand_side(eff_fn, nu_center: float, direction: float, bound: float,
-                 bound_tag: LimitTag, coarse_thz: float, threshold: float,
-                 block: int = 256) -> tuple[float, LimitTag]:
-    """Walk outward from the center until the threshold or the bound stops us."""
-    nu_prev = nu_center
-    while True:
-        steps = nu_prev + direction * coarse_thz * np.arange(1, block + 1)
-        inside = steps < bound if direction > 0 else steps > bound
-        chunk = steps[inside]
-        exhausted = chunk.size < block
-        if chunk.size:
-            eff = eff_fn(chunk)
-            bad = np.nonzero(eff < threshold)[0]
-            if bad.size:
-                good = chunk[bad[0] - 1] if bad[0] > 0 else nu_prev
-                return _bisect_boundary(eff_fn, good, chunk[bad[0]], threshold), "threshold"
-            nu_prev = float(chunk[-1])
-        if exhausted:
-            if float(eff_fn(np.array([bound]))[0]) >= threshold:
-                return bound, bound_tag
-            return _bisect_boundary(eff_fn, nu_prev, bound, threshold), "threshold"
+def _walk(eff, start: float, bound, direction, coarse_thz: float, threshold: float):
+    """Walk every row outward from the center in blocks of ``_BLOCK`` coarse steps,
+    steps past the row's bound clipped to it, and bisect the first failing step
+    to REFINE_GHZ. Returns each row's edge and whether the threshold ended it."""
+    n = bound.size
+    prev = np.full(n, start)
+    good, bad = np.empty(n), np.empty(n)
+    hit = np.zeros(n, dtype=bool)
+    k = np.arange(1, _BLOCK + 1)
+    todo = np.arange(n)
+    while todo.size:
+        b = bound[todo, None]
+        steps = prev[todo, None] + direction[todo, None] * coarse_thz * k
+        inside = np.where(direction[todo, None] > 0, steps < b, steps > b)
+        steps = np.where(inside, steps, b)
+        e = eff(todo, steps)
+        # a NaN efficiency passes a coarse step but fails at the bound and in
+        # the bisection, as it always has (ROADMAP 4(a))
+        failing = np.where(inside, e < threshold, ~(e >= threshold))
+        crossed = failing.any(axis=1)
+        first = failing.argmax(axis=1)[crossed]
+        rows = todo[crossed]
+        good[rows] = np.where(first > 0, steps[crossed, first - 1], prev[rows])
+        bad[rows] = steps[crossed, first]
+        hit[rows] = True
+        prev[todo] = steps[:, -1]
+        todo = todo[~crossed & inside[:, -1]]
+    active = hit & (np.abs(bad - good) > REFINE_GHZ / 1000.0)
+    while active.any():
+        i = np.nonzero(active)[0]
+        mid = 0.5 * (good[i] + bad[i])
+        passing = eff(i, mid[:, None])[:, 0] >= threshold
+        good[i[passing]] = mid[passing]
+        bad[i[~passing]] = mid[~passing]
+        active[i] = np.abs(bad[i] - good[i]) > REFINE_GHZ / 1000.0
+    return np.where(hit, good, bound), hit
 
 
 def _combine_tags(tag_lo: LimitTag, tag_hi: LimitTag) -> LimitTag:
-    for tag in (tag_lo, tag_hi):
-        if tag in ("cutoff", "separation"):
-            return tag
-    for tag in (tag_lo, tag_hi):
-        if tag == "scan_edge":
-            return tag
-    return "threshold"
+    return next((tag for tag in ("cutoff", "separation", "scan_edge")
+                 if tag in (tag_lo, tag_hi)), "threshold")
 
 
 def _empty_result(target_nm: float, tag: LimitTag) -> TuningResult:
-    return TuningResult((target_nm, target_nm), 0.0, 0.0, 0, tag)
+    return TuningResult((float(target_nm), float(target_nm)), 0.0, 0.0, 0, tag)
+
+
+def _solve(signal_nm, target_nm: float, length_mm: float, temperature_c: float,
+           material: SellmeierModel, constraints: TuningConstraints) -> list[TuningResult]:
+    """Tuning intervals of many signals around one target, all solved together.
+
+    A signal failing the working-point checks of ``make_device`` gets an empty
+    ``scan_edge`` result. Walk rows 0..n-1 go down from the center, n..2n-1 up.
+    """
+    signal_nm = np.asarray(signal_nm, dtype=float)
+    center = SpectralPoint.from_wavelength_nm(target_nm)
+    nu_c0 = center.frequency_thz
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nu_s = C_NM_THZ / signal_nm
+        d0 = wavenumber_mismatch(material, temperature_c, nu_s, nu_c0,
+                                 signal_nm / 1000.0, center.wavelength_um)
+        empty = np.where(
+            (signal_nm > 0) & (nu_s > nu_c0) & (d0 > 0)
+            & material.in_validity(signal_nm / 1000.0, temperature_c)
+            & material.in_validity(C_UM_THZ / (nu_s - nu_c0), temperature_c)
+            & material.in_validity(center.wavelength_um, temperature_c),
+            "", "scan_edge").astype(object)
+        empty[(empty == "") & (nu_c0 == nu_s / 2.0)] = "separation"
+        value = constraints.constraint_value_nm
+        if constraints.constraint_mode == "max_converted_wavelength":
+            empty[(empty == "") & (target_nm > value)] = "cutoff"
+        else:
+            separation_nm = np.abs(C_NM_THZ / (nu_s - nu_c0) - C_NM_THZ / nu_c0)
+            empty[(empty == "") & (separation_nm < value)] = "separation"
+    live = np.nonzero(empty == "")[0]
+
+    n = live.size
+    nu_s, lam_s, d0 = (np.tile(x[live], 2) for x in (nu_s, signal_nm / 1000.0, d0))
+    period = 2.0 * np.pi / d0
+    direction = np.repeat([-1.0, 1.0], n)
+    val_lo, val_hi = _validity_bounds_nu_c(nu_s, material)
+    hw = constraints.scan_halfwidth_thz
+    bound = np.where(direction < 0, np.maximum(nu_c0 - hw, val_lo),
+                     np.minimum(nu_c0 + hw, val_hi))
+    tag = np.full(2 * n, "scan_edge", dtype=object)
+
+    def tighten(candidate, name, rows):
+        m = rows & (direction * candidate < direction * bound)
+        bound[m] = np.broadcast_to(candidate, m.shape)[m]
+        tag[m] = name
+
+    # Raman rule: the interval must stay on the center's side of the
+    # pump/converted degeneracy.
+    toward_degeneracy = np.where(direction < 0, nu_c0 > nu_s / 2.0, nu_c0 < nu_s / 2.0)
+    tighten(nu_s / 2.0, "separation", toward_degeneracy)
+    if constraints.constraint_mode == "max_converted_wavelength":
+        tighten(C_NM_THZ / value, "cutoff", direction < 0)
+    else:
+        tighten(_separation_bound(nu_s, nu_c0, value), "separation", toward_degeneracy)
+
+    def eff(rows, nu_c):
+        return pm_efficiency(grating_mismatch(material, temperature_c, period[rows, None],
+                                              nu_s[rows, None], nu_c, lam_s[rows, None]),
+                             length_mm)
+
+    edge, hit = _walk(eff, nu_c0, bound, direction, constraints.coarse_step_ghz / 1000.0,
+                      constraints.efficiency_threshold)
+    tag[hit] = "threshold"
+
+    results = [_empty_result(target_nm, t) for t in empty]
+    for j, row in enumerate(live):
+        nu_lo, nu_hi = float(edge[j]), float(edge[j + n])
+        lam_lo, lam_hi = C_NM_THZ / nu_hi, C_NM_THZ / nu_lo
+        width_thz = nu_hi - nu_lo
+        results[row] = TuningResult(
+            converted_interval_nm=(lam_lo, lam_hi),
+            width_nm=lam_hi - lam_lo,
+            width_thz=width_thz,
+            channel_count=channel_count(width_thz, constraints.channel_spacing_ghz),
+            limiting_constraint=_combine_tags(tag[j], tag[j + n]),
+        )
+    return results
 
 
 def tuning_range(signal_nm: float, target_center_nm: float, length_mm: float,
@@ -204,72 +260,14 @@ def tuning_range(signal_nm: float, target_center_nm: float, length_mm: float,
     """Tuning interval around the design center for one signal wavelength.
 
     The poling period is solved at (signal, target_center), so the center
-    sits at unit efficiency. A constraint violated at the center itself gives
-    an empty result tagged with the violated constraint, never an exception.
+    sits at unit efficiency. A working point outside the material validity
+    or without a first-order QPM solution raises as ``make_device`` does; a
+    constraint violated at the center itself gives an empty result tagged
+    with the violated constraint, never an exception.
     """
-    signal = SpectralPoint.from_wavelength_nm(signal_nm)
-    center = SpectralPoint.from_wavelength_nm(target_center_nm)
-    pump0 = pump_for(signal, center)
-    device = make_device(signal_nm, target_center_nm, length_mm, temperature_c, material)
-
-    nu_s = signal.frequency_thz
-    nu_c0 = center.frequency_thz
-    nu_deg = nu_s / 2.0
-
-    val_lo, val_hi = _validity_bounds_nu_c(signal, material)
-    lo_bound = max(nu_c0 - constraints.scan_halfwidth_thz, val_lo)
-    hi_bound = min(nu_c0 + constraints.scan_halfwidth_thz, val_hi)
-    lo_tag: LimitTag = "scan_edge"
-    hi_tag: LimitTag = "scan_edge"
-
-    # Raman rule: the interval must stay on the center's side of the
-    # pump/converted degeneracy.
-    if nu_c0 == nu_deg:
-        return _empty_result(target_center_nm, "separation")
-    if nu_c0 > nu_deg and nu_deg > lo_bound:
-        lo_bound, lo_tag = nu_deg, "separation"
-    elif nu_c0 < nu_deg and nu_deg < hi_bound:
-        hi_bound, hi_tag = nu_deg, "separation"
-
-    if constraints.constraint_mode == "max_converted_wavelength":
-        if target_center_nm > constraints.constraint_value_nm:
-            return _empty_result(target_center_nm, "cutoff")
-        nu_cut = C_NM_THZ / constraints.constraint_value_nm
-        if nu_cut > lo_bound:
-            lo_bound, lo_tag = nu_cut, "cutoff"
-    else:
-        min_sep = constraints.constraint_value_nm
-        if _separation_nm(nu_c0, nu_s) < min_sep:
-            return _empty_result(target_center_nm, "separation")
-        # separation shrinks monotonically toward the degeneracy point
-        near, far = nu_c0, nu_deg
-        for _ in range(200):
-            mid = 0.5 * (near + far)
-            if _separation_nm(mid, nu_s) >= min_sep:
-                near = mid
-            else:
-                far = mid
-        if nu_c0 > nu_deg and near > lo_bound:
-            lo_bound, lo_tag = near, "separation"
-        elif nu_c0 < nu_deg and near < hi_bound:
-            hi_bound, hi_tag = near, "separation"
-
-    eff_fn = _efficiency_fn(signal, device)
-    coarse = constraints.coarse_step_ghz / 1000.0
-    thr = constraints.efficiency_threshold
-    nu_lo, tag_lo = _expand_side(eff_fn, nu_c0, -1.0, lo_bound, lo_tag, coarse, thr)
-    nu_hi, tag_hi = _expand_side(eff_fn, nu_c0, +1.0, hi_bound, hi_tag, coarse, thr)
-
-    lam_lo = C_NM_THZ / nu_hi
-    lam_hi = C_NM_THZ / nu_lo
-    width_thz = nu_hi - nu_lo
-    return TuningResult(
-        converted_interval_nm=(lam_lo, lam_hi),
-        width_nm=lam_hi - lam_lo,
-        width_thz=width_thz,
-        channel_count=channel_count(width_thz, constraints.channel_spacing_ghz),
-        limiting_constraint=_combine_tags(tag_lo, tag_hi),
-    )
+    make_device(signal_nm, target_center_nm, length_mm, temperature_c, material)
+    return _solve([signal_nm], target_center_nm, length_mm, temperature_c,
+                  material, constraints)[0]
 
 
 def pm_spectrum(signal_nm: float, target_center_nm: float, device: DeviceConfig,
@@ -289,28 +287,15 @@ def pm_spectrum(signal_nm: float, target_center_nm: float, device: DeviceConfig,
     nu_c = nu_c0 + step * np.arange(-n_side, n_side + 1)
     nu_c = nu_c[(nu_c > 0.0) & (nu_c < nu_s)]
 
-    eff = _efficiency_fn(signal, device)(nu_c)
+    eff = device_efficiency(device, nu_s, nu_c, signal.wavelength_um)
     lam_c = C_NM_THZ / nu_c
     lam_p = C_NM_THZ / (nu_s - nu_c)
-    w_lo, w_hi = device.material.wavelength_um
-    t_lo, t_hi = device.material.temperature_c
-    in_domain = ((lam_c / 1000.0 >= w_lo) & (lam_c / 1000.0 <= w_hi)
-                 & (lam_p / 1000.0 >= w_lo) & (lam_p / 1000.0 <= w_hi)
-                 & (t_lo <= device.temperature_c <= t_hi))
+    in_domain = (device.material.in_validity(lam_c / 1000.0, device.temperature_c)
+                 & device.material.in_validity(lam_p / 1000.0, device.temperature_c))
     return [
         SpectrumPoint(float(nu), float(lc), float(lp), float(e), bool(~ok))
         for nu, lc, lp, e, ok in zip(nu_c, lam_c, lam_p, eff, in_domain)
     ]
-
-
-def _sweep_point(args) -> HubSweepPoint:
-    (signal_nm, target_nm, length_mm, temperature_c, material, constraints) = args
-    try:
-        result = tuning_range(signal_nm, target_nm, length_mm, temperature_c,
-                              material, constraints)
-    except (ValidityError, DomainError):
-        result = _empty_result(target_nm, "scan_edge")
-    return HubSweepPoint(signal_nm, result)
 
 
 def hub_sweep(signal_range_nm: tuple[float, float], signal_step_nm: float,
@@ -319,22 +304,19 @@ def hub_sweep(signal_range_nm: tuple[float, float], signal_step_nm: float,
               workers: int = 1) -> list[HubSweepPoint]:
     """One tuning range per signal wavelength, ordered by signal wavelength.
 
-    Points are independent; with ``workers`` > 1 they are evaluated in a
-    process pool and reassembled in input order, so the output is identical
-    for any worker count.
+    A signal whose working point ``tuning_range`` would reject is an empty
+    ``scan_edge`` point. ``workers`` is accepted for compatibility and ignored.
     """
     lo, hi = signal_range_nm
     if hi < lo or signal_step_nm <= 0:
         raise DomainError("signal range must be ascending with positive step")
     count = int(np.floor((hi - lo) / signal_step_nm + 1e-9)) + 1
-    signals = [lo + i * signal_step_nm for i in range(count)]
-    jobs = [(s, target_center_nm, length_mm, temperature_c, material, constraints)
-            for s in signals]
-    if workers <= 1:
-        return [_sweep_point(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(jobs) // (workers * 4))
-        return list(pool.map(_sweep_point, jobs, chunksize=chunk))
+    signals = [float(lo + i * signal_step_nm) for i in range(count)]
+    results: list[TuningResult] = []
+    for i in range(0, count, _SIGNAL_BATCH):
+        results += _solve(signals[i:i + _SIGNAL_BATCH], target_center_nm, length_mm,
+                          temperature_c, material, constraints)
+    return [HubSweepPoint(s, r) for s, r in zip(signals, results)]
 
 
 def sweet_spot_report(signal_nm: float, target_center_nm: float,

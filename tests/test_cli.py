@@ -162,6 +162,18 @@ def test_fit_empty_input_exits_2(tmp_path, run_cli):
     assert "no (P, eta) rows found" in proc.stderr
 
 
+def test_fit_bad_middle_row_exits_2(tmp_path, run_cli):
+    lines = ["P_mW,eta", "10,0.10", "20,oops", "30,0.30", "40"]
+    (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+    proc = run_cli(["fit", "--input", "bad.csv"], tmp_path)
+    assert proc.returncode == 2
+    assert "line 3" in proc.stderr and "20,oops" in proc.stderr
+    (tmp_path / "short.csv").write_text("\n".join(lines[:2] + lines[3:]) + "\n")
+    proc = run_cli(["fit", "--input", "short.csv"], tmp_path)
+    assert proc.returncode == 2
+    assert "line 4" in proc.stderr
+
+
 def test_hub_sweep_file_and_repeatability(tmp_path, run_cli):
     args = ["hub-sweep", "--start", "770", "--stop", "790", "--step", "1",
             "--target", "1540", "--separation", "20", "--output", "sweep.csv"]
@@ -215,6 +227,7 @@ def test_bad_config_exits_2(tmp_path, run_cli):
 def test_reproduce_paper_fast(tmp_path, run_cli):
     proc = run_cli(["reproduce-paper", "--sweep-step", "25"], tmp_path)
     summary = summary_of(proc)
+    assert summary["directory"] == "paper-run"
     directory = tmp_path / summary["directory"]
     names = {p.name for p in directory.iterdir()}
     assert {"pm_scan_780_L40.csv", "pm_scan_780_L20.csv", "pm_scan_493_L40.csv",

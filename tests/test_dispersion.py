@@ -102,6 +102,17 @@ def test_validity_error_names_bound(jundt):
         refractive_index(jundt, 0.35, 48.0)
     with pytest.raises(ValidityError, match="temperature"):
         refractive_index(jundt, 1.54, 300.0)
+    # a wavelength outside the window is named first
+    with pytest.raises(ValidityError, match=r"wavelength 0\.3500"):
+        refractive_index(jundt, [1.54, 0.35], 300.0)
+
+
+def test_in_validity_is_elementwise(jundt):
+    lams = np.array([0.35, 0.4, 1.54, 5.0, 5.2])
+    assert jundt.in_validity(lams, 48.0).tolist() == [False, True, True, True, False]
+    assert jundt.in_validity(1.54, np.array([21.5, 250.0, 260.0])).tolist() == [
+        True, True, False]
+    assert not jundt.in_validity(lams, 300.0).any()
 
 
 def test_extrapolation_must_be_explicit(jundt):

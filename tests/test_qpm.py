@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfchub import (DeviceConfig, DomainError, InteractionTriple, SpectralPoint,
                     group_index, group_index_mismatch, make_device,
                     phase_mismatch, phase_mismatch_vs_converted, pm_efficiency,
-                    pump_for, sinc, solve_poling_period)
+                    pump_for, refractive_index, sinc, solve_poling_period,
+                    wavenumber_mismatch)
 from qfchub.constants import C_UM_THZ
 
 # Frozen from a standalone evaluation of 2*pi/(k_s - k_p - k_c) with the
@@ -184,3 +187,31 @@ def test_cross_module_group_slope_consistency(jundt):
     slope = float(dk[0] - dk[1]) / (2.0 * h) * C_UM_THZ / (2.0 * np.pi * 1e6)
     diff = group_index(jundt, lam_c, 48.0) - group_index(jundt, lam_p, 48.0)
     assert diff == pytest.approx(slope, rel=1e-4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(temperature_c=st.floats(21.5, 250.0),
+       pairs=st.lists(st.tuples(st.floats(0.4, 1.2), st.floats(0.0, 1.0)),
+                      min_size=1, max_size=12))
+def test_kernel_equals_scalar_refractive_index(jundt, temperature_c, pairs):
+    # converted wavelength drawn between 0.4 um and the longest one that keeps
+    # the pump inside the 5 um validity edge
+    lam_s = np.array([s for s, _ in pairs])
+    lam_c_max = 1.0 / (1.0 / lam_s - 1.0 / 5.0)
+    lam_c = np.maximum(0.4, lam_s + 1e-3) + np.array([f for _, f in pairs]) * (
+        lam_c_max - np.maximum(0.4, lam_s + 1e-3))
+    lam_p = 1.0 / (1.0 / lam_s - 1.0 / lam_c)
+    ok = (lam_c >= 0.4) & (lam_c <= 5.0) & (lam_p >= 0.4) & (lam_p <= 5.0)
+    lam_s, lam_c, lam_p = lam_s[ok], lam_c[ok], lam_p[ok]
+    got = wavenumber_mismatch(jundt, temperature_c, C_UM_THZ / lam_s, C_UM_THZ / lam_c,
+                              lam_s, lam_c)
+    expected = [2.0 * np.pi * (refractive_index(jundt, s, temperature_c) / s
+                               - refractive_index(jundt, p, temperature_c) / p
+                               - refractive_index(jundt, c, temperature_c) / c)
+                for s, p, c in zip(lam_s, lam_p, lam_c)]
+    assert got.shape == lam_s.shape
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-11)
+    # frequencies alone give the same values to rounding
+    np.testing.assert_allclose(
+        wavenumber_mismatch(jundt, temperature_c, C_UM_THZ / lam_s, C_UM_THZ / lam_c),
+        expected, rtol=0, atol=1e-11)

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfchub import (DomainError, TuningConstraints, channel_count,
-                    group_index_mismatch, hub_sweep, make_device, pm_spectrum,
-                    sweet_spot_report, tuning_range)
+                    group_index_mismatch, hub_sweep, make_device, pm_efficiency,
+                    pm_spectrum, sweet_spot_report, tuning_range,
+                    wavenumber_mismatch)
 from qfchub.dispersion import SpectralPoint
-from qfchub.tuning import _efficiency_fn, sweep_csv_rows
+from qfchub.errors import QfcHubError
+from qfchub.tuning import _empty_result, _separation_bound, _solve, sweep_csv_rows
 from qfchub.constants import C_NM_THZ
 
 
@@ -87,11 +91,12 @@ def test_bisection_agrees_with_brute_force_grid(jundt, rng):
         assert result.limiting_constraint == "threshold"
 
         device = make_device(float(signal), 1540.0, 40.0, 48.0, jundt)
-        eff_fn = _efficiency_fn(SpectralPoint.from_wavelength_nm(float(signal)),
-                                device)
+        point = SpectralPoint.from_wavelength_nm(float(signal))
         nu_c0 = SpectralPoint.from_wavelength_nm(1540.0).frequency_thz
         grid = nu_c0 + fine * np.arange(-40000, 40001)
-        eff = eff_fn(grid)
+        dk = wavenumber_mismatch(jundt, 48.0, point.frequency_thz, grid,
+                                 point.wavelength_um) - 2.0 * np.pi / device.poling_period_um
+        eff = pm_efficiency(dk * 1.0e6, 40.0)
         center = 40000
         above = eff >= 0.9
         lo = center
@@ -210,3 +215,75 @@ def test_sweep_csv_rows_format(jundt, separation_20):
     assert all(len(row) == 7 for row in rows)
     assert rows[0][0] == "780.0000"
     assert rows[0][6] in ("threshold", "cutoff", "separation", "scan_edge")
+
+
+def test_separation_bound_closed_form(rng):
+    # the root of |lambda_p - lambda_c| = d on the center's side of nu_s/2
+    nu_s = C_NM_THZ / rng.uniform(400.0, 1000.0, size=200)
+    for side in (1.0, -1.0):
+        nu_c0 = nu_s / 2.0 + side * rng.uniform(5.0, 60.0, size=nu_s.size)
+        for d in (5.0, 20.0):
+            root = _separation_bound(nu_s, nu_c0, d)
+            separation = np.abs(C_NM_THZ / (nu_s - root) - C_NM_THZ / root)
+            np.testing.assert_allclose(separation, d, rtol=1e-9)
+            assert np.all(side * (root - nu_s / 2.0) > 0)
+
+
+def _alone(signal_nm, target_nm, material, constraints):
+    """tuning_range on one signal; a rejected working point is the sweep's scan_edge."""
+    try:
+        return tuning_range(signal_nm, target_nm, 40.0, 48.0, material, constraints)
+    except QfcHubError:
+        return _empty_result(target_nm, "scan_edge")
+
+
+@settings(max_examples=25, deadline=None)
+@given(signals=st.lists(st.integers(0, 400).map(lambda i: 300.0 + 2.0 * i),
+                        min_size=1, max_size=90, unique=True),
+       target=st.sampled_from([1540.0, 1310.0]),
+       cutoff=st.booleans())
+def test_batched_solver_matches_single_signal(jundt, signals, target, cutoff):
+    # any subset of 300-1100 nm in any order, across the 64-signal batch edge
+    constraints = (TuningConstraints(constraint_mode="max_converted_wavelength",
+                                     constraint_value_nm=target + 10.0) if cutoff
+                   else TuningConstraints(constraint_mode="min_pump_converted_separation",
+                                          constraint_value_nm=20.0))
+    batched = _solve(signals, target, 40.0, 48.0, jundt, constraints)
+    assert batched == [_alone(s, target, jundt, constraints) for s in signals]
+
+
+def test_hub_sweep_points_match_single_signal(jundt, separation_20):
+    points = hub_sweep((300.0, 1000.0), 7.0, 1310.0, 40.0, 48.0, jundt, separation_20)
+    assert {p.tuning.limiting_constraint for p in points} == {
+        "scan_edge", "separation", "threshold"}
+    for p in points:
+        assert p.tuning == _alone(p.signal_nm, 1310.0, jundt, separation_20)
+
+
+def _assert_plain_types(result):
+    lo, hi = result.converted_interval_nm
+    assert type(result.converted_interval_nm) is tuple
+    for value in (lo, hi, result.width_nm, result.width_thz):
+        assert type(value) is float
+    assert type(result.channel_count) is int
+    assert type(result.limiting_constraint) is str
+    assert type(result.is_empty) is bool
+
+
+def test_results_are_plain_python_types(jundt, cutoff_1550, separation_20):
+    narrow = TuningConstraints(scan_halfwidth_thz=0.5)
+    cases = [(780.0, cutoff_1550, "cutoff"), (493.0, separation_20, "threshold"),
+             (780.0, narrow, "scan_edge"), (770.0, separation_20, "separation")]
+    for signal, constraints, tag in cases:
+        result = tuning_range(signal, 1540, 40.0, 48.0, jundt, constraints)
+        assert result.limiting_constraint == tag
+        _assert_plain_types(result)
+    assert tuning_range(770.0, 1540, 40.0, 48.0, jundt, separation_20).is_empty
+
+    points = hub_sweep((300, 1000), 50, 1310, 40.0, 48.0, jundt, separation_20)
+    assert any(p.tuning.is_empty and p.tuning.limiting_constraint == "scan_edge"
+               for p in points)
+    assert any(not p.tuning.is_empty for p in points)
+    for p in points:
+        assert type(p.signal_nm) is float
+        _assert_plain_types(p.tuning)
