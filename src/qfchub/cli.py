@@ -1,7 +1,7 @@
 """Command-line interface wiring all toolkit modules to reproducible files.
 
 Every subcommand prints a one-line JSON summary on stdout (command, key
-results, elapsed time) and honors --format/--output uniformly. Exit codes:
+results, elapsed time) and takes only the flags its handler reads. Exit codes:
 0 success (an empty tuning range is still success), 2 usage or validation
 failure, 3 numeric failure.
 """
@@ -12,12 +12,13 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .config import ENV_CONFIG_PATH, RunConfig, apply_overrides, load_config
 from .dispersion import get_material, group_index, index_derivative, refractive_index
-from .dwdm import (PLAN_CSV_COLUMNS, DwdmGrid, LaserSpec, high_efficiency_band,
-                   plan_csv_rows, plan_pumps, relative_efficiency_curve)
+from .dwdm import (PLAN_CSV_COLUMNS, high_efficiency_band, plan_csv_rows, plan_pumps,
+                   relative_efficiency_curve)
 from .emit import read_two_column_csv, write_csv, write_json
 from .errors import (ConfigError, ConvergenceError, DegenerateError, DomainError,
                      RangeError, SingularityError, ValidityError)
@@ -26,9 +27,9 @@ from .polarization import (PolarizationState, QfcChannelModel, apply_channel,
                            chi_payload, fit_efficiency, kraus_to_chi,
                            process_fidelity, reconstruct_chi, simulate_tomography)
 from .qpm import DeviceConfig, make_device
-from .tuning import (SWEEP_CSV_COLUMNS, HubSweepPoint, TuningConstraints,
-                     hub_sweep, pm_spectrum, sweep_csv_rows, sweet_spot_report,
-                     tuning_range, tuning_result_payload)
+from .tuning import (SWEEP_CSV_COLUMNS, HubSweepPoint, hub_sweep, pm_spectrum,
+                     sweep_csv_rows, sweet_spot_report, tuning_range,
+                     tuning_result_payload)
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
@@ -42,32 +43,39 @@ SPECTRUM_CSV_COLUMNS = ("nu_c_THz", "lambda_c_nm", "lambda_p_nm", "efficiency",
 INDEX_CSV_COLUMNS = ("wavelength_nm", "n", "dn_dlambda_per_um", "group_index")
 
 
-def _shared_options(parser: argparse.ArgumentParser) -> None:
+# Each destination is the RunConfig field the flag sets (_resolve_config reads
+# them by field name); argparse derives it from the flag where "dest" is absent.
+_RUN_OPTIONS = {
+    "material": {"help": "material model name"},
+    "material-file": {"help": "extra material definitions (JSON)"},
+    "temperature": {"dest": "temperature_c", "type": float,
+                    "help": "crystal temperature in deg C"},
+    "length": {"dest": "length_mm", "type": float, "help": "crystal length in mm"},
+    "format": {"dest": "output_format", "help": "output file format: csv or json"},
+    "output": {"help": "output file path"},
+    "workers": {"type": int, "help": "ignored; kept for compatibility"},
+    "allow-extrapolation": {"action": "store_const", "const": True,
+                            "help": "evaluate dispersion outside stated validity (flagged)"},
+}
+_MATERIAL = ("material", "material-file", "temperature")
+
+
+def _run_options(parser: argparse.ArgumentParser, *names: str) -> None:
+    """--config plus the named flags of ``_RUN_OPTIONS``, in that order."""
     g = parser.add_argument_group("run configuration")
     g.add_argument("--config", help="JSON config file (default: $%s)" % ENV_CONFIG_PATH)
-    g.add_argument("--material", help="material model name")
-    g.add_argument("--material-file", dest="material_file",
-                   help="extra material definitions (JSON)")
-    g.add_argument("--temperature", dest="temperature_c", type=float,
-                   help="crystal temperature in deg C")
-    g.add_argument("--length", dest="length_mm", type=float,
-                   help="crystal length in mm")
-    g.add_argument("--format", dest="output_format", choices=("csv", "json"),
-                   help="output file format")
-    g.add_argument("--output", help="output file path")
-    g.add_argument("--workers", type=int, help="ignored; kept for compatibility")
-    g.add_argument("--allow-extrapolation", dest="allow_extrapolation",
-                   action="store_const", const=True,
-                   help="evaluate dispersion outside stated validity (flagged)")
+    for name in names:
+        g.add_argument("--" + name, **_RUN_OPTIONS[name])
 
 
-def _constraint_options(parser: argparse.ArgumentParser) -> None:
+def _constraint_options(parser: argparse.ArgumentParser, mode: bool = True) -> None:
     g = parser.add_argument_group("tuning constraints")
-    mode = g.add_mutually_exclusive_group()
-    mode.add_argument("--cutoff", type=float, metavar="NM",
-                      help="max converted wavelength in nm")
-    mode.add_argument("--separation", type=float, metavar="NM",
-                      help="min pump/converted separation in nm")
+    if mode:
+        modes = g.add_mutually_exclusive_group()
+        modes.add_argument("--cutoff", type=float, metavar="NM",
+                           help="max converted wavelength in nm")
+        modes.add_argument("--separation", type=float, metavar="NM",
+                           help="min pump/converted separation in nm")
     g.add_argument("--threshold", dest="efficiency_threshold", type=float,
                    help="efficiency threshold, fraction of the scan peak")
     g.add_argument("--scan-halfwidth-thz", dest="scan_halfwidth_thz", type=float)
@@ -83,25 +91,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("index", help="refractive index table")
     p.add_argument("wavelengths_nm", nargs="+", type=float, metavar="NM")
-    _shared_options(p)
+    _run_options(p, *_MATERIAL, "format", "output", "allow-extrapolation")
 
     p = sub.add_parser("pm-scan", help="phase-matching spectrum around a target")
     p.add_argument("--signal", type=float, required=True, metavar="NM")
     p.add_argument("--target", type=float, required=True, metavar="NM")
     p.add_argument("--window-thz", type=float, default=6.0)
     p.add_argument("--step-ghz", type=float, default=2.0)
-    _shared_options(p)
+    _run_options(p, *_MATERIAL, "length", "format", "output", "allow-extrapolation")
 
     p = sub.add_parser("tuning-range", help="90%%-threshold tuning interval")
     p.add_argument("--signal", type=float, required=True, metavar="NM")
     p.add_argument("--target", type=float, required=True, metavar="NM")
     _constraint_options(p)
-    _shared_options(p)
+    _run_options(p, *_MATERIAL, "length", "format", "output")
 
     p = sub.add_parser("sweet-spot", help="group-index mismatch report")
     p.add_argument("--signal", type=float, required=True, metavar="NM")
     p.add_argument("--target", type=float, required=True, metavar="NM")
-    _shared_options(p)
+    _run_options(p, *_MATERIAL)
 
     p = sub.add_parser("hub-sweep", help="tuning range vs signal wavelength")
     p.add_argument("--start", type=float, required=True, metavar="NM")
@@ -109,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=1.0, metavar="NM")
     p.add_argument("--target", type=float, required=True, metavar="NM")
     _constraint_options(p)
-    _shared_options(p)
+    _run_options(p, *_MATERIAL, "length", "format", "output", "workers")
 
     p = sub.add_parser("plan", help="per-port DWDM pump plan")
     p.add_argument("--signal-freq", dest="signal_frequency_thz", type=float,
@@ -124,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", action="store_true",
                    help="also emit the efficiency-vs-pump-frequency curve")
     p.add_argument("--curve-step-ghz", type=float, default=1.0)
-    _shared_options(p)
+    _run_options(p, *_MATERIAL, "length", "format", "output")
 
     p = sub.add_parser("simulate", help="apply the polarization channel to a state")
     p.add_argument("--eta-cw", type=float, required=True)
@@ -133,42 +141,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mix", type=float, default=0.0, metavar="EPS")
     p.add_argument("--input", default="D", metavar="LABEL",
                    help="input state label (H/V/D/A/R/L)")
-    _shared_options(p)
+    _run_options(p, "output")
 
     p = sub.add_parser("tomography", help="simulated process tomography")
     p.add_argument("--eta-cw", type=float, required=True)
     p.add_argument("--eta-ccw", type=float, required=True)
     p.add_argument("--phase", type=float, default=0.0, metavar="RAD")
     p.add_argument("--mix", type=float, default=0.0, metavar="EPS")
-    _shared_options(p)
+    _run_options(p, "output")
 
     p = sub.add_parser("fit", help="fit the pump-power efficiency curve")
     p.add_argument("--input", required=True, metavar="CSV",
                    help="two-column CSV: P_mW, eta")
-    _shared_options(p)
+    _run_options(p, "output")
 
     p = sub.add_parser("reproduce-paper",
                        help="run the bundled figure-data reproduction set")
     p.add_argument("--out-dir", default=".", metavar="DIR")
     p.add_argument("--sweep-step", type=float, default=1.0, metavar="NM")
-    _constraint_options(p)
-    _shared_options(p)
+    _constraint_options(p, mode=False)
+    _run_options(p, *_MATERIAL, "length", "workers")
 
     return parser
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    path = getattr(args, "config", None) or os.environ.get(ENV_CONFIG_PATH)
+    path = args.config or os.environ.get(ENV_CONFIG_PATH)
     config = load_config(path) if path else RunConfig()
-    overrides = {}
-    for name in ("material", "material_file", "temperature_c", "length_mm",
-                 "output_format", "output", "workers", "allow_extrapolation",
-                 "efficiency_threshold", "scan_halfwidth_thz", "coarse_step_ghz",
-                 "channel_spacing_ghz", "grid_anchor_thz", "grid_spacing_ghz",
-                 "grid_ports", "laser_min_nm", "laser_max_nm",
-                 "signal_frequency_thz"):
-        if hasattr(args, name):
-            overrides[name] = getattr(args, name)
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     if getattr(args, "cutoff", None) is not None:
         overrides["constraint_mode"] = "max_converted_wavelength"
         overrides["constraint_value_nm"] = args.cutoff
@@ -176,17 +176,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         overrides["constraint_mode"] = "min_pump_converted_separation"
         overrides["constraint_value_nm"] = args.separation
     return apply_overrides(config, **overrides)
-
-
-def _constraints(config: RunConfig) -> TuningConstraints:
-    return TuningConstraints(
-        efficiency_threshold=config.efficiency_threshold,
-        constraint_mode=config.constraint_mode,
-        constraint_value_nm=config.constraint_value_nm,
-        scan_halfwidth_thz=config.scan_halfwidth_thz,
-        coarse_step_ghz=config.coarse_step_ghz,
-        channel_spacing_ghz=config.channel_spacing_ghz,
-    )
 
 
 def _out_path(config: RunConfig, default_name: str) -> Path:
@@ -252,7 +241,7 @@ def cmd_pm_scan(config: RunConfig, args: argparse.Namespace) -> dict:
 
 def cmd_tuning_range(config: RunConfig, args: argparse.Namespace) -> dict:
     model = get_material(config.material, config.material_file)
-    constraints = _constraints(config)
+    constraints = config.tuning_constraints()
     result = tuning_range(args.signal, args.target, config.length_mm,
                           config.temperature_c, model, constraints)
     summary = {"signal_nm": args.signal, "target_nm": args.target,
@@ -284,7 +273,7 @@ def cmd_sweet_spot(config: RunConfig, args: argparse.Namespace) -> dict:
 
 def cmd_hub_sweep(config: RunConfig, args: argparse.Namespace) -> dict:
     model = get_material(config.material, config.material_file)
-    constraints = _constraints(config)
+    constraints = config.tuning_constraints()
     points = hub_sweep((args.start, args.stop), args.step, args.target,
                        config.length_mm, config.temperature_c, model,
                        constraints)
@@ -306,10 +295,7 @@ def cmd_hub_sweep(config: RunConfig, args: argparse.Namespace) -> dict:
 
 def cmd_plan(config: RunConfig, args: argparse.Namespace) -> dict:
     model = get_material(config.material, config.material_file)
-    grid = DwdmGrid(config.grid_anchor_thz, config.grid_spacing_ghz,
-                    config.grid_ports)
-    laser = LaserSpec(config.laser_min_nm, config.laser_max_nm)
-    plan = plan_pumps(grid, config.signal_frequency_thz, laser,
+    plan = plan_pumps(config.grid(), config.signal_frequency_thz, config.laser(),
                       config.length_mm, config.temperature_c, model,
                       center_frequency_thz=args.center_frequency_thz)
     ext = config.output_format
@@ -421,13 +407,9 @@ def cmd_reproduce_paper(config: RunConfig, args: argparse.Namespace) -> dict:
     scan(493.0, 1540.0, 40.0, 1.0, 0.5, "pm_scan_493_L40.csv")
     scan(934.0, 1540.0, 40.0, 20.0, 5.0, "pm_scan_934_L40.csv")
 
-    sweep_constraints = TuningConstraints(
-        efficiency_threshold=config.efficiency_threshold,
-        constraint_mode="min_pump_converted_separation",
-        constraint_value_nm=20.0,
-        scan_halfwidth_thz=config.scan_halfwidth_thz,
-        coarse_step_ghz=config.coarse_step_ghz,
-        channel_spacing_ghz=config.channel_spacing_ghz)
+    sweep_constraints = replace(config.tuning_constraints(),
+                                constraint_mode="min_pump_converted_separation",
+                                constraint_value_nm=20.0)
     for target, name in ((1540.0, "sweep_cband.csv"), (1310.0, "sweep_oband.csv")):
         points = hub_sweep((400.0, 1000.0), args.sweep_step, target,
                            config.length_mm, config.temperature_c, model,
@@ -435,9 +417,9 @@ def cmd_reproduce_paper(config: RunConfig, args: argparse.Namespace) -> dict:
         produced.append(str(write_csv(run_dir / name, SWEEP_CSV_COLUMNS,
                                       sweep_csv_rows(points))))
 
-    cutoff_constraints = TuningConstraints(
-        constraint_mode="max_converted_wavelength", constraint_value_nm=1550.0,
-        channel_spacing_ghz=config.channel_spacing_ghz)
+    cutoff_constraints = replace(sweep_constraints,
+                                 constraint_mode="max_converted_wavelength",
+                                 constraint_value_nm=1550.0)
     for length, name in ((40.0, "tuning_range_L40.json"),
                          (20.0, "tuning_range_L20.json")):
         result = tuning_range(780.0, 1540.0, length, config.temperature_c,

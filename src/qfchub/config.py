@@ -9,14 +9,17 @@ import json
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .errors import ConfigError
+from .dispersion import DEFAULT_MATERIAL
+from .dwdm import DwdmGrid, LaserSpec
+from .errors import ConfigError, DomainError
+from .tuning import TuningConstraints
 
 ENV_CONFIG_PATH = "QFCHUB_CONFIG"
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    material: str = "jundt1997"
+    material: str = DEFAULT_MATERIAL
     material_file: str | None = None
     temperature_c: float = 48.0
     length_mm: float = 40.0
@@ -36,31 +39,33 @@ class RunConfig:
     signal_frequency_thz: float = 384.200
     output_format: str = "csv"
     output: str | None = None
-    workers: int = 1  # accepted for compatibility; sweeps run in one process
     allow_extrapolation: bool = False
 
+    def tuning_constraints(self) -> TuningConstraints:
+        return TuningConstraints(self.efficiency_threshold, self.constraint_mode,
+                                 self.constraint_value_nm, self.scan_halfwidth_thz,
+                                 self.coarse_step_ghz, self.channel_spacing_ghz)
+
+    def grid(self) -> DwdmGrid:
+        return DwdmGrid(self.grid_anchor_thz, self.grid_spacing_ghz, self.grid_ports)
+
+    def laser(self) -> LaserSpec:
+        return LaserSpec(self.laser_min_nm, self.laser_max_nm)
+
     def validate(self) -> "RunConfig":
+        """Check the fields no builder checks, then build what the commands use."""
         if self.temperature_c <= -273.15:
             raise ConfigError("temperature below absolute zero")
-        for name in ("length_mm", "constraint_value_nm", "scan_halfwidth_thz",
-                     "coarse_step_ghz", "channel_spacing_ghz", "grid_anchor_thz",
-                     "grid_spacing_ghz", "laser_min_nm", "laser_max_nm",
-                     "signal_frequency_thz"):
+        for name in ("length_mm", "signal_frequency_thz"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if not 0 < self.efficiency_threshold < 1:
-            raise ConfigError("efficiency_threshold must be in (0, 1)")
-        if self.constraint_mode not in ("max_converted_wavelength",
-                                        "min_pump_converted_separation"):
-            raise ConfigError(f"unknown constraint_mode {self.constraint_mode!r}")
-        if self.grid_ports < 1:
-            raise ConfigError("grid_ports must be >= 1")
-        if self.laser_min_nm >= self.laser_max_nm:
-            raise ConfigError("laser_min_nm must be below laser_max_nm")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if self.output_format not in ("csv", "json"):
             raise ConfigError("output_format must be csv or json")
+        try:
+            for build in (self.tuning_constraints, self.grid, self.laser):
+                build()
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
         return self
 
 
@@ -74,16 +79,13 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = set(payload) - _FIELD_NAMES
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    return replace(RunConfig(), **payload).validate()
+    return apply_overrides(RunConfig(), **payload)
 
 
 def apply_overrides(config: RunConfig, **overrides) -> RunConfig:
     """Apply non-None keyword overrides (flags win over file values)."""
-    updates = {k: v for k, v in overrides.items() if v is not None}
-    unknown = set(updates) - _FIELD_NAMES
+    unknown = set(overrides) - _FIELD_NAMES
     if unknown:
-        raise ConfigError(f"unknown config overrides: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    updates = {k: v for k, v in overrides.items() if v is not None}
     return replace(config, **updates).validate()

@@ -41,6 +41,9 @@ TOMOGRAPHY_INPUTS = ("H", "V", "D", "R")
 _HERM_TOL = 1e-9
 _PSD_TOL = 1e-12
 
+_BALANCE_GRID = 256  # ratio-grid points per monotone piece of sin^2 in pump_balance
+_BALANCE_BISECTIONS = 64  # narrows a grid bracket below one ulp of the ratio
+
 
 @dataclass(frozen=True)
 class PolarizationState:
@@ -164,12 +167,21 @@ def ideal_process() -> ProcessMatrix:
 
 
 def kraus_to_chi(model: QfcChannelModel) -> ProcessMatrix:
-    """Closed-form process matrix of the channel (trace-decreasing)."""
+    """Closed-form process matrix of the channel (trace-decreasing).
+
+    The mixed-in part, tr(K^dag K rho) I/2 with K^dag K = s I + d Z, has chi
+    (s/4) I4 + (d/4)(E_IZ + E_ZI + i E_XY - i E_YX).
+    """
     c = _pauli_coefficients(model)
     chi = np.outer(c, c.conj())
     mix = model.depolarizing_mix
     if mix:
-        chi = (1.0 - mix) * chi + mix * np.trace(chi).real * 0.25 * np.eye(4)
+        s = 0.5 * (model.eta_cw + model.eta_ccw)
+        d = 0.5 * (model.eta_ccw - model.eta_cw)
+        depolarized = 0.25 * s * np.eye(4, dtype=complex)
+        depolarized[0, 3] = depolarized[3, 0] = 0.25 * d
+        depolarized[1, 2], depolarized[2, 1] = 0.25j * d, -0.25j * d
+        chi = (1.0 - mix) * chi + mix * depolarized
     return ProcessMatrix(chi)
 
 
@@ -305,31 +317,34 @@ def pump_balance(params_ccw: EfficiencyCurveParams, params_cw: EfficiencyCurvePa
                  total_power_mw: float, tolerance: float = 1e-9) -> PumpSplit:
     """Split a total pump power so both arms convert with equal efficiency.
 
-    Bisection on the power ratio; the efficiency gap changes sign across
-    [0, 1], so a root always exists. If the gap cannot be closed to the
-    tolerance the least-gap split is returned with ``equalized`` False.
+    The efficiency gap eta_ccw - eta_cw is < 0 at ratio 0 and > 0 at ratio 1;
+    past saturation it changes sign more than once. Every sign change on a
+    ratio grid that resolves the sin^2 oscillations is bisected, all together,
+    and the equalizing split that converts best is returned. ``equalized`` is
+    False when its gap exceeds the tolerance.
     """
-    if total_power_mw < 0:
-        raise DomainError("total power must be non-negative")
+    if not 0 <= total_power_mw < np.inf:
+        raise DomainError("total power must be finite and non-negative")
     if total_power_mw == 0:
         return PumpSplit(0.0, 0.0, 0.0, 0.0, True)
 
-    def gap(ratio: float) -> float:
+    def gap(ratio):
         return (efficiency_model(ratio * total_power_mw, params_ccw)
                 - efficiency_model((1.0 - ratio) * total_power_mw, params_cw))
 
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
+    # sin^2(sqrt(eta_nor * P)) is monotone on pieces of pi/2 in sqrt(eta_nor * P)
+    pieces = np.sqrt(max(params_ccw.eta_nor_per_mw, params_cw.eta_nor_per_mw)
+                     * total_power_mw) / (0.5 * np.pi)
+    grid = np.linspace(0.0, 1.0, _BALANCE_GRID * (1 + int(pieces)) + 1)
+    below = gap(grid) <= 0.0
+    brackets = np.nonzero(below[:-1] != below[1:])[0]
+    lo, hi, lo_below = grid[brackets], grid[brackets + 1], below[brackets]
+    for _ in range(_BALANCE_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        if gap(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    ratio = 0.5 * (lo + hi)
-    if abs(gap(ratio)) > tolerance:
-        grid = np.linspace(0.0, 1.0, 100001)
-        gaps = np.abs([gap(r) for r in grid])
-        ratio = float(grid[int(np.argmin(gaps))])
+        to_lo = (gap(mid) <= 0.0) == lo_below
+        lo, hi = np.where(to_lo, mid, lo), np.where(to_lo, hi, mid)
+    roots = 0.5 * (lo + hi)
+    ratio = float(roots[np.argmax(efficiency_model(roots * total_power_mw, params_ccw))])
     p_ccw = ratio * total_power_mw
     p_cw = total_power_mw - p_ccw
     eta_ccw = efficiency_model(p_ccw, params_ccw)

@@ -54,6 +54,8 @@ class TuningConstraints:
         if self.constraint_mode not in (
                 "max_converted_wavelength", "min_pump_converted_separation"):
             raise DomainError(f"unknown constraint mode {self.constraint_mode!r}")
+        if self.constraint_value_nm <= 0:
+            raise DomainError("constraint value must be positive")
         if self.scan_halfwidth_thz <= 0 or self.coarse_step_ghz <= 0:
             raise DomainError("scan halfwidth and coarse step must be positive")
         if self.channel_spacing_ghz <= 0:
@@ -145,10 +147,7 @@ def _walk(eff, start: float, bound, direction, coarse_thz: float, threshold: flo
         steps = prev[todo, None] + direction[todo, None] * coarse_thz * k
         inside = np.where(direction[todo, None] > 0, steps < b, steps > b)
         steps = np.where(inside, steps, b)
-        e = eff(todo, steps)
-        # a NaN efficiency passes a coarse step but fails at the bound and in
-        # the bisection, as it always has (ROADMAP 4(a))
-        failing = np.where(inside, e < threshold, ~(e >= threshold))
+        failing = ~(eff(todo, steps) >= threshold)  # NaN fails, as in the bisection
         crossed = failing.any(axis=1)
         first = failing.argmax(axis=1)[crossed]
         rows = todo[crossed]

@@ -1,11 +1,16 @@
+import argparse
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qfchub import EfficiencyCurveParams, efficiency_model
+from qfchub import (ConfigError, DwdmGrid, EfficiencyCurveParams, LaserSpec,
+                    TuningConstraints, efficiency_model)
+from qfchub.cli import _resolve_config, build_parser
+from qfchub.config import ENV_CONFIG_PATH, RunConfig, apply_overrides, load_config
 
 
 def read_schema_csv(path):
@@ -234,3 +239,169 @@ def test_reproduce_paper_fast(tmp_path, run_cli):
             "pm_scan_934_L40.csv", "sweep_cband.csv", "sweep_oband.csv",
             "tuning_range_L40.json", "tuning_range_L20.json",
             "pump_plan.csv", "pump_plan_curve.csv"} <= names
+
+
+# In-process checks of the parser and the config rules: no child processes.
+
+# The smallest valid command line of each subcommand.
+BASE_ARGV = {
+    "index": ["index", "780"],
+    "pm-scan": ["pm-scan", "--signal", "780", "--target", "1540"],
+    "tuning-range": ["tuning-range", "--signal", "780", "--target", "1540"],
+    "sweet-spot": ["sweet-spot", "--signal", "780", "--target", "1540"],
+    "hub-sweep": ["hub-sweep", "--start", "770", "--stop", "790", "--target", "1540"],
+    "plan": ["plan"],
+    "simulate": ["simulate", "--eta-cw", "0.5", "--eta-ccw", "0.5"],
+    "tomography": ["tomography", "--eta-cw", "0.5", "--eta-ccw", "0.5"],
+    "fit": ["fit", "--input", "data.csv"],
+    "reproduce-paper": ["reproduce-paper"],
+}
+
+_CONFIG_MATERIAL = ["--config", "--material", "--material-file", "--temperature"]
+_CONSTRAINTS = ["--threshold", "--scan-halfwidth-thz", "--coarse-step-ghz",
+                "--channel-spacing-ghz"]
+_OUTPUT = ["--format", "--output"]
+
+# Every flag of each subcommand; each one is read by its handler, except
+# --workers, which is accepted for compatibility and ignored.
+FLAGS = {
+    "index": [*_CONFIG_MATERIAL, *_OUTPUT, "--allow-extrapolation"],
+    "pm-scan": ["--signal", "--target", "--window-thz", "--step-ghz", *_CONFIG_MATERIAL,
+                "--length", *_OUTPUT, "--allow-extrapolation"],
+    "tuning-range": ["--signal", "--target", "--cutoff", "--separation", *_CONSTRAINTS,
+                     *_CONFIG_MATERIAL, "--length", *_OUTPUT],
+    "sweet-spot": ["--signal", "--target", *_CONFIG_MATERIAL],
+    "hub-sweep": ["--start", "--stop", "--step", "--target", "--cutoff", "--separation",
+                  *_CONSTRAINTS, *_CONFIG_MATERIAL, "--length", *_OUTPUT, "--workers"],
+    "plan": ["--signal-freq", "--center-freq", "--grid-anchor-thz", "--grid-spacing-ghz",
+             "--grid-ports", "--laser-min-nm", "--laser-max-nm", "--curve",
+             "--curve-step-ghz", *_CONFIG_MATERIAL, "--length", *_OUTPUT],
+    "simulate": ["--eta-cw", "--eta-ccw", "--phase", "--mix", "--input", "--config",
+                 "--output"],
+    "tomography": ["--eta-cw", "--eta-ccw", "--phase", "--mix", "--config", "--output"],
+    "fit": ["--input", "--config", "--output"],
+    "reproduce-paper": ["--out-dir", "--sweep-step", *_CONSTRAINTS, *_CONFIG_MATERIAL,
+                        "--length", "--workers"],
+}
+
+REMOVED = {
+    "index": ["--length", "--workers"],
+    "pm-scan": ["--workers"],
+    "tuning-range": ["--workers", "--allow-extrapolation"],
+    "sweet-spot": ["--length", "--format", "--output", "--workers",
+                   "--allow-extrapolation"],
+    "hub-sweep": ["--allow-extrapolation"],
+    "plan": ["--workers", "--allow-extrapolation"],
+    **{cmd: ["--material", "--material-file", "--temperature", "--length", "--format",
+             "--workers", "--allow-extrapolation"]
+       for cmd in ("simulate", "tomography", "fit")},
+    "reproduce-paper": ["--cutoff", "--separation", "--format", "--output",
+                        "--allow-extrapolation"],
+}
+
+SWITCHES = {"--allow-extrapolation", "--curve"}
+VALUES = {"--format": "json", "--material": "zelmon1997", "--input": "H",
+          "--grid-ports": "8", "--workers": "2", "--threshold": "0.85"}
+
+
+def _flag_argv(flag):
+    return [flag] if flag in SWITCHES else [flag, VALUES.get(flag, "1.5")]
+
+
+def test_each_command_has_exactly_its_flags():
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(FLAGS)
+    total = 0
+    for name, sub in commands.items():
+        flags = [o for a in sub._actions for o in a.option_strings
+                 if o not in ("-h", "--help")]
+        assert sorted(flags) == sorted(FLAGS[name]), name
+        total += len(flags)
+    assert total == 102
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_every_read_flag_parses(command):
+    parser = build_parser()
+    for flag in FLAGS[command]:
+        parser.parse_args(BASE_ARGV[command] + _flag_argv(flag))
+
+
+@pytest.mark.parametrize("command", sorted(REMOVED))
+def test_removed_flags_exit_2(command, capsys):
+    parser = build_parser()
+    for flag in REMOVED[command]:
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(BASE_ARGV[command] + _flag_argv(flag))
+        assert exc.value.code == 2, flag
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_flags_reach_the_run_config(monkeypatch):
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    parser = build_parser()
+    args = parser.parse_args(
+        BASE_ARGV["hub-sweep"] + ["--material", "zelmon1997", "--temperature", "22",
+                                  "--length", "20", "--format", "json", "--output",
+                                  "x.json", "--separation", "15", "--threshold", "0.8",
+                                  "--scan-halfwidth-thz", "30", "--coarse-step-ghz", "2",
+                                  "--channel-spacing-ghz", "50"])
+    config = _resolve_config(args)
+    assert (config.material, config.temperature_c, config.length_mm) == (
+        "zelmon1997", 22.0, 20.0)
+    assert (config.output_format, config.output) == ("json", "x.json")
+    assert config.tuning_constraints() == TuningConstraints(
+        0.8, "min_pump_converted_separation", 15.0, 30.0, 2.0, 50.0)
+    args = parser.parse_args(["plan", "--signal-freq", "385", "--grid-anchor-thz", "195",
+                              "--grid-spacing-ghz", "50", "--grid-ports", "8",
+                              "--laser-min-nm", "1570", "--laser-max-nm", "1610"])
+    config = _resolve_config(args)
+    assert config.signal_frequency_thz == 385.0
+    assert config.grid() == DwdmGrid(195.0, 50.0, 8)
+    assert config.laser() == LaserSpec(1570.0, 1610.0)
+    args = parser.parse_args(["index", "780", "--allow-extrapolation"])
+    assert _resolve_config(args).allow_extrapolation is True
+    assert _resolve_config(parser.parse_args(["fit", "--input", "a.csv"])) == RunConfig()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"efficiency_threshold": 1.0}, {"efficiency_threshold": 0.0},
+    {"constraint_mode": "nearest"}, {"constraint_value_nm": 0.0},
+    {"constraint_value_nm": -5.0}, {"scan_halfwidth_thz": 0.0},
+    {"coarse_step_ghz": -1.0}, {"channel_spacing_ghz": 0.0},
+    {"grid_ports": 0}, {"grid_anchor_thz": 0.0}, {"grid_spacing_ghz": -25.0},
+    {"laser_min_nm": 1610.0}, {"laser_min_nm": 0.0},
+    {"temperature_c": -300.0}, {"length_mm": 0.0}, {"signal_frequency_thz": 0.0},
+    {"output_format": "xml"}, {"workers": 2},
+])
+def test_bad_config_values_raise_config_error(overrides, tmp_path):
+    with pytest.raises(ConfigError):
+        apply_overrides(RunConfig(), **overrides)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(overrides))
+    with pytest.raises(ConfigError):
+        load_config(path)
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    commands, current = [], ""
+    for line in block.splitlines():
+        current += " " + line.split("#", 1)[0].strip()
+        if current.endswith("\\"):
+            current = current[:-1]
+            continue
+        if current.split()[:1] == ["qfchub"]:
+            commands.append(current.split()[1:])
+        current = ""
+    return commands
+
+
+def test_readme_cli_lines_parse():
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == set(FLAGS)
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

@@ -153,8 +153,11 @@ def test_simulate_tomography_ideal_actions():
 
 def test_tomography_round_trip_property(rng):
     worst = 0.0
-    for _ in range(100):
-        model = random_model(rng)
+    for i in range(100):
+        base = random_model(rng)
+        # every other channel admixes depolarization, arms unequal in general
+        mix = float(rng.uniform(0.0, 1.0)) if i % 2 else 0.0
+        model = QfcChannelModel(base.eta_cw, base.eta_ccw, base.phase_rad, mix)
         outputs = simulate_tomography(model)
         inputs = {k: PolarizationState.from_label(k) for k in outputs}
         rebuilt = reconstruct_chi(inputs, outputs)
@@ -283,6 +286,34 @@ def test_pump_balance_asymmetric_matches_grid_oracle():
     gaps = np.abs(efficiency_model(grid, ccw) - efficiency_model(total - grid, cw))
     best = grid[int(np.argmin(gaps))]
     assert split.p_ccw_mw == pytest.approx(best, abs=total / 200000 * 2)
+
+
+def test_pump_balance_past_saturation_picks_best_root():
+    # at 1000 mW both arms run past the sin^2 maximum and the gap has
+    # several roots; the split must be the one that converts best
+    ccw = EfficiencyCurveParams(0.5, 0.01)
+    cw = EfficiencyCurveParams(0.3, 0.012)
+    total = 1000.0
+    split = pump_balance(ccw, cw, total)
+    assert split.equalized
+    assert split.p_ccw_mw + split.p_cw_mw == pytest.approx(total, abs=1e-9)
+    # dense grid oracle: the equalizing split with the highest efficiency
+    grid = np.linspace(0.0, total, 200001)
+    eta_ccw = efficiency_model(grid, ccw)
+    gap = eta_ccw - efficiency_model(total - grid, cw)
+    roots = np.nonzero(np.sign(gap[:-1]) != np.sign(gap[1:]))[0]
+    assert roots.size > 1
+    best = roots[int(np.argmax(eta_ccw[roots]))]
+    assert split.p_ccw_mw == pytest.approx(grid[best], abs=total / 200000 * 2)
+    assert split.eta_ccw == pytest.approx(eta_ccw[best], abs=1e-4)
+    assert split.eta_ccw > 0.2
+
+
+def test_pump_balance_rejects_bad_total():
+    params = EfficiencyCurveParams(0.44, 0.013)
+    for total in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            pump_balance(params, params, total)
 
 
 def test_pump_balance_zero_total():

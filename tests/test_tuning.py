@@ -9,7 +9,8 @@ from qfchub import (DomainError, TuningConstraints, channel_count,
                     wavenumber_mismatch)
 from qfchub.dispersion import SpectralPoint
 from qfchub.errors import QfcHubError
-from qfchub.tuning import _empty_result, _separation_bound, _solve, sweep_csv_rows
+from qfchub.tuning import (_empty_result, _separation_bound, _solve, _walk,
+                           sweep_csv_rows)
 from qfchub.constants import C_NM_THZ
 
 
@@ -227,6 +228,23 @@ def test_separation_bound_closed_form(rng):
             separation = np.abs(C_NM_THZ / (nu_s - root) - C_NM_THZ / root)
             np.testing.assert_allclose(separation, d, rtol=1e-9)
             assert np.all(side * (root - nu_s / 2.0) > 0)
+
+
+def test_walk_nan_fails_at_coarse_step():
+    # NaN on [3, 4) THz: the walk up from 0 must stop at the coarse step 3,
+    # well inside its bound, not treat the NaN as in band
+    def eff(rows, nu_c):
+        return np.where((nu_c >= 3.0) & (nu_c < 4.0), np.nan, 1.0)
+
+    edge, hit = _walk(eff, 0.0, np.array([10.0]), np.array([1.0]), 1.0, 0.9)
+    assert hit[0]
+    assert 3.0 - 1e-4 <= edge[0] < 3.0
+
+
+def test_constraint_value_must_be_positive():
+    for value in (0.0, -20.0):
+        with pytest.raises(DomainError):
+            TuningConstraints(constraint_value_nm=value)
 
 
 def _alone(signal_nm, target_nm, material, constraints):
