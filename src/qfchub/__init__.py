@@ -10,9 +10,10 @@ from .dispersion import (DEFAULT_MATERIAL, SellmeierModel, SpectralPoint,
                          builtin_materials, get_material, group_index,
                          index_derivative, load_material_file, refractive_index,
                          wavelength_frequency_convert)
-from .dwdm import (DwdmGrid, EfficiencyCurvePoint, LaserSpec, PumpPlan,
-                   PumpPlanEntry, high_efficiency_band, plan_pumps,
-                   port_frequency, relative_efficiency_curve)
+from .dwdm import (DwdmGrid, EfficiencyCurve, EfficiencyCurvePoint, LaserSpec,
+                   PumpPlan, PumpPlanEntry, efficiency_curve_columns,
+                   high_efficiency_band, plan_pumps, port_frequency,
+                   relative_efficiency_curve)
 from .errors import (ConfigError, ConvergenceError, DegenerateError, DomainError,
                      QfcHubError, RangeError, SingularityError, ValidityError)
 from .polarization import (EfficiencyCurveParams, EfficiencyFit,
@@ -26,10 +27,10 @@ from .qpm import (DeviceConfig, InteractionTriple, group_index_mismatch,
                   make_device, phase_mismatch, phase_mismatch_vs_converted,
                   pm_efficiency, pump_for, sinc, solve_poling_period,
                   wavenumber_mismatch)
-from .tuning import (HubSweepPoint, SpectrumPoint, SweetSpotReport,
+from .tuning import (HubSweepPoint, Spectrum, SpectrumPoint, SweetSpotReport,
                      TuningConstraints, TuningResult, channel_count, hub_sweep,
-                     pm_spectrum, sweep_csv_rows, sweet_spot_report,
-                     tuning_range)
+                     pm_spectrum, pm_spectrum_columns, sweep_csv_rows,
+                     sweet_spot_report, tuning_range)
 
 __version__ = "0.1.0"
 

@@ -17,9 +17,8 @@ from pathlib import Path
 
 from .config import ENV_CONFIG_PATH, RunConfig, apply_overrides, load_config
 from .dispersion import get_material, group_index, index_derivative, refractive_index
-from .dwdm import (PLAN_CSV_COLUMNS, high_efficiency_band, plan_csv_rows, plan_pumps,
-                   relative_efficiency_curve)
-from .emit import read_two_column_csv, write_csv, write_json
+from .dwdm import PLAN_CSV_COLUMNS, efficiency_curve_columns, plan_csv_rows, plan_pumps
+from .emit import csv_rows, read_two_column_csv, write_csv, write_json
 from .errors import (ConfigError, ConvergenceError, DegenerateError, DomainError,
                      RangeError, SingularityError, ValidityError)
 from .constants import C_NM_THZ
@@ -27,9 +26,9 @@ from .polarization import (PolarizationState, QfcChannelModel, apply_channel,
                            chi_payload, fit_efficiency, kraus_to_chi,
                            process_fidelity, reconstruct_chi, simulate_tomography)
 from .qpm import DeviceConfig, make_device
-from .tuning import (SWEEP_CSV_COLUMNS, HubSweepPoint, hub_sweep, pm_spectrum,
-                     sweep_csv_rows, sweet_spot_report, tuning_range,
-                     tuning_result_payload)
+from .tuning import (SWEEP_CSV_COLUMNS, HubSweepPoint, Spectrum, hub_sweep,
+                     pm_spectrum_columns, sweep_csv_rows, sweet_spot_report,
+                     tuning_range, tuning_result_payload)
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
@@ -185,20 +184,17 @@ def _out_path(config: RunConfig, default_name: str) -> Path:
 
 
 def cmd_index(config: RunConfig, args: argparse.Namespace) -> dict:
+    if config.output_format == "json" and not config.output:
+        raise ConfigError("index --format json writes a file: give --output")
     model = get_material(config.material, config.material_file)
-    rows = []
-    for nm in args.wavelengths_nm:
-        um = nm / 1000.0
-        n = refractive_index(model, um, config.temperature_c,
-                             config.allow_extrapolation)
-        d = index_derivative(model, um, config.temperature_c,
-                             config.allow_extrapolation)
-        g = group_index(model, um, config.temperature_c,
-                        config.allow_extrapolation)
-        rows.append((f"{nm:.4f}", f"{n:.8f}", f"{d:.8f}", f"{g:.8f}"))
+    um = [nm / 1000.0 for nm in args.wavelengths_nm]
+    rows = csv_rows("{:.4f},{:.8f},{:.8f},{:.8f}", args.wavelengths_nm,
+                    *([f(model, x, config.temperature_c, config.allow_extrapolation)
+                       for x in um]
+                      for f in (refractive_index, index_derivative, group_index)))
     if config.output:
         if config.output_format == "json":
-            payload = [dict(zip(INDEX_CSV_COLUMNS, map(float, row[:4])))
+            payload = [dict(zip(INDEX_CSV_COLUMNS, map(float, row.split(","))))
                        for row in rows]
             out = write_json(config.output, payload)
         else:
@@ -206,14 +202,12 @@ def cmd_index(config: RunConfig, args: argparse.Namespace) -> dict:
         return {"rows": len(rows), "output": str(out)}
     print(",".join(INDEX_CSV_COLUMNS))
     for row in rows:
-        print(",".join(row))
+        print(row)
     return {"rows": len(rows)}
 
 
-def _spectrum_rows(points) -> list[tuple[str, ...]]:
-    return [(f"{p.nu_c_thz:.6f}", f"{p.lambda_c_nm:.4f}", f"{p.lambda_p_nm:.4f}",
-             f"{p.efficiency:.8f}", "true" if p.extrapolated else "false")
-            for p in points]
+def _spectrum_rows(spectrum: Spectrum) -> list[str]:
+    return csv_rows("{:.6f},{:.4f},{:.4f},{:.8f},{}", *spectrum)
 
 
 def cmd_pm_scan(config: RunConfig, args: argparse.Namespace) -> dict:
@@ -221,20 +215,22 @@ def cmd_pm_scan(config: RunConfig, args: argparse.Namespace) -> dict:
     device = make_device(args.signal, args.target, config.length_mm,
                          config.temperature_c, model,
                          config.allow_extrapolation)
-    points = pm_spectrum(args.signal, args.target, device,
-                         args.window_thz, args.step_ghz)
+    spectrum = pm_spectrum_columns(args.signal, args.target, device,
+                                   args.window_thz, args.step_ghz)
     ext = config.output_format
     out = _out_path(config, f"pm_scan.{ext}")
     if ext == "json":
-        payload = [{"nu_c_THz": p.nu_c_thz, "lambda_c_nm": p.lambda_c_nm,
-                    "lambda_p_nm": p.lambda_p_nm, "efficiency": p.efficiency,
-                    "extrapolated": p.extrapolated} for p in points]
+        payload = [dict(zip(SPECTRUM_CSV_COLUMNS, row))
+                   for row in zip(*(c.tolist() for c in spectrum))]
         write_json(out, payload)
     else:
-        write_csv(out, SPECTRUM_CSV_COLUMNS, _spectrum_rows(points))
-    peak = max(points, key=lambda p: p.efficiency)
+        write_csv(out, SPECTRUM_CSV_COLUMNS, _spectrum_rows(spectrum))
+    efficiency = spectrum.efficiency.tolist()
+    # max() keeps the first of equal values and never moves to a NaN
+    peak = max(range(len(efficiency)), key=efficiency.__getitem__)
     return {"signal_nm": args.signal, "target_nm": args.target,
-            "points": len(points), "peak_lambda_c_nm": round(peak.lambda_c_nm, 4),
+            "points": len(efficiency),
+            "peak_lambda_c_nm": round(float(spectrum.lambda_c_nm[peak]), 4),
             "poling_period_um": round(device.poling_period_um, 6),
             "output": str(out)}
 
@@ -328,14 +324,12 @@ def cmd_plan(config: RunConfig, args: argparse.Namespace) -> dict:
                               config.temperature_c, model)
         pump_lo = C_NM_THZ / config.laser_max_nm
         pump_hi = C_NM_THZ / config.laser_min_nm
-        curve = relative_efficiency_curve(device, config.signal_frequency_thz,
-                                          (pump_lo, pump_hi),
-                                          args.curve_step_ghz)
+        curve = efficiency_curve_columns(device, config.signal_frequency_thz,
+                                         (pump_lo, pump_hi), args.curve_step_ghz)
         curve_out = out.with_name(out.stem + "_curve.csv")
         write_csv(curve_out, ("nu_p_THz", "rel_eff", "extrapolated"),
-                  [(f"{p.nu_p_thz:.6f}", f"{p.relative_efficiency:.8f}",
-                    "true" if p.extrapolated else "false") for p in curve])
-        band = high_efficiency_band(curve)
+                  csv_rows("{:.6f},{:.8f},{}", *curve))
+        band = curve.band()
         summary["curve_output"] = str(curve_out)
         summary["band_90_THz"] = [round(band[0], 4), round(band[1], 4)]
     return summary
@@ -397,9 +391,9 @@ def cmd_reproduce_paper(config: RunConfig, args: argparse.Namespace) -> dict:
     def scan(signal: float, target: float, length: float, window: float,
              step: float, name: str) -> None:
         device = make_device(signal, target, length, config.temperature_c, model)
-        points = pm_spectrum(signal, target, device, window, step)
+        spectrum = pm_spectrum_columns(signal, target, device, window, step)
         produced.append(str(write_csv(run_dir / name, SPECTRUM_CSV_COLUMNS,
-                                      _spectrum_rows(points))))
+                                      _spectrum_rows(spectrum))))
 
     # phase-matching spectra for the three representative signals, both lengths
     scan(780.0, 1540.0, 40.0, 6.0, 2.0, "pm_scan_780_L40.csv")

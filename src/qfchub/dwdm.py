@@ -8,12 +8,14 @@ plan's center channel.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .constants import C_NM_THZ, C_UM_THZ
 from .dispersion import SellmeierModel, SpectralPoint
+from .emit import csv_rows
 from .errors import DomainError, RangeError
 from .qpm import DeviceConfig, device_efficiency, solve_poling_period
 
@@ -132,9 +134,32 @@ class EfficiencyCurvePoint:
     extrapolated: bool
 
 
-def relative_efficiency_curve(device: DeviceConfig, signal_frequency_thz: float,
-                              pump_range_thz: tuple[float, float],
-                              step_ghz: float = 1.0) -> list[EfficiencyCurvePoint]:
+def _band(nu_p, rel, threshold: float) -> tuple[float, float]:
+    """Outermost frequencies of the run of rel >= threshold on each side of the peak."""
+    peak = int(np.nanargmax(rel))
+    failing = np.flatnonzero(~(rel >= threshold))  # NaN fails
+    below = failing[:np.searchsorted(failing, peak)]
+    above = failing[np.searchsorted(failing, peak, side="right"):]
+    lo = below[-1] + 1 if below.size else 0
+    hi = above[0] - 1 if above.size else rel.size - 1
+    return float(nu_p[lo]), float(nu_p[hi])
+
+
+class EfficiencyCurve(NamedTuple):
+    """A relative efficiency curve as columns, one array per ``EfficiencyCurvePoint`` field."""
+
+    nu_p_thz: np.ndarray
+    relative_efficiency: np.ndarray
+    extrapolated: np.ndarray
+
+    def band(self, threshold: float = 0.9) -> tuple[float, float]:
+        """``high_efficiency_band`` of this curve."""
+        return _band(self.nu_p_thz, self.relative_efficiency, threshold)
+
+
+def efficiency_curve_columns(device: DeviceConfig, signal_frequency_thz: float,
+                             pump_range_thz: tuple[float, float],
+                             step_ghz: float = 1.0) -> EfficiencyCurve:
     """Model conversion efficiency vs pump frequency, normalized to its peak.
 
     The device period should already be solved for a working point inside the
@@ -160,37 +185,29 @@ def relative_efficiency_curve(device: DeviceConfig, signal_frequency_thz: float,
 
     in_domain = (device.material.in_validity(C_UM_THZ / nu_p, device.temperature_c)
                  & device.material.in_validity(C_UM_THZ / nu_c, device.temperature_c))
-    return [EfficiencyCurvePoint(float(nu), float(r), bool(~ok))
-            for nu, r, ok in zip(nu_p, rel, in_domain)]
+    return EfficiencyCurve(nu_p, rel, ~in_domain)
+
+
+def relative_efficiency_curve(device: DeviceConfig, signal_frequency_thz: float,
+                              pump_range_thz: tuple[float, float],
+                              step_ghz: float = 1.0) -> list[EfficiencyCurvePoint]:
+    """``efficiency_curve_columns`` as one ``EfficiencyCurvePoint`` per pump frequency."""
+    columns = efficiency_curve_columns(device, signal_frequency_thz, pump_range_thz, step_ghz)
+    return [EfficiencyCurvePoint(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def high_efficiency_band(curve: list[EfficiencyCurvePoint],
                          threshold: float = 0.9) -> tuple[float, float]:
     """Contiguous pump-frequency band around the peak with efficiency >= threshold."""
-    rel = np.array([p.relative_efficiency for p in curve])
-    nus = np.array([p.nu_p_thz for p in curve])
-    peak = int(np.nanargmax(rel))
-    lo = peak
-    while lo > 0 and rel[lo - 1] >= threshold:
-        lo -= 1
-    hi = peak
-    while hi < len(rel) - 1 and rel[hi + 1] >= threshold:
-        hi += 1
-    return float(nus[lo]), float(nus[hi])
+    return _band(np.array([p.nu_p_thz for p in curve]),
+                 np.array([p.relative_efficiency for p in curve]), threshold)
 
 
 PLAN_CSV_COLUMNS = ("port", "nu_c_THz", "lambda_c_nm", "nu_p_THz", "lambda_p_nm",
                     "in_laser_range", "rel_eff")
 
 
-def plan_csv_rows(plan: PumpPlan) -> list[tuple[str, ...]]:
+def plan_csv_rows(plan: PumpPlan) -> list[str]:
     """Wavelengths at 2 decimals (nm) and frequencies at 3 decimals (THz)."""
-    return [(
-        str(e.port),
-        f"{e.nu_c_thz:.3f}",
-        f"{e.lambda_c_nm:.2f}",
-        f"{e.nu_p_thz:.3f}",
-        f"{e.lambda_p_nm:.2f}",
-        "true" if e.in_laser_range else "false",
-        f"{e.relative_efficiency:.6f}",
-    ) for e in plan.entries]
+    return csv_rows("{},{:.3f},{:.2f},{:.3f},{:.2f},{},{:.6f}",
+                    *zip(*map(astuple, plan.entries)))

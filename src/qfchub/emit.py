@@ -1,9 +1,9 @@
 """Deterministic CSV/JSON file emitters.
 
 CSV files carry a versioned ``# schema=N`` comment line ahead of the header
-so downstream plot scripts break loudly when the layout changes. All rows
-are pre-formatted strings, which keeps byte-identical output across runs
-and worker counts.
+so downstream plot scripts break loudly when the layout changes. Every row
+is one pre-formatted line from ``csv_rows``, which keeps byte-identical
+output across runs and worker counts.
 """
 from __future__ import annotations
 
@@ -11,20 +11,36 @@ import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DomainError
 
 CSV_SCHEMA = 1
 
 
-def render_csv(columns: Sequence[str], rows: Iterable[Sequence[str]],
+def csv_rows(fmt: str, *columns) -> list[str]:
+    """One CSV line per row: ``fmt.format`` over row i of every column.
+
+    Columns are arrays or lists of equal length, converted with ``tolist()``
+    so each value formats as a Python scalar; a boolean column is written
+    as true/false. ``fmt`` holds the separators, e.g. ``"{:.6f},{:.4f},{}"``.
+    """
+    values = []
+    for column in map(np.asarray, columns):
+        if column.dtype == bool:
+            column = np.where(column, "true", "false")
+        values.append(column.tolist())
+    return list(map(fmt.format, *values)) if values else []
+
+
+def render_csv(columns: Sequence[str], rows: Iterable[str],
                schema: int = CSV_SCHEMA) -> str:
-    lines = [f"# schema={schema}", ",".join(columns)]
-    lines.extend(",".join(row) for row in rows)
+    lines = [f"# schema={schema}", ",".join(columns), *rows]
     return "\n".join(lines) + "\n"
 
 
 def write_csv(path: str | Path, columns: Sequence[str],
-              rows: Iterable[Sequence[str]], schema: int = CSV_SCHEMA) -> Path:
+              rows: Iterable[str], schema: int = CSV_SCHEMA) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(render_csv(columns, rows, schema), newline="\n")

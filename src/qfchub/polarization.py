@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .errors import (ConvergenceError, DegenerateError, DomainError,
                      SingularityError)
@@ -122,9 +121,6 @@ class ProcessMatrix:
     @property
     def trace(self) -> float:
         return float(np.trace(self.chi).real)
-
-    def min_eigenvalue(self) -> float:
-        return float(np.min(np.linalg.eigvalsh(0.5 * (self.chi + self.chi.conj().T))))
 
 
 def kraus_operator(model: QfcChannelModel) -> np.ndarray:
@@ -278,7 +274,13 @@ class EfficiencyFit:
 
 
 def fit_efficiency(power_mw, eta) -> EfficiencyFit:
-    """Least-squares fit of the saturation curve to (power, efficiency) data."""
+    """Least-squares fit of the saturation curve to (power, efficiency) data.
+
+    The only user of scipy: it is imported here, so that importing the
+    package and starting any other command do not pay for it.
+    """
+    from scipy.optimize import curve_fit
+
     p = np.asarray(power_mw, dtype=float)
     e = np.asarray(eta, dtype=float)
     if p.size != e.size or p.size < 3:

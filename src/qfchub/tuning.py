@@ -9,12 +9,13 @@ bisection refinement to 0.1 GHz.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
 from .constants import C_NM_THZ, C_UM_THZ, REFINE_GHZ
 from .dispersion import SellmeierModel, SpectralPoint
+from .emit import csv_rows
 from .errors import DomainError
 from .qpm import (DeviceConfig, device_efficiency, grating_mismatch,
                   group_index_mismatch, make_device, pm_efficiency, pump_for,
@@ -25,6 +26,7 @@ ConstraintMode = Literal["max_converted_wavelength", "min_pump_converted_separat
 LimitTag = Literal["threshold", "cutoff", "separation", "scan_edge"]
 
 _BLOCK = 256  # coarse steps per block of the outward walk
+_PREFIXES = (8, 32, _BLOCK)  # a block is evaluated in these growing prefixes
 _SIGNAL_BATCH = 32  # signals solved together; bounds the working arrays and peak RSS
 
 
@@ -92,6 +94,16 @@ class SpectrumPoint:
     extrapolated: bool
 
 
+class Spectrum(NamedTuple):
+    """A phase-matching spectrum as columns, one array per ``SpectrumPoint`` field."""
+
+    nu_c_thz: np.ndarray
+    lambda_c_nm: np.ndarray
+    lambda_p_nm: np.ndarray
+    efficiency: np.ndarray
+    extrapolated: np.ndarray
+
+
 @dataclass(frozen=True)
 class SweetSpotReport:
     """First-order behaviour of a conversion working point."""
@@ -135,7 +147,12 @@ def _separation_bound(nu_s, nu_c0, min_sep_nm: float):
 def _walk(eff, start: float, bound, direction, coarse_thz: float, threshold: float):
     """Walk every row outward from the center in blocks of ``_BLOCK`` coarse steps,
     steps past the row's bound clipped to it, and bisect the first failing step
-    to REFINE_GHZ. Returns each row's edge and whether the threshold ended it."""
+    to REFINE_GHZ. Returns each row's edge and whether the threshold ended it.
+
+    A block's steps are evaluated in the growing prefixes of ``_PREFIXES``; a
+    row leaves the block at the first prefix that fails or reaches its bound,
+    so most rows never evaluate the steps past their edge.
+    """
     n = bound.size
     prev = np.full(n, start)
     good, bad = np.empty(n), np.empty(n)
@@ -147,15 +164,22 @@ def _walk(eff, start: float, bound, direction, coarse_thz: float, threshold: flo
         steps = prev[todo, None] + direction[todo, None] * coarse_thz * k
         inside = np.where(direction[todo, None] > 0, steps < b, steps > b)
         steps = np.where(inside, steps, b)
-        failing = ~(eff(todo, steps) >= threshold)  # NaN fails, as in the bisection
-        crossed = failing.any(axis=1)
-        first = failing.argmax(axis=1)[crossed]
-        rows = todo[crossed]
-        good[rows] = np.where(first > 0, steps[crossed, first - 1], prev[rows])
-        bad[rows] = steps[crossed, first]
-        hit[rows] = True
+        lo = 0
+        for hi in _PREFIXES:
+            # NaN fails, as in the bisection
+            failing = ~(eff(todo, steps[:, lo:hi]) >= threshold)
+            crossed = failing.any(axis=1)
+            first = lo + failing.argmax(axis=1)[crossed]
+            rows = todo[crossed]
+            good[rows] = np.where(first > 0, steps[crossed, first - 1], prev[rows])
+            bad[rows] = steps[crossed, first]
+            hit[rows] = True
+            keep = ~crossed & inside[:, hi - 1]
+            todo, steps, inside = todo[keep], steps[keep], inside[keep]
+            if not todo.size:
+                break
+            lo = hi
         prev[todo] = steps[:, -1]
-        todo = todo[~crossed & inside[:, -1]]
     active = hit & (np.abs(bad - good) > REFINE_GHZ / 1000.0)
     while active.any():
         i = np.nonzero(active)[0]
@@ -269,8 +293,8 @@ def tuning_range(signal_nm: float, target_center_nm: float, length_mm: float,
                   material, constraints)[0]
 
 
-def pm_spectrum(signal_nm: float, target_center_nm: float, device: DeviceConfig,
-                window_thz: float, step_ghz: float) -> list[SpectrumPoint]:
+def pm_spectrum_columns(signal_nm: float, target_center_nm: float, device: DeviceConfig,
+                        window_thz: float, step_ghz: float) -> Spectrum:
     """Efficiency vs converted frequency around the target, ascending in frequency.
 
     Points that leave the material validity window are evaluated by
@@ -291,10 +315,14 @@ def pm_spectrum(signal_nm: float, target_center_nm: float, device: DeviceConfig,
     lam_p = C_NM_THZ / (nu_s - nu_c)
     in_domain = (device.material.in_validity(lam_c / 1000.0, device.temperature_c)
                  & device.material.in_validity(lam_p / 1000.0, device.temperature_c))
-    return [
-        SpectrumPoint(float(nu), float(lc), float(lp), float(e), bool(~ok))
-        for nu, lc, lp, e, ok in zip(nu_c, lam_c, lam_p, eff, in_domain)
-    ]
+    return Spectrum(nu_c, lam_c, lam_p, eff, ~in_domain)
+
+
+def pm_spectrum(signal_nm: float, target_center_nm: float, device: DeviceConfig,
+                window_thz: float, step_ghz: float) -> list[SpectrumPoint]:
+    """``pm_spectrum_columns`` as one ``SpectrumPoint`` per frequency."""
+    columns = pm_spectrum_columns(signal_nm, target_center_nm, device, window_thz, step_ghz)
+    return [SpectrumPoint(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def hub_sweep(signal_range_nm: tuple[float, float], signal_step_nm: float,
@@ -352,20 +380,11 @@ SWEEP_CSV_COLUMNS = ("signal_nm", "lo_nm", "hi_nm", "width_nm", "width_THz",
                      "channels", "limiting_constraint")
 
 
-def sweep_csv_rows(points: list[HubSweepPoint]) -> list[tuple[str, ...]]:
-    rows = []
-    for p in points:
-        t = p.tuning
-        rows.append((
-            f"{p.signal_nm:.4f}",
-            f"{t.converted_interval_nm[0]:.4f}",
-            f"{t.converted_interval_nm[1]:.4f}",
-            f"{t.width_nm:.4f}",
-            f"{t.width_thz:.6f}",
-            str(t.channel_count),
-            t.limiting_constraint,
-        ))
-    return rows
+def sweep_csv_rows(points: list[HubSweepPoint]) -> list[str]:
+    columns = zip(*((p.signal_nm, *p.tuning.converted_interval_nm, p.tuning.width_nm,
+                     p.tuning.width_thz, p.tuning.channel_count,
+                     p.tuning.limiting_constraint) for p in points))
+    return csv_rows("{:.4f},{:.4f},{:.4f},{:.4f},{:.6f},{},{}", *columns)
 
 
 def tuning_result_payload(result: TuningResult, threshold: float) -> dict:

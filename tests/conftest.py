@@ -11,8 +11,8 @@ from qfchub import TuningConstraints, builtin_materials
 
 
 @pytest.fixture(scope="session")
-def run_cli():
-    """Run ``python -m qfchub ARGS`` in ``cwd`` against the package under test.
+def run_python():
+    """Run ``python ARGS`` in ``cwd`` against the package under test.
 
     The child's environment is ``env`` (default ``os.environ``) with the
     absolute directory of the qfchub this process imported at the front of
@@ -25,8 +25,16 @@ def run_cli():
         env = dict(os.environ if env is None else env)
         path = env.get("PYTHONPATH")
         env["PYTHONPATH"] = package_root + (os.pathsep + path if path else "")
-        return subprocess.run([sys.executable, "-m", "qfchub", *args],
+        return subprocess.run([sys.executable, *args],
                               capture_output=True, text=True, cwd=cwd, env=env)
+    return run
+
+
+@pytest.fixture(scope="session")
+def run_cli(run_python):
+    """Run ``python -m qfchub ARGS`` in ``cwd``, as ``run_python`` does."""
+    def run(args, cwd, env=None):
+        return run_python(["-m", "qfchub", *args], cwd, env)
     return run
 
 

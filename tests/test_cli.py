@@ -1,5 +1,6 @@
 import argparse
 import csv
+import gzip
 import json
 import os
 from pathlib import Path
@@ -47,6 +48,35 @@ def test_index_without_arguments_exits_2(tmp_path, run_cli):
     proc = run_cli(["index"], tmp_path)
     assert proc.returncode == 2
     assert "the following arguments are required" in proc.stderr
+
+
+def test_index_json_without_output_exits_2(tmp_path, run_cli):
+    # JSON goes to a file; stdout carries the CSV table only for --format csv
+    proc = run_cli(["index", "780", "--format", "json"], tmp_path)
+    assert proc.returncode == 2
+    assert "--output" in proc.stderr
+    assert proc.stdout == ""
+    summary = summary_of(run_cli(["index", "780", "--format", "json",
+                                  "--output", "i.json"], tmp_path))
+    assert summary["rows"] == 1
+    assert list(json.loads((tmp_path / "i.json").read_text())[0]) == [
+        "wavelength_nm", "n", "dn_dlambda_per_um", "group_index"]
+
+
+def test_startup_does_not_load_scipy(tmp_path, run_python, run_cli):
+    # only fit_efficiency uses scipy, and it imports it when called
+    for module in ("qfchub", "qfchub.cli"):
+        proc = run_python(["-c", f"import sys, {module}; "
+                                 "print(sorted(m for m in sys.modules if m == 'scipy' "
+                                 "or m.startswith('scipy.')))"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", module
+    powers = np.linspace(0.0, 250.0, 26)
+    params = EfficiencyCurveParams(0.44, 0.013)
+    (tmp_path / "fit.csv").write_text("".join(
+        f"{p:.3f},{efficiency_model(p, params):.9f}\n" for p in powers))
+    summary = summary_of(run_cli(["fit", "--input", "fit.csv"], tmp_path))
+    assert summary["eta_max"] == pytest.approx(0.44, rel=1e-6)
 
 
 def test_pm_scan_peak_at_target(tmp_path, run_cli):
@@ -239,6 +269,24 @@ def test_reproduce_paper_fast(tmp_path, run_cli):
             "pm_scan_934_L40.csv", "sweep_cband.csv", "sweep_oband.csv",
             "tuning_range_L40.json", "tuning_range_L20.json",
             "pump_plan.csv", "pump_plan_curve.csv"} <= names
+
+
+REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "ref"
+PAPER_FILES = ("pm_scan_780_L40.csv", "pm_scan_780_L20.csv", "pm_scan_493_L40.csv",
+               "pm_scan_934_L40.csv", "sweep_cband.csv", "sweep_oband.csv",
+               "tuning_range_L40.json", "tuning_range_L20.json", "pump_plan.csv",
+               "pump_plan_curve.csv")
+
+
+def test_reproduce_paper_matches_reference_bytes(tmp_path, run_cli):
+    # the byte-identity oracle: every default output equals its recorded reference
+    env = {k: v for k, v in os.environ.items() if k != ENV_CONFIG_PATH}
+    summary = summary_of(run_cli(["reproduce-paper"], tmp_path, env=env))
+    directory = tmp_path / summary["directory"]
+    assert sorted(p.name for p in directory.iterdir()) == sorted(PAPER_FILES)
+    for name in PAPER_FILES:
+        reference = gzip.decompress((REFERENCE_DIR / f"{name}.gz").read_bytes())
+        assert (directory / name).read_bytes() == reference, name
 
 
 # In-process checks of the parser and the config rules: no child processes.

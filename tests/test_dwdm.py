@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qfchub import (DeviceConfig, DomainError, DwdmGrid, LaserSpec, RangeError,
-                    high_efficiency_band, plan_pumps, port_frequency,
-                    relative_efficiency_curve)
+from qfchub import (DeviceConfig, DomainError, DwdmGrid, EfficiencyCurve,
+                    EfficiencyCurvePoint, LaserSpec, RangeError,
+                    efficiency_curve_columns, high_efficiency_band, plan_pumps,
+                    port_frequency, relative_efficiency_curve)
 from qfchub.constants import C_NM_THZ
 
 SIGNAL_THZ = 384.200
@@ -118,6 +121,44 @@ def test_high_efficiency_band_over_laser_range(jundt):
     band = high_efficiency_band(curve, threshold=0.9)
     assert band[0] < 188.9 and band[1] > 190.5
     assert 1.5 <= band[1] - band[0] <= 2.5
+
+
+def test_efficiency_curve_points_are_its_columns(jundt):
+    device = DeviceConfig(19.19, 40.0, 48.0, jundt)
+    columns = efficiency_curve_columns(device, SIGNAL_THZ, (186.0, 192.0), step_ghz=50.0)
+    curve = relative_efficiency_curve(device, SIGNAL_THZ, (186.0, 192.0), step_ghz=50.0)
+    assert len(curve) == columns.nu_p_thz.size
+    for i, p in enumerate(curve):
+        assert p == EfficiencyCurvePoint(*(column[i].item() for column in columns))
+        assert [type(v) for v in vars(p).values()] == [float, float, bool]
+
+
+def _band_by_walking(nus, rel, threshold):
+    """The band as two loops stepping outward from the peak while rel >= threshold."""
+    peak = int(np.nanargmax(rel))
+    lo = peak
+    while lo > 0 and rel[lo - 1] >= threshold:
+        lo -= 1
+    hi = peak
+    while hi < len(rel) - 1 and rel[hi + 1] >= threshold:
+        hi += 1
+    return float(nus[lo]), float(nus[hi])
+
+
+_REL = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.9, 1.0, float("nan")]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rel=st.lists(_REL, min_size=1, max_size=60).filter(
+           lambda r: not np.all(np.isnan(r))),
+       threshold=st.one_of(st.floats(0.0, 1.0), st.just(0.9)))
+def test_high_efficiency_band_equals_walking_loops(rel, threshold):
+    nus = 188.0 + 0.001 * np.arange(len(rel))
+    rel = np.array(rel)
+    expected = _band_by_walking(nus, rel, threshold)
+    curve = [EfficiencyCurvePoint(nu, r, False) for nu, r in zip(nus.tolist(), rel.tolist())]
+    assert high_efficiency_band(curve, threshold) == expected
+    assert EfficiencyCurve(nus, rel, np.zeros(rel.size, bool)).band(threshold) == expected
 
 
 def test_curve_input_validation(jundt):

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfchub import (DomainError, TuningConstraints, channel_count,
+from qfchub import (DomainError, SpectrumPoint, TuningConstraints, channel_count,
                     group_index_mismatch, hub_sweep, make_device, pm_efficiency,
-                    pm_spectrum, sweet_spot_report, tuning_range,
-                    wavenumber_mismatch)
+                    pm_spectrum, pm_spectrum_columns, sweet_spot_report,
+                    tuning_range, wavenumber_mismatch)
+from qfchub import tuning
 from qfchub.dispersion import SpectralPoint
 from qfchub.errors import QfcHubError
 from qfchub.tuning import (_empty_result, _separation_bound, _solve, _walk,
@@ -153,6 +154,16 @@ def test_pm_spectrum_flags_extrapolated_points(jundt):
     assert any(not p.extrapolated for p in points)
 
 
+def test_pm_spectrum_points_are_its_columns(jundt):
+    device = make_device(500.0, 4800.0, 40.0, 48.0, jundt)
+    columns = pm_spectrum_columns(500.0, 4800.0, device, window_thz=5.0, step_ghz=50.0)
+    points = pm_spectrum(500.0, 4800.0, device, window_thz=5.0, step_ghz=50.0)
+    assert len(points) == columns.nu_c_thz.size
+    for i, p in enumerate(points):
+        assert p == SpectrumPoint(*(column[i].item() for column in columns))
+        assert [type(v) for v in vars(p).values()] == [float] * 4 + [bool]
+
+
 def test_channel_count():
     assert channel_count(2.465, 25.0) == 98
     assert channel_count(4.071, 25.0) == 162
@@ -211,7 +222,7 @@ def test_sweet_spot_report_examples(jundt):
 def test_sweep_csv_rows_format(jundt, separation_20):
     points = hub_sweep((780.0, 782.0), 1.0, 1540.0, 40.0, 48.0, jundt,
                        separation_20)
-    rows = sweep_csv_rows(points)
+    rows = [line.split(",") for line in sweep_csv_rows(points)]
     assert len(rows) == 3
     assert all(len(row) == 7 for row in rows)
     assert rows[0][0] == "780.0000"
@@ -239,6 +250,67 @@ def test_walk_nan_fails_at_coarse_step():
     edge, hit = _walk(eff, 0.0, np.array([10.0]), np.array([1.0]), 1.0, 0.9)
     assert hit[0]
     assert 3.0 - 1e-4 <= edge[0] < 3.0
+
+
+def _whole_blocks(call):
+    """``call()`` with every walk block evaluated in one piece, a single prefix."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tuning, "_PREFIXES", (tuning._BLOCK,))
+        return call()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(st.booleans(), st.integers(1, 700), st.integers(1, 700),
+                               st.sampled_from([0.0, 0.5]),
+                               st.sampled_from([0.0, float("nan")])),
+                     min_size=1, max_size=16))
+def test_walk_prefixes_change_nothing_at_block_edges(rows):
+    # first failing step and bound at any step index, on both sides of the prefix
+    # and block edges; a failing value of 0 or NaN
+    up, fail_at, bound_at, offset, low = map(np.array, zip(*rows))
+    direction = np.where(up, 1.0, -1.0)
+    bound = direction * (bound_at + offset)
+    evaluated = []
+
+    def eff(r, nu):
+        evaluated.append(nu.size)
+        return np.where(np.abs(nu) >= fail_at[r, None], low[r, None], 1.0)
+
+    def walk():
+        evaluated.clear()
+        edge, hit = _walk(eff, 0.0, bound, direction, 1.0, 0.9)
+        return edge, hit, sum(evaluated)
+
+    edge, hit, cost = walk()
+    whole_edge, whole_hit, whole_cost = _whole_blocks(walk)
+    np.testing.assert_array_equal(edge, whole_edge)
+    np.testing.assert_array_equal(hit, whole_hit)
+    assert cost <= whole_cost
+
+
+@settings(max_examples=20, deadline=None)
+@given(signals=st.lists(st.floats(300.0, 1100.0), min_size=1, max_size=40),
+       target=st.floats(1200.0, 2400.0),
+       length=st.floats(10.0, 60.0),
+       temperature=st.floats(25.0, 100.0),
+       threshold=st.floats(0.3, 0.99),
+       cutoff=st.booleans(),
+       value=st.floats(1.0, 80.0),
+       coarse=st.floats(2.0, 20.0),
+       halfwidth=st.floats(0.5, 60.0))
+def test_walk_prefixes_change_nothing(jundt, signals, target, length, temperature,
+                                      threshold, cutoff, value, coarse, halfwidth):
+    constraints = TuningConstraints(
+        efficiency_threshold=threshold,
+        constraint_mode="max_converted_wavelength" if cutoff
+        else "min_pump_converted_separation",
+        constraint_value_nm=target - 5.0 + value if cutoff else value,
+        scan_halfwidth_thz=halfwidth, coarse_step_ghz=coarse)
+
+    def solve():
+        return _solve(signals, target, length, temperature, jundt, constraints)
+
+    assert solve() == _whole_blocks(solve)
 
 
 def test_constraint_value_must_be_positive():
