@@ -10,6 +10,7 @@ success probability. Process matrices live in the Pauli basis, order
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -37,8 +38,28 @@ _STATE_AMPLITUDES = {
 
 TOMOGRAPHY_INPUTS = ("H", "V", "D", "R")
 
+
+def _pauli_transfer() -> np.ndarray:
+    """T with vec(chi) = T @ vec(S) for a superoperator S (row-major vec).
+
+    chi_mn = tr(B_mn^dag S) / 4 with B_mn = P_m (x) P_n^T, so row 4m + n of T
+    is conj(vec(B_mn)) / 4; (P_m (x) P_n^T)[2i + k, 2j + l] = P_m[i, j] P_n[l, k].
+    """
+    p = np.conj(PAULI)
+    # axes (m, i, j, n, k, l) -> (m, n, i, k, j, l)
+    outer = np.multiply.outer(p, p.transpose(0, 2, 1)).transpose(0, 3, 1, 4, 2, 5)
+    return outer.reshape(16, 16) / 4.0
+
+
+_PAULI_TRANSFER = _pauli_transfer()
+
 _HERM_TOL = 1e-9
 _PSD_TOL = 1e-12
+
+_FIT_RTOL = 1e-12  # relative change of eta_nor at which fit_efficiency stops
+_FIT_DAMPING = 1e-3  # initial Marquardt damping of fit_efficiency
+_FIT_MAX_DAMPING = 1e12
+_FIT_MAX_STEPS = 200
 
 _BALANCE_GRID = 256  # ratio-grid points per monotone piece of sin^2 in pump_balance
 _BALANCE_BISECTIONS = 64  # narrows a grid bracket below one ulp of the ratio
@@ -54,11 +75,18 @@ class PolarizationState:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise DomainError("density matrix must be 2x2")
-        if np.max(np.abs(m - m.conj().T)) > _HERM_TOL:
+        (a, b), (c, d) = m.tolist()
+        # max |m - m^dag| <= tol, entry by entry, so that a NaN fails
+        if not (2.0 * abs(a.imag) <= _HERM_TOL and 2.0 * abs(d.imag) <= _HERM_TOL
+                and abs(b - c.conjugate()) <= _HERM_TOL):
             raise DomainError("density matrix must be Hermitian")
-        if abs(np.trace(m).real - 1.0) > 1e-9:
+        if not abs(a.real + d.real - 1.0) <= 1e-9:
             raise DomainError("density matrix must have unit trace")
-        if np.min(np.linalg.eigvalsh(m)) < -_PSD_TOL:
+        # smaller eigenvalue of the Hermitian matrix on the lower triangle,
+        # the part eigvalsh reads
+        half_sum, half_diff = 0.5 * (a.real + d.real), 0.5 * (a.real - d.real)
+        if not half_sum - math.sqrt(half_diff * half_diff + c.real * c.real
+                                    + c.imag * c.imag) >= -_PSD_TOL:
             raise DomainError("density matrix must be positive semidefinite")
         object.__setattr__(self, "matrix", m)
 
@@ -73,16 +101,26 @@ class PolarizationState:
 
     @classmethod
     def from_label(cls, label: str) -> "PolarizationState":
-        try:
-            alpha, beta = _STATE_AMPLITUDES[label.upper()]
-        except KeyError:
-            raise DomainError(
-                f"unknown state label {label!r}; expected one of "
-                f"{'/'.join(_STATE_AMPLITUDES)}") from None
-        return cls.from_amplitudes(alpha, beta)
+        """The state of a label, one shared instance per label (read-only matrix)."""
+        key = label.upper()
+        state = _LABEL_STATES.get(key)
+        if state is None:
+            try:
+                alpha, beta = _STATE_AMPLITUDES[key]
+            except KeyError:
+                raise DomainError(
+                    f"unknown state label {label!r}; expected one of "
+                    f"{'/'.join(_STATE_AMPLITUDES)}") from None
+            state = cls.from_amplitudes(alpha, beta)
+            state.matrix.setflags(write=False)
+            _LABEL_STATES[key] = state
+        return state
 
     def bloch_vector(self) -> tuple[float, float, float]:
         return tuple(float(np.trace(self.matrix @ p).real) for p in PAULI[1:])
+
+
+_LABEL_STATES: dict[str, PolarizationState] = {}
 
 
 @dataclass(frozen=True)
@@ -225,11 +263,7 @@ def reconstruct_chi(inputs: Mapping[str, PolarizationState],
         (outputs[l][1] * outputs[l][0].matrix).reshape(4) for l in labels])
     superop = v_out @ np.linalg.inv(v_in)
 
-    chi = np.empty((4, 4), dtype=complex)
-    for m in range(4):
-        for n in range(4):
-            basis = np.kron(PAULI[m], PAULI[n].T)
-            chi[m, n] = np.trace(basis.conj().T @ superop) / 4.0
+    chi = (_PAULI_TRANSFER @ superop.reshape(16)).reshape(4, 4)
     chi = 0.5 * (chi + chi.conj().T)
 
     eigvals, eigvecs = np.linalg.eigh(chi)
@@ -273,37 +307,81 @@ class EfficiencyFit:
     residual_norm: float
 
 
+def _projected_fit(p: np.ndarray, e: np.ndarray, eta_nor: float):
+    """Model shape s at eta_nor and the eta_max in [0, 1] that fits e best.
+
+    The model eta_max * s is linear in eta_max, so its least-squares value
+    is s.e / s.s, clipped to the bounds. Returns (x, s, eta_max, r, r.r)
+    with x = sqrt(eta_nor * P) and residual r = eta_max * s - e.
+    """
+    x = np.sqrt(eta_nor * p)
+    s = np.sin(x) ** 2
+    norm = float(s @ s)
+    eta_max = min(max(float(s @ e) / norm, 0.0), 1.0) if norm > 0.0 else 0.0
+    r = eta_max * s - e
+    return x, s, eta_max, r, float(r @ r)
+
+
 def fit_efficiency(power_mw, eta) -> EfficiencyFit:
     """Least-squares fit of the saturation curve to (power, efficiency) data.
 
-    The only user of scipy: it is imported here, so that importing the
-    package and starting any other command do not pay for it.
+    Levenberg-Marquardt-damped Gauss-Newton on (eta_max, eta_nor) with
+    eta_max in [0, 1] projected in closed form after every step, started
+    from the peak of the data: eta_nor = (pi/2)^2 / P at the largest
+    efficiency. It stops when a step changes eta_nor by at most
+    ``_FIT_RTOL`` relative.
     """
-    from scipy.optimize import curve_fit
-
     p = np.asarray(power_mw, dtype=float)
     e = np.asarray(eta, dtype=float)
     if p.size != e.size or p.size < 3:
         raise DegenerateError("need at least 3 matching (P, eta) points")
+    if not (np.isfinite(p).all() and np.isfinite(e).all()):
+        raise DomainError("power and efficiency values must be finite")
+    if (p < 0.0).any():
+        raise DomainError("pump power must be non-negative")
     if np.ptp(p) <= 0:
         raise DegenerateError("power values must span a non-degenerate range")
     if np.max(np.abs(e)) == 0:
         raise DegenerateError("all efficiencies are zero; nothing to fit")
 
-    def curve(x, eta_max, eta_nor):
-        return eta_max * np.sin(np.sqrt(eta_nor * x)) ** 2
-
-    eta_max0 = min(max(float(np.max(e)), 1e-3), 1.0)
     p_at_max = float(p[int(np.argmax(e))])
-    eta_nor0 = (np.pi / 2.0) ** 2 / p_at_max if p_at_max > 0 else 1.0 / float(np.max(p))
-    try:
-        popt, _ = curve_fit(curve, p, e, p0=(eta_max0, eta_nor0),
-                            bounds=([0.0, 0.0], [1.0, np.inf]), maxfev=10000)
-    except RuntimeError as exc:
-        raise ConvergenceError(f"efficiency fit did not converge: {exc}") from exc
-    params = EfficiencyCurveParams(float(popt[0]), float(popt[1]))
-    residual = float(np.linalg.norm(curve(p, *popt) - e))
-    return EfficiencyFit(params, residual)
+    eta_nor = (np.pi / 2.0) ** 2 / p_at_max if p_at_max > 0 else 1.0 / float(np.max(p))
+    x, s, eta_max, r, cost = _projected_fit(p, e, eta_nor)
+    if eta_max == 0.0:
+        raise DegenerateError("efficiencies do not rise with pump power; nothing to fit")
+    damping = _FIT_DAMPING
+    for _ in range(_FIT_MAX_STEPS):
+        # normal equations J^T J, J^T r of J = (s, eta_max * ds/deta_nor)
+        ds = np.sin(2.0 * x) * x / (2.0 * eta_nor)
+        a11, a12, a22 = float(s @ s), eta_max * float(s @ ds), eta_max ** 2 * float(ds @ ds)
+        g1, g2 = float(s @ r), eta_max * float(ds @ r)
+        while True:
+            d22 = a22 * (1.0 + damping)
+            if eta_max < 1.0:
+                d11 = a11 * (1.0 + damping)
+                step = (a12 * g1 - d11 * g2) / (d11 * d22 - a12 * a12)
+            else:  # eta_max on its upper bound: only eta_nor moves
+                step = -g2 / d22
+            if not math.isfinite(step):
+                raise ConvergenceError("efficiency fit: singular Gauss-Newton step")
+            converged = abs(step) <= _FIT_RTOL * eta_nor
+            trial = eta_nor + step
+            trial_fit = _projected_fit(p, e, trial) if trial > 0.0 else None
+            accepted = trial_fit is not None and trial_fit[-1] <= cost
+            if accepted:
+                eta_nor = trial
+                x, s, eta_max, r, cost = trial_fit
+            if converged:
+                params = EfficiencyCurveParams(eta_max, eta_nor)
+                return EfficiencyFit(params, math.sqrt(cost))
+            if accepted:
+                damping *= 0.1
+                break
+            damping *= 10.0
+            if damping > _FIT_MAX_DAMPING:
+                raise ConvergenceError(
+                    f"efficiency fit did not converge: damping above {_FIT_MAX_DAMPING:g}")
+    raise ConvergenceError(f"efficiency fit did not converge in {_FIT_MAX_STEPS} steps")
 
 
 @dataclass(frozen=True)
@@ -330,19 +408,26 @@ def pump_balance(params_ccw: EfficiencyCurveParams, params_cw: EfficiencyCurvePa
     if total_power_mw == 0:
         return PumpSplit(0.0, 0.0, 0.0, 0.0, True)
 
+    max_ccw, nor_ccw = params_ccw.eta_max, params_ccw.eta_nor_per_mw
+    max_cw, nor_cw = params_cw.eta_max, params_cw.eta_nor_per_mw
+
     def gap(ratio):
-        return (efficiency_model(ratio * total_power_mw, params_ccw)
-                - efficiency_model((1.0 - ratio) * total_power_mw, params_cw))
+        # efficiency_model's arithmetic, without its per-call checks
+        return (max_ccw * np.sin(np.sqrt(nor_ccw * (ratio * total_power_mw))) ** 2
+                - max_cw * np.sin(np.sqrt(nor_cw * ((1.0 - ratio) * total_power_mw))) ** 2)
 
     # sin^2(sqrt(eta_nor * P)) is monotone on pieces of pi/2 in sqrt(eta_nor * P)
-    pieces = np.sqrt(max(params_ccw.eta_nor_per_mw, params_cw.eta_nor_per_mw)
-                     * total_power_mw) / (0.5 * np.pi)
+    pieces = np.sqrt(max(nor_ccw, nor_cw) * total_power_mw) / (0.5 * np.pi)
     grid = np.linspace(0.0, 1.0, _BALANCE_GRID * (1 + int(pieces)) + 1)
     below = gap(grid) <= 0.0
     brackets = np.nonzero(below[:-1] != below[1:])[0]
     lo, hi, lo_below = grid[brackets], grid[brackets + 1], below[brackets]
     for _ in range(_BALANCE_BISECTIONS):
         mid = 0.5 * (lo + hi)
+        if ((mid == lo) | (mid == hi)).all():
+            # a bracket whose midpoint is one of its ends keeps 0.5 * (lo + hi)
+            # equal to that midpoint in every later step, whichever end moves
+            break
         to_lo = (gap(mid) <= 0.0) == lo_below
         lo, hi = np.where(to_lo, mid, lo), np.where(to_lo, hi, mid)
     roots = 0.5 * (lo + hi)

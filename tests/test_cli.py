@@ -77,6 +77,16 @@ def test_startup_does_not_load_scipy(tmp_path, run_python, run_cli):
         f"{p:.3f},{efficiency_model(p, params):.9f}\n" for p in powers))
     summary = summary_of(run_cli(["fit", "--input", "fit.csv"], tmp_path))
     assert summary["eta_max"] == pytest.approx(0.44, rel=1e-6)
+    # nor does running the fit itself
+    proc = run_python(["-c", "import sys, numpy as np; "
+                             "from qfchub import fit_efficiency; "
+                             "p = np.linspace(0.0, 250.0, 26); "
+                             "fit = fit_efficiency(p, 0.44 * np.sin(np.sqrt(0.013 * p)) ** 2); "
+                             "assert abs(fit.params.eta_max - 0.44) < 1e-9; "
+                             "print(sorted(m for m in sys.modules if m == 'scipy' "
+                             "or m.startswith('scipy.')))"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]", "fit_efficiency"
 
 
 def test_pm_scan_peak_at_target(tmp_path, run_cli):
@@ -207,6 +217,19 @@ def test_fit_bad_middle_row_exits_2(tmp_path, run_cli):
     proc = run_cli(["fit", "--input", "short.csv"], tmp_path)
     assert proc.returncode == 2
     assert "line 4" in proc.stderr
+
+
+def test_fit_non_finite_or_negative_input_exits_2(tmp_path, run_cli):
+    rows = [f"{p},{0.44 * np.sin(np.sqrt(0.013 * p)) ** 2:.9f}" for p in range(0, 260, 25)]
+    for name, row, message in (("nan.csv", "130,nan", "finite"),
+                               ("inf.csv", "130,inf", "finite"),
+                               ("nan_power.csv", "nan,0.2", "finite"),
+                               ("negative.csv", "-5,0.01", "non-negative")):
+        (tmp_path / name).write_text("\n".join(["P_mW,eta", *rows, row]) + "\n")
+        proc = run_cli(["fit", "--input", name], tmp_path)
+        assert proc.returncode == 2, (name, proc.stderr)
+        assert message in proc.stderr and "Traceback" not in proc.stderr, name
+        assert proc.stdout == ""
 
 
 def test_hub_sweep_file_and_repeatability(tmp_path, run_cli):

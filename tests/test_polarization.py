@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfchub import (DegenerateError, DomainError, EfficiencyCurveParams,
-                    PolarizationState, ProcessMatrix, QfcChannelModel,
+                    PolarizationState, ProcessMatrix, PumpSplit, QfcChannelModel,
                     SingularityError, apply_channel, apply_process,
                     chi_from_payload, chi_payload, efficiency_model,
                     fit_efficiency, ideal_process, kraus_operator, kraus_to_chi,
                     process_fidelity, pump_balance, reconstruct_chi,
                     simulate_tomography)
+from qfchub.polarization import _BALANCE_BISECTIONS, _BALANCE_GRID, PAULI
 
 BALANCED = QfcChannelModel(eta_cw=0.5, eta_ccw=0.5)
 
@@ -108,6 +111,76 @@ def test_state_validation():
         PolarizationState.from_label("Q")
 
 
+def eigvalsh_rule(m):
+    """The density-matrix check as numpy's eigvalsh states it: the failing rule, or None."""
+    if np.max(np.abs(m - m.conj().T)) > 1e-9:
+        return "Hermitian"
+    if abs(np.trace(m).real - 1.0) > 1e-9:
+        return "unit trace"
+    if np.min(np.linalg.eigvalsh(m)) < -1e-12:
+        return "positive semidefinite"
+    return None
+
+
+def closed_form_rule(m):
+    try:
+        PolarizationState(m)
+    except DomainError as exc:
+        return next(rule for rule in ("Hermitian", "unit trace", "positive semidefinite")
+                    if rule in str(exc))
+    return None
+
+
+# a matrix sits this far (relative) or more from the tolerance it is drawn at,
+# well above the 1e-16 rounding in which eigvalsh and the closed form differ
+_MARGIN = st.floats(1e-2, 0.5) | st.floats(-0.5, -1e-2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(boundary=st.sampled_from(("hermitian-diagonal", "hermitian-off-diagonal",
+                                 "trace", "psd")),
+       margin=_MARGIN, theta=st.floats(0.0, np.pi), phi=st.floats(-np.pi, np.pi),
+       skew=st.floats(0.0, 4e-10), small=st.floats(0.0, 1.0))
+def test_state_check_equals_eigvalsh_rule(boundary, margin, theta, phi, skew, small):
+    # a state with eigenvalues (1 - lam, lam) in the eigenbasis (theta, phi)
+    u = np.array([[np.cos(theta / 2), -np.exp(-1j * phi) * np.sin(theta / 2)],
+                  [np.exp(1j * phi) * np.sin(theta / 2), np.cos(theta / 2)]])
+    lam = small * 0.5
+    if boundary == "psd":
+        lam = -1e-12 * (1.0 + margin)
+    m = u @ np.diag([1.0 - lam, lam]) @ u.conj().T
+    if boundary == "hermitian-diagonal":
+        m[1, 1] += 0.5j * 1e-9 * (1.0 + margin)
+    elif boundary == "hermitian-off-diagonal":
+        m[0, 1] += 1e-9 * (1.0 + margin) * np.exp(1j * phi)
+    elif boundary == "trace":
+        m[0, 0] += 1e-9 * (1.0 + margin)
+    else:
+        m[0, 1] += skew  # the upper triangle, which neither rule reads for the PSD test
+    assert closed_form_rule(m) == eigvalsh_rule(m)
+
+
+def test_state_check_rejects_nan():
+    for i in range(4):
+        m = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+        m.flat[i] = np.nan
+        with pytest.raises(DomainError):
+            PolarizationState(m)
+
+
+def test_label_states_are_shared_and_read_only():
+    for label in ("H", "V", "D", "A", "R", "L"):
+        state = PolarizationState.from_label(label)
+        assert PolarizationState.from_label(label.lower()) is state
+        with pytest.raises(ValueError):
+            state.matrix[0, 0] = 0.0
+        alpha, beta = {"H": (1, 0), "V": (0, 1), "D": (1, 1), "A": (1, -1),
+                       "R": (1, 1j), "L": (1, -1j)}[label]
+        assert np.allclose(state.matrix,
+                           PolarizationState.from_amplitudes(alpha, beta).matrix,
+                           atol=1e-15)
+
+
 def test_ideal_process_examples():
     chi = ideal_process()
     assert chi.trace == pytest.approx(1.0)
@@ -193,6 +266,41 @@ def test_reconstruction_requires_complete_inputs():
         reconstruct_chi({"H": inputs["H"]}, {"H": outputs["H"]})
 
 
+def reconstruct_chi_kron_loop(inputs, outputs, clip_tolerance=1e-9):
+    """reconstruct_chi with chi_mn = tr((P_m (x) P_n^T)^dag S) / 4, one element at a time."""
+    labels = sorted(inputs)
+    v_in = np.column_stack([inputs[l].matrix.reshape(4) for l in labels])
+    v_out = np.column_stack([
+        (outputs[l][1] * outputs[l][0].matrix).reshape(4) for l in labels])
+    superop = v_out @ np.linalg.inv(v_in)
+    chi = np.empty((4, 4), dtype=complex)
+    for m in range(4):
+        for n in range(4):
+            basis = np.kron(PAULI[m], PAULI[n].T)
+            chi[m, n] = np.trace(basis.conj().T @ superop) / 4.0
+    chi = 0.5 * (chi + chi.conj().T)
+    eigvals, eigvecs = np.linalg.eigh(chi)
+    snapped = np.where((eigvals < 0) & (eigvals >= -clip_tolerance), 0.0, eigvals)
+    return (eigvecs * snapped) @ eigvecs.conj().T
+
+
+@settings(max_examples=200, deadline=None)
+@given(eta_cw=st.floats(0.01, 1.0), eta_ccw=st.floats(0.01, 1.0),
+       phase=st.floats(-np.pi, np.pi), mix=st.just(0.0) | st.floats(0.0, 1.0),
+       seed=st.none() | st.integers(0, 2**32 - 1))
+def test_reconstruct_chi_equals_kron_loop(eta_cw, eta_ccw, phase, mix, seed):
+    model = QfcChannelModel(eta_cw, eta_ccw, phase, mix)
+    if seed is None:  # the tomography inputs H, V, D, R
+        outputs = simulate_tomography(model)
+        inputs = {k: PolarizationState.from_label(k) for k in outputs}
+    else:  # four random pure states, complete in general
+        rng = np.random.default_rng(seed)
+        inputs = {k: random_state(rng) for k in "abcd"}
+        outputs = {k: apply_channel(s, model) for k, s in inputs.items()}
+    chi = reconstruct_chi(inputs, outputs).chi
+    assert np.max(np.abs(chi - reconstruct_chi_kron_loop(inputs, outputs))) <= 1e-14
+
+
 def test_process_fidelity_examples():
     assert process_fidelity(kraus_to_chi(BALANCED)) == pytest.approx(1.0, abs=1e-9)
     quarter = QfcChannelModel(eta_cw=0.5, eta_ccw=0.5, phase_rad=np.pi / 2)
@@ -266,6 +374,69 @@ def test_fit_degenerate_inputs():
         fit_efficiency([0.0, 10.0, 20.0], [0.0, 0.0, 0.0])
 
 
+def test_fit_rejects_non_finite_or_negative_input():
+    powers = np.linspace(0.0, 250.0, 26)
+    etas = efficiency_model(powers, EfficiencyCurveParams(0.44, 0.013))
+    for bad in (np.nan, np.inf, -np.inf):
+        for p, e in ((powers, np.where(powers == 100.0, bad, etas)),
+                     (np.where(powers == 100.0, bad, powers), etas)):
+            with pytest.raises(DomainError, match="finite"):
+                fit_efficiency(p, e)
+    with pytest.raises(DomainError, match="non-negative"):
+        fit_efficiency(powers - 10.0, etas)
+
+
+def test_fit_without_positive_overlap_is_degenerate():
+    # no eta_max in (0, 1] brings the curve closer to these data than zero
+    powers = np.linspace(0.0, 250.0, 26)
+    etas = -efficiency_model(powers, EfficiencyCurveParams(0.44, 0.013))
+    with pytest.raises(DegenerateError):
+        fit_efficiency(powers, etas)
+
+
+# the criterion-10 grids (clean and noisy) and the benchmark's fit grid
+FIT_GRIDS = (np.linspace(0.0, 250.0, 26), np.linspace(5.0, 250.0, 25),
+             np.array([5.0 + i * (245.0 / 24) for i in range(25)]))
+
+
+def curve_fit_reference(powers, etas):
+    """scipy's bounded curve_fit from the same start: (eta_max, eta_nor), residual norm.
+
+    Its default tolerances (1e-8) stop up to 7e-7 relative short of the
+    optimum on curves that stay below saturation, where eta_max and eta_nor
+    are nearly degenerate; at 1e-15 it agrees with fit_efficiency to ~3e-8.
+    """
+    from scipy.optimize import curve_fit
+
+    def curve(x, eta_max, eta_nor):
+        return eta_max * np.sin(np.sqrt(eta_nor * x)) ** 2
+
+    eta_max0 = min(max(float(np.max(etas)), 1e-3), 1.0)
+    p_at_max = float(powers[int(np.argmax(etas))])
+    eta_nor0 = (np.pi / 2.0) ** 2 / p_at_max if p_at_max > 0 else 1.0 / float(np.max(powers))
+    popt, _ = curve_fit(curve, powers, etas, p0=(eta_max0, eta_nor0),
+                        bounds=([0.0, 0.0], [1.0, np.inf]), maxfev=10000,
+                        ftol=1e-15, xtol=1e-15, gtol=1e-15)
+    return popt, float(np.linalg.norm(curve(powers, *popt) - etas))
+
+
+@settings(max_examples=300, deadline=None)
+@given(eta_max=st.floats(0.05, 1.0), eta_nor=st.floats(0.005, 0.03),
+       grid=st.sampled_from(range(len(FIT_GRIDS))), seed=st.integers(0, 2**32 - 1))
+def test_fit_equals_curve_fit(eta_max, eta_nor, grid, seed):
+    powers = FIT_GRIDS[grid]
+    clean = efficiency_model(powers, EfficiencyCurveParams(eta_max, eta_nor))
+    noise = np.random.default_rng(seed).standard_normal(powers.size)
+    etas = np.clip(clean * (1.0 + 0.02 * noise), 0.0, None)
+    fit = fit_efficiency(powers, etas)
+    (ref_max, ref_nor), ref_residual = curve_fit_reference(powers, etas)
+    assert fit.params.eta_max == pytest.approx(ref_max, rel=1e-6)
+    assert fit.params.eta_nor_per_mw == pytest.approx(ref_nor, rel=1e-6)
+    assert fit.residual_norm <= ref_residual + 1e-12
+    assert {type(v) for v in (fit.params.eta_max, fit.params.eta_nor_per_mw,
+                              fit.residual_norm)} == {float}
+
+
 def test_pump_balance_symmetric_split():
     params = EfficiencyCurveParams(0.44, 0.013)
     split = pump_balance(params, params, 200.0)
@@ -307,6 +478,43 @@ def test_pump_balance_past_saturation_picks_best_root():
     assert split.p_ccw_mw == pytest.approx(grid[best], abs=total / 200000 * 2)
     assert split.eta_ccw == pytest.approx(eta_ccw[best], abs=1e-4)
     assert split.eta_ccw > 0.2
+
+
+def pump_balance_full_bisection(params_ccw, params_cw, total_power_mw, tolerance=1e-9):
+    """pump_balance as it bisects every bracket all _BALANCE_BISECTIONS times."""
+    def gap(ratio):
+        return (efficiency_model(ratio * total_power_mw, params_ccw)
+                - efficiency_model((1.0 - ratio) * total_power_mw, params_cw))
+
+    pieces = np.sqrt(max(params_ccw.eta_nor_per_mw, params_cw.eta_nor_per_mw)
+                     * total_power_mw) / (0.5 * np.pi)
+    grid = np.linspace(0.0, 1.0, _BALANCE_GRID * (1 + int(pieces)) + 1)
+    below = gap(grid) <= 0.0
+    brackets = np.nonzero(below[:-1] != below[1:])[0]
+    lo, hi, lo_below = grid[brackets], grid[brackets + 1], below[brackets]
+    for _ in range(_BALANCE_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        to_lo = (gap(mid) <= 0.0) == lo_below
+        lo, hi = np.where(to_lo, mid, lo), np.where(to_lo, hi, mid)
+    roots = 0.5 * (lo + hi)
+    ratio = float(roots[np.argmax(efficiency_model(roots * total_power_mw, params_ccw))])
+    p_ccw = ratio * total_power_mw
+    p_cw = total_power_mw - p_ccw
+    eta_ccw = efficiency_model(p_ccw, params_ccw)
+    eta_cw = efficiency_model(p_cw, params_cw)
+    return PumpSplit(p_ccw, p_cw, eta_ccw, eta_cw, abs(eta_ccw - eta_cw) <= tolerance)
+
+
+_CURVE = st.builds(EfficiencyCurveParams, st.floats(0.05, 1.0), st.floats(0.002, 0.05))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ccw=_CURVE, cw=_CURVE,
+       total=st.floats(1e-3, 100.0) | st.floats(100.0, 5000.0))
+def test_pump_balance_equals_full_bisection(ccw, cw, total):
+    # totals below 100 mW keep both arms below saturation for eta_nor <= 0.024;
+    # above it the gap has several roots
+    assert pump_balance(ccw, cw, total) == pump_balance_full_bisection(ccw, cw, total)
 
 
 def test_pump_balance_rejects_bad_total():
