@@ -57,9 +57,11 @@ _HERM_TOL = 1e-9
 _PSD_TOL = 1e-12
 
 _FIT_RTOL = 1e-12  # relative change of eta_nor at which fit_efficiency stops
+_FIT_FTOL = 1e-12  # ... or when a step lowers the cost by this much relative, or less
 _FIT_DAMPING = 1e-3  # initial Marquardt damping of fit_efficiency
+_FIT_MIN_DAMPING = 1e-12
 _FIT_MAX_DAMPING = 1e12
-_FIT_MAX_STEPS = 200
+_FIT_MAX_STEPS = 1000
 
 _BALANCE_GRID = 256  # ratio-grid points per monotone piece of sin^2 in pump_balance
 _BALANCE_BISECTIONS = 64  # narrows a grid bracket below one ulp of the ratio
@@ -329,7 +331,9 @@ def fit_efficiency(power_mw, eta) -> EfficiencyFit:
     eta_max in [0, 1] projected in closed form after every step, started
     from the peak of the data: eta_nor = (pi/2)^2 / P at the largest
     efficiency. It stops when a step changes eta_nor by at most
-    ``_FIT_RTOL`` relative.
+    ``_FIT_RTOL`` relative, or lowers the cost by at most ``_FIT_FTOL``
+    relative: with large residuals Gauss-Newton converges slowly, and its
+    last steps move eta_nor within a valley that rounding makes flat.
     """
     p = np.asarray(power_mw, dtype=float)
     e = np.asarray(eta, dtype=float)
@@ -348,7 +352,8 @@ def fit_efficiency(power_mw, eta) -> EfficiencyFit:
     eta_nor = (np.pi / 2.0) ** 2 / p_at_max if p_at_max > 0 else 1.0 / float(np.max(p))
     x, s, eta_max, r, cost = _projected_fit(p, e, eta_nor)
     if eta_max == 0.0:
-        raise DegenerateError("efficiencies do not rise with pump power; nothing to fit")
+        raise DegenerateError("efficiencies do not follow the saturation curve: the best "
+                              "eta_max at the peak's eta_nor is 0; nothing to fit")
     damping = _FIT_DAMPING
     for _ in range(_FIT_MAX_STEPS):
         # normal equations J^T J, J^T r of J = (s, eta_max * ds/deta_nor)
@@ -356,31 +361,41 @@ def fit_efficiency(power_mw, eta) -> EfficiencyFit:
         a11, a12, a22 = float(s @ s), eta_max * float(s @ ds), eta_max ** 2 * float(ds @ ds)
         g1, g2 = float(s @ r), eta_max * float(ds @ r)
         while True:
-            d22 = a22 * (1.0 + damping)
-            if eta_max < 1.0:
-                d11 = a11 * (1.0 + damping)
-                step = (a12 * g1 - d11 * g2) / (d11 * d22 - a12 * a12)
-            else:  # eta_max on its upper bound: only eta_nor moves
-                step = -g2 / d22
-            if not math.isfinite(step):
+            d11, d22 = a11 * (1.0 + damping), a22 * (1.0 + damping)
+            det = d11 * d22 - a12 * a12 if eta_max < 1.0 else d22
+            if not 0.0 < det < math.inf:
                 raise ConvergenceError("efficiency fit: singular Gauss-Newton step")
-            converged = abs(step) <= _FIT_RTOL * eta_nor
+            if eta_max < 1.0:
+                step_max, step = (a12 * g2 - d22 * g1) / det, (a12 * g1 - d11 * g2) / det
+            else:  # eta_max on its upper bound: only eta_nor moves
+                step_max, step = 0.0, -g2 / det
+            # cost reduction the linearized model predicts for the step
+            predicted = -(2.0 * (g1 * step_max + g2 * step) + a11 * step_max ** 2
+                          + 2.0 * a12 * step_max * step + a22 * step ** 2)
+            small_step = abs(step) <= _FIT_RTOL * eta_nor
             trial = eta_nor + step
             trial_fit = _projected_fit(p, e, trial) if trial > 0.0 else None
-            accepted = trial_fit is not None and trial_fit[-1] <= cost
-            if accepted:
+            if trial_fit is not None and trial_fit[-1] <= cost:
+                reduction = cost - trial_fit[-1]
                 eta_nor = trial
                 x, s, eta_max, r, cost = trial_fit
-            if converged:
-                params = EfficiencyCurveParams(eta_max, eta_nor)
-                return EfficiencyFit(params, math.sqrt(cost))
-            if accepted:
-                damping *= 0.1
+                # gain-ratio rule: damp more where the model overpromised
+                # (Gauss-Newton overshoots where the residuals are large)
+                if reduction < 0.25 * predicted:
+                    damping *= 10.0
+                elif reduction > 0.75 * predicted:
+                    damping = max(0.1 * damping, _FIT_MIN_DAMPING)
+                break
+            if small_step:  # rejected, and too small to matter
+                reduction = 0.0
                 break
             damping *= 10.0
             if damping > _FIT_MAX_DAMPING:
                 raise ConvergenceError(
                     f"efficiency fit did not converge: damping above {_FIT_MAX_DAMPING:g}")
+        # done once a step changes eta_nor, or the cost, by no more than rounding
+        if small_step or reduction <= _FIT_FTOL * (cost + reduction):
+            return EfficiencyFit(EfficiencyCurveParams(eta_max, eta_nor), math.sqrt(cost))
     raise ConvergenceError(f"efficiency fit did not converge in {_FIT_MAX_STEPS} steps")
 
 

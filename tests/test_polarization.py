@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfchub import (DegenerateError, DomainError, EfficiencyCurveParams,
-                    PolarizationState, ProcessMatrix, PumpSplit, QfcChannelModel,
+from qfchub import (ConvergenceError, DegenerateError, DomainError,
+                    EfficiencyCurveParams, PolarizationState, ProcessMatrix,
+                    PumpSplit, QfcChannelModel,
                     SingularityError, apply_channel, apply_process,
                     chi_from_payload, chi_payload, efficiency_model,
                     fit_efficiency, ideal_process, kraus_operator, kraus_to_chi,
@@ -391,6 +392,26 @@ def test_fit_without_positive_overlap_is_degenerate():
     powers = np.linspace(0.0, 250.0, 26)
     etas = -efficiency_model(powers, EfficiencyCurveParams(0.44, 0.013))
     with pytest.raises(DegenerateError):
+        fit_efficiency(powers, etas)
+
+
+def test_fit_converges_on_data_far_from_the_curve():
+    # large residuals: Gauss-Newton overshoots or crawls, and rounding
+    # flattens the last steps; the fit must still stop, inside its bounds
+    rng = np.random.default_rng(45)
+    for _ in range(300):
+        n = int(rng.integers(3, 40))
+        powers = np.sort(rng.uniform(0.0, float(rng.choice([1.0, 1e2, 1e3, 1e5])), n))
+        fit = fit_efficiency(powers, rng.uniform(0.0, 2.0, n))
+        assert 0.0 < fit.params.eta_max <= 1.0
+        assert np.isfinite(fit.params.eta_nor_per_mw) and np.isfinite(fit.residual_norm)
+
+
+def test_fit_singular_step_is_a_convergence_error():
+    # at 1e-300 the normal equations underflow to zero
+    powers = np.linspace(0.0, 250.0, 26)
+    etas = 1e-300 * efficiency_model(powers, EfficiencyCurveParams(1.0, 0.013))
+    with pytest.raises(ConvergenceError):
         fit_efficiency(powers, etas)
 
 
