@@ -34,4 +34,35 @@ from .tuning import (HubSweepPoint, Spectrum, SpectrumPoint, SweetSpotReport,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # submodules
+    "constants", "dispersion", "dwdm", "emit", "errors", "polarization", "qpm",
+    "tuning",
+    # constants
+    "C_NM_THZ", "C_UM_THZ",
+    # dispersion
+    "DEFAULT_MATERIAL", "SellmeierModel", "SpectralPoint", "builtin_materials",
+    "get_material", "group_index", "index_derivative", "load_material_file",
+    "refractive_index", "wavelength_frequency_convert",
+    # dwdm
+    "DwdmGrid", "EfficiencyCurve", "EfficiencyCurvePoint", "LaserSpec", "PumpPlan",
+    "PumpPlanEntry", "efficiency_curve_columns", "high_efficiency_band", "plan_pumps",
+    "port_frequency", "relative_efficiency_curve",
+    # errors
+    "ConfigError", "ConvergenceError", "DegenerateError", "DomainError", "QfcHubError",
+    "RangeError", "SingularityError", "ValidityError",
+    # polarization
+    "EfficiencyCurveParams", "EfficiencyFit", "PolarizationState", "ProcessMatrix",
+    "PumpSplit", "QfcChannelModel", "apply_channel", "apply_process",
+    "chi_from_payload", "chi_payload", "efficiency_model", "fit_efficiency",
+    "ideal_process", "kraus_operator", "kraus_to_chi", "process_fidelity",
+    "pump_balance", "reconstruct_chi", "simulate_tomography",
+    # qpm
+    "DeviceConfig", "InteractionTriple", "group_index_mismatch", "make_device",
+    "phase_mismatch", "phase_mismatch_vs_converted", "pm_efficiency", "pump_for",
+    "sinc", "solve_poling_period", "wavenumber_mismatch",
+    # tuning
+    "HubSweepPoint", "Spectrum", "SpectrumPoint", "SweetSpotReport",
+    "TuningConstraints", "TuningResult", "channel_count", "hub_sweep", "pm_spectrum",
+    "pm_spectrum_columns", "sweep_csv_rows", "sweet_spot_report", "tuning_range",
+]

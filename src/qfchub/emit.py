@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DomainError
 
 CSV_SCHEMA = 1
+_BOOL_TEXT = ("false", "true")
 
 
 def csv_rows(fmt: str, *columns) -> list[str]:
@@ -27,9 +28,8 @@ def csv_rows(fmt: str, *columns) -> list[str]:
     """
     values = []
     for column in map(np.asarray, columns):
-        if column.dtype == bool:
-            column = np.where(column, "true", "false")
-        values.append(column.tolist())
+        items = column.tolist()
+        values.append([_BOOL_TEXT[v] for v in items] if column.dtype == bool else items)
     return list(map(fmt.format, *values)) if values else []
 
 

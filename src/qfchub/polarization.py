@@ -10,6 +10,8 @@ success probability. Process matrices live in the Pauli basis, order
 """
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -52,6 +54,8 @@ def _pauli_transfer() -> np.ndarray:
 
 
 _PAULI_TRANSFER = _pauli_transfer()
+
+_FRAME_CACHE_SIZE = 4  # input frames whose output-to-chi map reconstruct_chi keeps
 
 _HERM_TOL = 1e-9
 _PSD_TOL = 1e-12
@@ -144,6 +148,8 @@ class QfcChannelModel:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise DomainError(f"{name} must be in [0, 1], got {v}")
+        if not math.isfinite(self.phase_rad):
+            raise DomainError(f"phase_rad must be finite, got {self.phase_rad}")
 
 
 @dataclass(frozen=True)
@@ -173,17 +179,24 @@ def kraus_operator(model: QfcChannelModel) -> np.ndarray:
 
 def apply_channel(state: PolarizationState,
                   model: QfcChannelModel) -> tuple[PolarizationState, float]:
-    """Channel action on a state: (normalized output, success probability)."""
-    k = kraus_operator(model)
-    raw = k @ state.matrix @ k.conj().T
-    probability = float(np.trace(raw).real)
+    """Channel action on a state: (normalized output, success probability).
+
+    K is anti-diagonal, so K rho K^dag = [[eta_cw rho_VV, c* rho_VH],
+    [c rho_HV, eta_ccw rho_HH]] with c = sqrt(eta_cw eta_ccw) e^{i phase};
+    the four entries and the depolarizing mix are worked out on scalars.
+    """
+    (hh, hv), (vh, vv) = state.matrix.tolist()
+    raw_hh, raw_vv = model.eta_cw * vv, model.eta_ccw * hh
+    probability = raw_hh.real + raw_vv.real
     if probability < 1e-15:
         raise DegenerateError(
             "channel output has vanishing success probability for this input")
     mix = model.depolarizing_mix
-    if mix:
-        raw = (1.0 - mix) * raw + mix * probability * 0.5 * np.eye(2)
-    return PolarizationState(raw / probability), probability
+    keep, even = (1.0 - mix) / probability, 0.5 * mix
+    c = keep * cmath.rect(math.sqrt(model.eta_cw * model.eta_ccw), model.phase_rad)
+    out = np.array([[keep * raw_hh + even, c.conjugate() * vh],
+                    [c * hv, keep * raw_vv + even]], dtype=complex)
+    return PolarizationState(out), probability
 
 
 def _pauli_coefficients(model: QfcChannelModel) -> np.ndarray:
@@ -243,6 +256,27 @@ def simulate_tomography(
             for label in TOMOGRAPHY_INPUTS}
 
 
+@functools.lru_cache(maxsize=_FRAME_CACHE_SIZE)
+def _frame_map(frame: bytes) -> np.ndarray:
+    """M with vec(chi) = M @ (the four output matrices, row-major, stacked).
+
+    ``frame`` holds the four input density matrices the same way. With
+    V_in, V_out the matrices whose columns are the row-major inputs and
+    outputs, chi = T vec(V_out V_in^-1) = T (I4 (x) V_in^-T) vec(V_out); the
+    columns are reordered from vec(V_out) to the stacked outputs. The map
+    is read-only, and an incomplete frame raises here every time, since
+    lru_cache keeps no exception.
+    """
+    v_in = np.frombuffer(frame, dtype=complex).reshape(4, 4).T
+    if np.linalg.matrix_rank(v_in, tol=1e-9) < 4:
+        raise SingularityError(
+            "input states are not tomographically complete (rank < 4)")
+    m = _PAULI_TRANSFER @ np.kron(np.eye(4), np.linalg.inv(v_in).T)
+    m = m.reshape(16, 4, 4).transpose(0, 2, 1).reshape(16, 16)  # a copy
+    m.setflags(write=False)
+    return m
+
+
 def reconstruct_chi(inputs: Mapping[str, PolarizationState],
                     outputs: Mapping[str, tuple[PolarizationState, float]],
                     clip_tolerance: float = 1e-9) -> ProcessMatrix:
@@ -251,21 +285,16 @@ def reconstruct_chi(inputs: Mapping[str, PolarizationState],
     Outputs carry their success probabilities, so the reconstruction is of
     the unnormalized (trace-decreasing) channel. The result is symmetrized;
     eigenvalues within ``clip_tolerance`` below zero are snapped to zero.
+    The map from outputs to chi is cached for the last few input frames.
     """
     if set(inputs) != set(outputs):
         raise DomainError("inputs and outputs must carry the same labels")
     labels = sorted(inputs)
     if len(labels) != 4:
         raise DomainError("tomography needs exactly four input states")
-    v_in = np.column_stack([inputs[l].matrix.reshape(4) for l in labels])
-    if np.linalg.matrix_rank(v_in, tol=1e-9) < 4:
-        raise SingularityError(
-            "input states are not tomographically complete (rank < 4)")
-    v_out = np.column_stack([
-        (outputs[l][1] * outputs[l][0].matrix).reshape(4) for l in labels])
-    superop = v_out @ np.linalg.inv(v_in)
-
-    chi = (_PAULI_TRANSFER @ superop.reshape(16)).reshape(4, 4)
+    frame = _frame_map(b"".join(inputs[l].matrix.tobytes() for l in labels))
+    v_out = np.array([outputs[l][1] * outputs[l][0].matrix for l in labels])
+    chi = (frame @ v_out.reshape(16)).reshape(4, 4)
     chi = 0.5 * (chi + chi.conj().T)
 
     eigvals, eigvecs = np.linalg.eigh(chi)
@@ -290,8 +319,8 @@ class EfficiencyCurveParams:
     eta_nor_per_mw: float
 
     def __post_init__(self) -> None:
-        if self.eta_max <= 0 or self.eta_nor_per_mw <= 0:
-            raise DomainError("efficiency parameters must be positive")
+        if not (0.0 < self.eta_max < math.inf and 0.0 < self.eta_nor_per_mw < math.inf):
+            raise DomainError("efficiency parameters must be finite and positive")
 
 
 def efficiency_model(power_mw, params: EfficiencyCurveParams):
@@ -414,9 +443,10 @@ def pump_balance(params_ccw: EfficiencyCurveParams, params_cw: EfficiencyCurvePa
 
     The efficiency gap eta_ccw - eta_cw is < 0 at ratio 0 and > 0 at ratio 1;
     past saturation it changes sign more than once. Every sign change on a
-    ratio grid that resolves the sin^2 oscillations is bisected, all together,
-    and the equalizing split that converts best is returned. ``equalized`` is
-    False when its gap exceeds the tolerance.
+    ratio grid that resolves the sin^2 oscillations is bisected, all together;
+    a grid point where the gap is exactly 0 is a root as well. The equalizing
+    split that converts best is returned. ``equalized`` is False when its gap
+    exceeds the tolerance.
     """
     if not 0 <= total_power_mw < np.inf:
         raise DomainError("total power must be finite and non-negative")
@@ -434,7 +464,8 @@ def pump_balance(params_ccw: EfficiencyCurveParams, params_cw: EfficiencyCurvePa
     # sin^2(sqrt(eta_nor * P)) is monotone on pieces of pi/2 in sqrt(eta_nor * P)
     pieces = np.sqrt(max(nor_ccw, nor_cw) * total_power_mw) / (0.5 * np.pi)
     grid = np.linspace(0.0, 1.0, _BALANCE_GRID * (1 + int(pieces)) + 1)
-    below = gap(grid) <= 0.0
+    gaps = gap(grid)
+    below = gaps <= 0.0
     brackets = np.nonzero(below[:-1] != below[1:])[0]
     lo, hi, lo_below = grid[brackets], grid[brackets + 1], below[brackets]
     for _ in range(_BALANCE_BISECTIONS):
@@ -445,7 +476,9 @@ def pump_balance(params_ccw: EfficiencyCurveParams, params_cw: EfficiencyCurvePa
             break
         to_lo = (gap(mid) <= 0.0) == lo_below
         lo, hi = np.where(to_lo, mid, lo), np.where(to_lo, hi, mid)
-    roots = 0.5 * (lo + hi)
+    # a grid point on a root is one too: where both efficiencies underflow
+    # to 0 the gap is 0 everywhere and changes sign nowhere
+    roots = np.concatenate((0.5 * (lo + hi), grid[gaps == 0.0]))
     ratio = float(roots[np.argmax(efficiency_model(roots * total_power_mw, params_ccw))])
     p_ccw = ratio * total_power_mw
     p_cw = total_power_mw - p_ccw

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qfchub
 from qfchub import (ConfigError, DwdmGrid, EfficiencyCurveParams, LaserSpec,
                     TuningConstraints, efficiency_model)
 from qfchub.cli import _resolve_config, build_parser
@@ -87,6 +88,14 @@ def test_startup_does_not_load_scipy(tmp_path, run_python, run_cli):
                              "or m.startswith('scipy.')))"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]", "fit_efficiency"
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from qfchub import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(qfchub.__all__)
+    assert len(set(qfchub.__all__)) == len(qfchub.__all__)
 
 
 def test_pm_scan_peak_at_target(tmp_path, run_cli):

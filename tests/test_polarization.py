@@ -11,7 +11,8 @@ from qfchub import (ConvergenceError, DegenerateError, DomainError,
                     fit_efficiency, ideal_process, kraus_operator, kraus_to_chi,
                     process_fidelity, pump_balance, reconstruct_chi,
                     simulate_tomography)
-from qfchub.polarization import _BALANCE_BISECTIONS, _BALANCE_GRID, PAULI
+from qfchub.polarization import (_BALANCE_BISECTIONS, _BALANCE_GRID, _FRAME_CACHE_SIZE,
+                                 PAULI, _frame_map)
 
 BALANCED = QfcChannelModel(eta_cw=0.5, eta_ccw=0.5)
 
@@ -34,6 +35,46 @@ def random_state(rng) -> PolarizationState:
     if abs(alpha) + abs(beta) < 1e-6:
         alpha = 1.0
     return PolarizationState.from_amplitudes(alpha, beta)
+
+
+def random_frame(rng) -> dict[str, PolarizationState]:
+    """Four random states, pure or partly mixed, under the tomography labels."""
+    frame = {}
+    for label in "HVDR":
+        pure = random_state(rng).matrix
+        mix = float(rng.uniform(0.0, 0.5))
+        frame[label] = PolarizationState((1.0 - mix) * pure + 0.5 * mix * np.eye(2))
+    return frame
+
+
+def apply_channel_matmul(state, model):
+    """apply_channel as K rho K^dag with the matrix of kraus_operator."""
+    k = kraus_operator(model)
+    raw = k @ state.matrix @ k.conj().T
+    probability = float(np.trace(raw).real)
+    mix = model.depolarizing_mix
+    raw = (1.0 - mix) * raw + mix * probability * 0.5 * np.eye(2)
+    return raw / probability, probability
+
+
+@settings(max_examples=300, deadline=None)
+@given(eta_cw=st.floats(0.01, 1.0), eta_ccw=st.floats(0.01, 1.0),
+       phase=st.floats(-10.0, 10.0), mix=st.just(0.0) | st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1), state_mix=st.just(0.0) | st.floats(0.0, 1.0))
+def test_apply_channel_equals_kraus_matmul(eta_cw, eta_ccw, phase, mix, seed, state_mix):
+    model = QfcChannelModel(eta_cw, eta_ccw, phase, mix)
+    pure = random_state(np.random.default_rng(seed)).matrix
+    state = PolarizationState((1.0 - state_mix) * pure + 0.5 * state_mix * np.eye(2))
+    out, probability = apply_channel(state, model)
+    expected, expected_probability = apply_channel_matmul(state, model)
+    assert abs(probability - expected_probability) <= 1e-15
+    assert np.max(np.abs(out.matrix - expected)) <= 1e-15
+
+
+def test_channel_rejects_non_finite_phase():
+    for phase in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(DomainError):
+            QfcChannelModel(0.5, 0.5, phase)
 
 
 def test_balanced_channel_is_bit_flip():
@@ -261,8 +302,9 @@ def test_reconstruction_requires_complete_inputs():
     labels = ("H", "V", "D", "A")
     inputs = {k: PolarizationState.from_label(k) for k in labels}
     outputs = {k: apply_channel(inputs[k], model) for k in labels}
-    with pytest.raises(SingularityError):
-        reconstruct_chi(inputs, outputs)
+    for _ in range(3):  # an incomplete frame is never cached
+        with pytest.raises(SingularityError):
+            reconstruct_chi(inputs, outputs)
     with pytest.raises(DomainError):
         reconstruct_chi({"H": inputs["H"]}, {"H": outputs["H"]})
 
@@ -288,18 +330,40 @@ def reconstruct_chi_kron_loop(inputs, outputs, clip_tolerance=1e-9):
 @settings(max_examples=200, deadline=None)
 @given(eta_cw=st.floats(0.01, 1.0), eta_ccw=st.floats(0.01, 1.0),
        phase=st.floats(-np.pi, np.pi), mix=st.just(0.0) | st.floats(0.0, 1.0),
-       seed=st.none() | st.integers(0, 2**32 - 1))
-def test_reconstruct_chi_equals_kron_loop(eta_cw, eta_ccw, phase, mix, seed):
+       frame=st.sampled_from(("labels", "pure", "mixed")), seed=st.integers(0, 2**32 - 1))
+def test_reconstruct_chi_equals_kron_loop(eta_cw, eta_ccw, phase, mix, frame, seed):
     model = QfcChannelModel(eta_cw, eta_ccw, phase, mix)
-    if seed is None:  # the tomography inputs H, V, D, R
-        outputs = simulate_tomography(model)
-        inputs = {k: PolarizationState.from_label(k) for k in outputs}
-    else:  # four random pure states, complete in general
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
+    if frame == "labels":  # the tomography inputs H, V, D, R
+        inputs = {k: PolarizationState.from_label(k) for k in "HVDR"}
+    elif frame == "pure":  # four random pure states, complete in general
         inputs = {k: random_state(rng) for k in "abcd"}
-        outputs = {k: apply_channel(s, model) for k, s in inputs.items()}
+    else:  # four random partly mixed states
+        inputs = random_frame(rng)
+    outputs = {k: apply_channel(s, model) for k, s in inputs.items()}
     chi = reconstruct_chi(inputs, outputs).chi
     assert np.max(np.abs(chi - reconstruct_chi_kron_loop(inputs, outputs))) <= 1e-14
+
+
+def test_reconstruct_chi_follows_the_input_frame(rng):
+    # frames under the same labels, one after another: each needs its own map
+    model = QfcChannelModel(0.7, 0.3, 0.8, 0.05)
+    expected = kraus_to_chi(model).chi
+    labels = {k: PolarizationState.from_label(k) for k in "HVDR"}
+    for inputs in (labels, random_frame(rng), random_frame(rng), labels):
+        outputs = {k: apply_channel(s, model) for k, s in inputs.items()}
+        assert np.max(np.abs(reconstruct_chi(inputs, outputs).chi - expected)) < 1e-9
+
+
+def test_frame_cache_is_bounded_and_read_only(rng):
+    model = QfcChannelModel(0.6, 0.4, 0.3)
+    for _ in range(3 * _FRAME_CACHE_SIZE):
+        inputs = random_frame(rng)
+        reconstruct_chi(inputs, {k: apply_channel(s, model) for k, s in inputs.items()})
+        assert _frame_map.cache_info().currsize <= _FRAME_CACHE_SIZE
+    frame = b"".join(inputs[k].matrix.tobytes() for k in sorted(inputs))
+    with pytest.raises(ValueError):
+        _frame_map(frame)[0, 0] = 0.0
 
 
 def test_process_fidelity_examples():
@@ -536,6 +600,24 @@ def test_pump_balance_equals_full_bisection(ccw, cw, total):
     # totals below 100 mW keep both arms below saturation for eta_nor <= 0.024;
     # above it the gap has several roots
     assert pump_balance(ccw, cw, total) == pump_balance_full_bisection(ccw, cw, total)
+
+
+def test_curve_params_reject_non_finite():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for args in ((bad, 0.013), (0.44, bad)):
+            with pytest.raises(DomainError):
+                EfficiencyCurveParams(*args)
+
+
+def test_pump_balance_underflowing_total():
+    # both efficiencies underflow to 0 on every grid point: the gap is 0
+    # everywhere and never changes sign
+    ccw, cw = EfficiencyCurveParams(0.44, 0.013), EfficiencyCurveParams(0.40, 0.018)
+    for total in (5e-324, 1e-323):
+        split = pump_balance(ccw, cw, total)
+        assert split.equalized
+        assert split.p_ccw_mw + split.p_cw_mw == total
+        assert split.eta_ccw == split.eta_cw == 0.0
 
 
 def test_pump_balance_rejects_bad_total():
