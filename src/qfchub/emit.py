@@ -29,7 +29,8 @@ def csv_rows(fmt: str, *columns) -> list[str]:
     values = []
     for column in map(np.asarray, columns):
         items = column.tolist()
-        values.append([_BOOL_TEXT[v] for v in items] if column.dtype == bool else items)
+        values.append(list(map(_BOOL_TEXT.__getitem__, items))
+                      if column.dtype == bool else items)
     return list(map(fmt.format, *values)) if values else []
 
 
