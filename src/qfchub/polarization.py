@@ -55,7 +55,7 @@ def _pauli_transfer() -> np.ndarray:
 
 _PAULI_TRANSFER = _pauli_transfer()
 
-_FRAME_CACHE_SIZE = 4  # input frames whose output-to-chi map reconstruct_chi keeps
+_FRAME_CACHE_SIZE = 4  # input frames whose inverse reconstruct_chi keeps
 
 _HERM_TOL = 1e-9
 _PSD_TOL = 1e-12
@@ -257,24 +257,20 @@ def simulate_tomography(
 
 
 @functools.lru_cache(maxsize=_FRAME_CACHE_SIZE)
-def _frame_map(frame: bytes) -> np.ndarray:
-    """M with vec(chi) = M @ (the four output matrices, row-major, stacked).
+def _frame_inverse(frame: bytes) -> np.ndarray:
+    """V_in^-1 of the input frame whose four density matrices are ``frame``.
 
-    ``frame`` holds the four input density matrices the same way. With
-    V_in, V_out the matrices whose columns are the row-major inputs and
-    outputs, chi = T vec(V_out V_in^-1) = T (I4 (x) V_in^-T) vec(V_out); the
-    columns are reordered from vec(V_out) to the stacked outputs. The map
-    is read-only, and an incomplete frame raises here every time, since
-    lru_cache keeps no exception.
+    ``frame`` holds the matrices row-major, one after another; V_in has
+    them as columns. The inverse is read-only, and an incomplete frame
+    raises here every time, since lru_cache keeps no exception.
     """
     v_in = np.frombuffer(frame, dtype=complex).reshape(4, 4).T
     if np.linalg.matrix_rank(v_in, tol=1e-9) < 4:
         raise SingularityError(
             "input states are not tomographically complete (rank < 4)")
-    m = _PAULI_TRANSFER @ np.kron(np.eye(4), np.linalg.inv(v_in).T)
-    m = m.reshape(16, 4, 4).transpose(0, 2, 1).reshape(16, 16)  # a copy
-    m.setflags(write=False)
-    return m
+    inverse = np.linalg.inv(v_in)
+    inverse.setflags(write=False)
+    return inverse
 
 
 def reconstruct_chi(inputs: Mapping[str, PolarizationState],
@@ -285,16 +281,19 @@ def reconstruct_chi(inputs: Mapping[str, PolarizationState],
     Outputs carry their success probabilities, so the reconstruction is of
     the unnormalized (trace-decreasing) channel. The result is symmetrized;
     eigenvalues within ``clip_tolerance`` below zero are snapped to zero.
-    The map from outputs to chi is cached for the last few input frames.
+    The inverse of the input frame is cached for the last few frames.
     """
     if set(inputs) != set(outputs):
         raise DomainError("inputs and outputs must carry the same labels")
     labels = sorted(inputs)
     if len(labels) != 4:
         raise DomainError("tomography needs exactly four input states")
-    frame = _frame_map(b"".join(inputs[l].matrix.tobytes() for l in labels))
-    v_out = np.array([outputs[l][1] * outputs[l][0].matrix for l in labels])
-    chi = (frame @ v_out.reshape(16)).reshape(4, 4)
+    v_in_inverse = _frame_inverse(b"".join(inputs[l].matrix.tobytes() for l in labels))
+    # the row-major outputs as columns, like the inputs in V_in
+    stacked = np.array([outputs[l][1] * outputs[l][0].matrix for l in labels])
+    superop = stacked.reshape(4, 4).T.copy() @ v_in_inverse
+
+    chi = (_PAULI_TRANSFER @ superop.reshape(16)).reshape(4, 4)
     chi = 0.5 * (chi + chi.conj().T)
 
     eigvals, eigvecs = np.linalg.eigh(chi)
