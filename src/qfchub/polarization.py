@@ -289,7 +289,7 @@ def reconstruct_chi(inputs: Mapping[str, PolarizationState],
     if len(labels) != 4:
         raise DomainError("tomography needs exactly four input states")
     v_in_inverse = _frame_inverse(b"".join(inputs[l].matrix.tobytes() for l in labels))
-    # the row-major outputs as columns, like the inputs in V_in
+    # V_out: the row-major outputs as columns, like the inputs in V_in, in C order
     stacked = np.array([outputs[l][1] * outputs[l][0].matrix for l in labels])
     superop = stacked.reshape(4, 4).T.copy() @ v_in_inverse
 
