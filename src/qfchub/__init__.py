@@ -8,8 +8,7 @@ polarization-preserving conversion channel with process tomography.
 from .constants import C_NM_THZ, C_UM_THZ
 from .dispersion import (DEFAULT_MATERIAL, SellmeierModel, SpectralPoint,
                          builtin_materials, get_material, group_index,
-                         index_derivative, load_material_file, refractive_index,
-                         wavelength_frequency_convert)
+                         index_derivative, load_material_file, refractive_index)
 from .dwdm import (DwdmGrid, EfficiencyCurve, EfficiencyCurvePoint, LaserSpec,
                    PumpPlan, PumpPlanEntry, efficiency_curve_columns,
                    high_efficiency_band, plan_pumps, port_frequency,
@@ -18,15 +17,13 @@ from .errors import (ConfigError, ConvergenceError, DegenerateError, DomainError
                      QfcHubError, RangeError, SingularityError, ValidityError)
 from .polarization import (EfficiencyCurveParams, EfficiencyFit,
                            PolarizationState, ProcessMatrix, PumpSplit,
-                           QfcChannelModel, apply_channel, apply_process,
-                           chi_from_payload, chi_payload, efficiency_model,
-                           fit_efficiency, ideal_process, kraus_operator,
+                           QfcChannelModel, apply_channel, chi_payload,
+                           efficiency_model, fit_efficiency, kraus_operator,
                            kraus_to_chi, process_fidelity, pump_balance,
                            reconstruct_chi, simulate_tomography)
-from .qpm import (DeviceConfig, InteractionTriple, group_index_mismatch,
-                  make_device, phase_mismatch, phase_mismatch_vs_converted,
-                  pm_efficiency, pump_for, sinc, solve_poling_period,
-                  wavenumber_mismatch)
+from .qpm import (DeviceConfig, group_index_mismatch, make_device,
+                  phase_mismatch_vs_converted, pm_efficiency, pump_for, sinc,
+                  solve_poling_period, wavenumber_mismatch)
 from .tuning import (HubSweepPoint, Spectrum, SpectrumPoint, SweetSpotReport,
                      TuningConstraints, TuningResult, channel_count, hub_sweep,
                      pm_spectrum, pm_spectrum_columns, sweep_csv_rows,
@@ -43,7 +40,7 @@ __all__ = [
     # dispersion
     "DEFAULT_MATERIAL", "SellmeierModel", "SpectralPoint", "builtin_materials",
     "get_material", "group_index", "index_derivative", "load_material_file",
-    "refractive_index", "wavelength_frequency_convert",
+    "refractive_index",
     # dwdm
     "DwdmGrid", "EfficiencyCurve", "EfficiencyCurvePoint", "LaserSpec", "PumpPlan",
     "PumpPlanEntry", "efficiency_curve_columns", "high_efficiency_band", "plan_pumps",
@@ -53,14 +50,13 @@ __all__ = [
     "RangeError", "SingularityError", "ValidityError",
     # polarization
     "EfficiencyCurveParams", "EfficiencyFit", "PolarizationState", "ProcessMatrix",
-    "PumpSplit", "QfcChannelModel", "apply_channel", "apply_process",
-    "chi_from_payload", "chi_payload", "efficiency_model", "fit_efficiency",
-    "ideal_process", "kraus_operator", "kraus_to_chi", "process_fidelity",
-    "pump_balance", "reconstruct_chi", "simulate_tomography",
+    "PumpSplit", "QfcChannelModel", "apply_channel", "chi_payload",
+    "efficiency_model", "fit_efficiency", "kraus_operator", "kraus_to_chi",
+    "process_fidelity", "pump_balance", "reconstruct_chi", "simulate_tomography",
     # qpm
-    "DeviceConfig", "InteractionTriple", "group_index_mismatch", "make_device",
-    "phase_mismatch", "phase_mismatch_vs_converted", "pm_efficiency", "pump_for",
-    "sinc", "solve_poling_period", "wavenumber_mismatch",
+    "DeviceConfig", "group_index_mismatch", "make_device",
+    "phase_mismatch_vs_converted", "pm_efficiency", "pump_for", "sinc",
+    "solve_poling_period", "wavenumber_mismatch",
     # tuning
     "HubSweepPoint", "Spectrum", "SpectrumPoint", "SweetSpotReport",
     "TuningConstraints", "TuningResult", "channel_count", "hub_sweep", "pm_spectrum",

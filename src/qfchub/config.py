@@ -6,6 +6,7 @@ config path may be supplied via the QFCHUB_CONFIG environment variable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -54,11 +55,11 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         """Check the fields no builder checks, then build what the commands use."""
-        if self.temperature_c <= -273.15:
-            raise ConfigError("temperature below absolute zero")
+        if not -273.15 < self.temperature_c < math.inf:
+            raise ConfigError("temperature must be finite and above absolute zero")
         for name in ("length_mm", "signal_frequency_thz"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and positive")
         if self.output_format not in ("csv", "json"):
             raise ConfigError("output_format must be csv or json")
         try:

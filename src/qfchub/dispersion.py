@@ -187,16 +187,6 @@ class SpectralPoint:
         return cls(C_UM_THZ / frequency_thz, frequency_thz)
 
 
-def wavelength_frequency_convert(wavelength_nm: float | None = None,
-                                 frequency_thz: float | None = None) -> SpectralPoint:
-    """Build a SpectralPoint from exactly one of wavelength (nm) / frequency (THz)."""
-    if (wavelength_nm is None) == (frequency_thz is None):
-        raise DomainError("provide exactly one of wavelength_nm / frequency_thz")
-    if wavelength_nm is not None:
-        return SpectralPoint.from_wavelength_nm(wavelength_nm)
-    return SpectralPoint.from_frequency_thz(frequency_thz)
-
-
 def _model_from_record(rec: dict) -> SellmeierModel:
     try:
         return SellmeierModel(

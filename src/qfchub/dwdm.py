@@ -8,6 +8,7 @@ plan's center channel.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
@@ -29,10 +30,11 @@ class DwdmGrid:
     port_count: int = 16
 
     def __post_init__(self) -> None:
-        if self.anchor_frequency_thz <= 0 or self.spacing_ghz <= 0:
-            raise DomainError("grid anchor and spacing must be positive")
-        if self.port_count < 1:
-            raise DomainError("grid needs at least one port")
+        if not (0 < self.anchor_frequency_thz < math.inf
+                and 0 < self.spacing_ghz < math.inf):
+            raise DomainError("grid anchor and spacing must be finite and positive")
+        if not 1 <= self.port_count < math.inf:
+            raise DomainError("grid needs a finite number of ports, at least one")
 
 
 @dataclass(frozen=True)
@@ -43,8 +45,8 @@ class LaserSpec:
     max_wavelength_nm: float = 1607.760
 
     def __post_init__(self) -> None:
-        if not 0 < self.min_wavelength_nm < self.max_wavelength_nm:
-            raise DomainError("laser range must satisfy 0 < min < max")
+        if not 0 < self.min_wavelength_nm < self.max_wavelength_nm < math.inf:
+            raise DomainError("laser range must satisfy 0 < min < max < inf")
 
     def contains(self, wavelength_nm: float) -> bool:
         return self.min_wavelength_nm <= wavelength_nm <= self.max_wavelength_nm
@@ -77,34 +79,25 @@ def port_frequency(grid: DwdmGrid, port: int) -> float:
     return grid.anchor_frequency_thz - (port - 1) * grid.spacing_ghz / 1000.0
 
 
-def grid_frequencies(grid: DwdmGrid) -> list[float]:
-    return [port_frequency(grid, p) for p in range(1, grid.port_count + 1)]
-
-
-def plan_center_frequency(grid: DwdmGrid) -> float:
-    """Default plan center: midpoint of the two middle ports (or the middle port)."""
-    n = grid.port_count
-    if n % 2:
-        return port_frequency(grid, (n + 1) // 2)
-    return 0.5 * (port_frequency(grid, n // 2) + port_frequency(grid, n // 2 + 1))
-
-
 def plan_pumps(grid: DwdmGrid, signal_frequency_thz: float, laser: LaserSpec,
                length_mm: float, temperature_c: float, material: SellmeierModel,
                center_frequency_thz: float | None = None) -> PumpPlan:
     """One pump record per DeMux port for a fixed signal frequency.
 
-    The poling period is solved once at the plan center; every port's
+    The poling period is solved once at the plan center, by default the
+    middle port or the midpoint of the two middle ports; every port's
     relative efficiency is the phase-matching function evaluated at that
     port's detuning (1.0 at the center by construction).
     """
-    freqs = grid_frequencies(grid)
+    n = grid.port_count
+    freqs = [port_frequency(grid, p) for p in range(1, n + 1)]
     if signal_frequency_thz <= max(freqs):
         raise DomainError(
             f"signal frequency {signal_frequency_thz:.3f} THz must exceed every "
             f"port frequency (max {max(freqs):.3f} THz)")
-    center = plan_center_frequency(grid) if center_frequency_thz is None \
-        else center_frequency_thz
+    center = center_frequency_thz
+    if center is None:  # for odd n both name the middle port, and 0.5 * (x + x) == x
+        center = 0.5 * (freqs[(n - 1) // 2] + freqs[n // 2])
     signal = SpectralPoint.from_frequency_thz(signal_frequency_thz)
     period = solve_poling_period(
         signal, SpectralPoint.from_frequency_thz(center), temperature_c, material)
@@ -167,10 +160,10 @@ def efficiency_curve_columns(device: DeviceConfig, signal_frequency_thz: float,
     validity window are flagged, not dropped.
     """
     lo, hi = pump_range_thz
-    if not 0 < lo < hi:
-        raise DomainError("pump range must be ascending and positive")
-    if step_ghz <= 0:
-        raise DomainError("step must be positive")
+    if not 0 < lo < hi < math.inf:
+        raise DomainError("pump range must be finite, ascending and positive")
+    if not 0 < step_ghz < math.inf:
+        raise DomainError("step must be finite and positive")
     step = step_ghz / 1000.0
     count = int(np.floor((hi - lo) / step + 1e-9)) + 1
     nu_p = lo + step * np.arange(count)

@@ -59,6 +59,8 @@ _FRAME_CACHE_SIZE = 4  # input frames whose inverse reconstruct_chi keeps
 
 _HERM_TOL = 1e-9
 _PSD_TOL = 1e-12
+_CLIP_TOL = 1e-9  # reconstructed chi eigenvalues this far below 0 are snapped to 0
+_EQUALIZED_TOL = 1e-9  # largest efficiency gap pump_balance reports as equalized
 
 _FIT_RTOL = 1e-12  # relative change of eta_nor at which fit_efficiency stops
 _FIT_FTOL = 1e-12  # ... or when a step lowers the cost by this much relative, or less
@@ -208,13 +210,6 @@ def _pauli_coefficients(model: QfcChannelModel) -> np.ndarray:
     return np.array([0.0, a, 1j * b, 0.0], dtype=complex)
 
 
-def ideal_process() -> ProcessMatrix:
-    """Pure bit flip: only the (X, X) element is nonzero and equals 1."""
-    chi = np.zeros((4, 4), dtype=complex)
-    chi[1, 1] = 1.0
-    return ProcessMatrix(chi)
-
-
 def kraus_to_chi(model: QfcChannelModel) -> ProcessMatrix:
     """Closed-form process matrix of the channel (trace-decreasing).
 
@@ -232,21 +227,6 @@ def kraus_to_chi(model: QfcChannelModel) -> ProcessMatrix:
         depolarized[1, 2], depolarized[2, 1] = 0.25j * d, -0.25j * d
         chi = (1.0 - mix) * chi + mix * depolarized
     return ProcessMatrix(chi)
-
-
-def apply_process(process: ProcessMatrix,
-                  state: PolarizationState) -> tuple[PolarizationState, float]:
-    """Act with a process matrix: rho -> sum_mn chi_mn P_m rho P_n."""
-    out = np.zeros((2, 2), dtype=complex)
-    for m in range(4):
-        for n in range(4):
-            coeff = process.chi[m, n]
-            if coeff != 0:
-                out += coeff * PAULI[m] @ state.matrix @ PAULI[n]
-    probability = float(np.trace(out).real)
-    if probability < 1e-15:
-        raise DegenerateError("process output has vanishing probability")
-    return PolarizationState(out / probability), probability
 
 
 def simulate_tomography(
@@ -274,13 +254,12 @@ def _frame_inverse(frame: bytes) -> np.ndarray:
 
 
 def reconstruct_chi(inputs: Mapping[str, PolarizationState],
-                    outputs: Mapping[str, tuple[PolarizationState, float]],
-                    clip_tolerance: float = 1e-9) -> ProcessMatrix:
+                    outputs: Mapping[str, tuple[PolarizationState, float]]) -> ProcessMatrix:
     """Linear-inversion process matrix from four input/output pairs.
 
     Outputs carry their success probabilities, so the reconstruction is of
     the unnormalized (trace-decreasing) channel. The result is symmetrized;
-    eigenvalues within ``clip_tolerance`` below zero are snapped to zero.
+    eigenvalues within ``_CLIP_TOL`` below zero are snapped to zero.
     The inverse of the input frame is cached for the last few frames.
     """
     if set(inputs) != set(outputs):
@@ -297,7 +276,7 @@ def reconstruct_chi(inputs: Mapping[str, PolarizationState],
     chi = 0.5 * (chi + chi.conj().T)
 
     eigvals, eigvecs = np.linalg.eigh(chi)
-    snapped = np.where((eigvals < 0) & (eigvals >= -clip_tolerance), 0.0, eigvals)
+    snapped = np.where((eigvals < 0) & (eigvals >= -_CLIP_TOL), 0.0, eigvals)
     chi = (eigvecs * snapped) @ eigvecs.conj().T
     return ProcessMatrix(chi)
 
@@ -437,7 +416,7 @@ class PumpSplit:
 
 
 def pump_balance(params_ccw: EfficiencyCurveParams, params_cw: EfficiencyCurveParams,
-                 total_power_mw: float, tolerance: float = 1e-9) -> PumpSplit:
+                 total_power_mw: float) -> PumpSplit:
     """Split a total pump power so both arms convert with equal efficiency.
 
     The efficiency gap eta_ccw - eta_cw is < 0 at ratio 0 and > 0 at ratio 1;
@@ -445,7 +424,7 @@ def pump_balance(params_ccw: EfficiencyCurveParams, params_cw: EfficiencyCurvePa
     ratio grid that resolves the sin^2 oscillations is bisected, all together;
     a grid point where the gap is exactly 0 is a root as well. The equalizing
     split that converts best is returned. ``equalized`` is False when its gap
-    exceeds the tolerance.
+    exceeds ``_EQUALIZED_TOL``.
     """
     if not 0 <= total_power_mw < np.inf:
         raise DomainError("total power must be finite and non-negative")
@@ -484,7 +463,7 @@ def pump_balance(params_ccw: EfficiencyCurveParams, params_cw: EfficiencyCurvePa
     eta_ccw = efficiency_model(p_ccw, params_ccw)
     eta_cw = efficiency_model(p_cw, params_cw)
     return PumpSplit(p_ccw, p_cw, eta_ccw, eta_cw,
-                     abs(eta_ccw - eta_cw) <= tolerance)
+                     abs(eta_ccw - eta_cw) <= _EQUALIZED_TOL)
 
 
 def chi_payload(process: ProcessMatrix) -> dict:
@@ -495,11 +474,3 @@ def chi_payload(process: ProcessMatrix) -> dict:
         "chi": [[[float(z.real), float(z.imag)] for z in row]
                 for row in np.asarray(process.chi)],
     }
-
-
-def chi_from_payload(payload: dict) -> ProcessMatrix:
-    if tuple(payload.get("basis", ())) != PAULI_LABELS:
-        raise DomainError("chi payload must use the (I, X, Y, Z) Pauli basis")
-    rows = payload["chi"]
-    chi = np.array([[complex(re, im) for re, im in row] for row in rows])
-    return ProcessMatrix(chi)

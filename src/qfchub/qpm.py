@@ -6,6 +6,7 @@ are pure; wavevectors are handled in rad/um internally and reported in rad/m.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,30 +15,6 @@ from .constants import C_UM_THZ, RAD_PER_UM_TO_RAD_PER_M
 from .dispersion import (SellmeierModel, SpectralPoint, _n_squared,
                          _require_validity, group_index)
 from .errors import DomainError
-
-ENERGY_CONSERVATION_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class InteractionTriple:
-    """Signal/pump/converted wavelengths bound by nu_s = nu_p + nu_c."""
-
-    signal: SpectralPoint
-    pump: SpectralPoint
-    converted: SpectralPoint
-
-    def __post_init__(self) -> None:
-        nu_s = self.signal.frequency_thz
-        nu_sum = self.pump.frequency_thz + self.converted.frequency_thz
-        if abs(nu_s - nu_sum) > ENERGY_CONSERVATION_RTOL * nu_s:
-            raise DomainError(
-                f"energy conservation violated: nu_s={nu_s:.9f} THz but "
-                f"nu_p+nu_c={nu_sum:.9f} THz")
-
-    @classmethod
-    def from_signal_converted(cls, signal: SpectralPoint,
-                              converted: SpectralPoint) -> "InteractionTriple":
-        return cls(signal, pump_for(signal, converted), converted)
 
 
 @dataclass(frozen=True)
@@ -50,10 +27,11 @@ class DeviceConfig:
     material: SellmeierModel
 
     def __post_init__(self) -> None:
-        if self.poling_period_um <= 0:
-            raise DomainError(f"poling period must be > 0, got {self.poling_period_um}")
-        if self.length_mm <= 0:
-            raise DomainError(f"length must be > 0, got {self.length_mm}")
+        if not 0 < self.poling_period_um < math.inf:
+            raise DomainError(
+                f"poling period must be finite and > 0, got {self.poling_period_um}")
+        if not 0 < self.length_mm < math.inf:
+            raise DomainError(f"length must be finite and > 0, got {self.length_mm}")
 
 
 def pump_for(signal: SpectralPoint, converted: SpectralPoint) -> SpectralPoint:
@@ -100,12 +78,6 @@ def device_efficiency(device: DeviceConfig, nu_s_thz, nu_c_thz, lam_s_um=None):
         grating_mismatch(device.material, device.temperature_c,
                          device.poling_period_um, nu_s_thz, nu_c_thz, lam_s_um),
         device.length_mm)
-
-
-def phase_mismatch(triple: InteractionTriple, device: DeviceConfig) -> float:
-    """Signed phase mismatch k_s - k_p - k_c - 2*pi/period, in rad/m."""
-    return float(phase_mismatch_vs_converted(triple.converted.frequency_thz,
-                                             triple.signal, device))
 
 
 def solve_poling_period(signal: SpectralPoint, converted: SpectralPoint,

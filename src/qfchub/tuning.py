@@ -8,6 +8,7 @@ bisection refinement to 0.1 GHz.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
@@ -28,6 +29,7 @@ LimitTag = Literal["threshold", "cutoff", "separation", "scan_edge"]
 _BLOCK = 256  # coarse steps per block of the outward walk
 _PREFIXES = (8, 32, _BLOCK)  # a block is evaluated in these growing prefixes
 _SIGNAL_BATCH = 32  # signals solved together; bounds the working arrays and peak RSS
+_SECOND_HARMONIC_TOL_NM = 0.5  # slack of sweet_spot_report's second-harmonic test
 
 
 @dataclass(frozen=True)
@@ -56,12 +58,13 @@ class TuningConstraints:
         if self.constraint_mode not in (
                 "max_converted_wavelength", "min_pump_converted_separation"):
             raise DomainError(f"unknown constraint mode {self.constraint_mode!r}")
-        if self.constraint_value_nm <= 0:
-            raise DomainError("constraint value must be positive")
-        if self.scan_halfwidth_thz <= 0 or self.coarse_step_ghz <= 0:
-            raise DomainError("scan halfwidth and coarse step must be positive")
-        if self.channel_spacing_ghz <= 0:
-            raise DomainError("channel spacing must be positive")
+        if not 0 < self.constraint_value_nm < math.inf:
+            raise DomainError("constraint value must be finite and positive")
+        if not (0 < self.scan_halfwidth_thz < math.inf
+                and 0 < self.coarse_step_ghz < math.inf):
+            raise DomainError("scan halfwidth and coarse step must be finite and positive")
+        if not 0 < self.channel_spacing_ghz < math.inf:
+            raise DomainError("channel spacing must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -300,8 +303,8 @@ def pm_spectrum_columns(signal_nm: float, target_center_nm: float, device: Devic
     Points that leave the material validity window are evaluated by
     extrapolation and flagged rather than dropped.
     """
-    if window_thz <= 0 or step_ghz <= 0:
-        raise DomainError("window and step must be positive")
+    if not (0 < window_thz < math.inf and 0 < step_ghz < math.inf):
+        raise DomainError("window and step must be finite and positive")
     signal = SpectralPoint.from_wavelength_nm(signal_nm)
     center = SpectralPoint.from_wavelength_nm(target_center_nm)
     nu_s, nu_c0 = signal.frequency_thz, center.frequency_thz
@@ -335,8 +338,11 @@ def hub_sweep(signal_range_nm: tuple[float, float], signal_step_nm: float,
     ``scan_edge`` point. ``workers`` is accepted for compatibility and ignored.
     """
     lo, hi = signal_range_nm
-    if hi < lo or signal_step_nm <= 0:
-        raise DomainError("signal range must be ascending with positive step")
+    if not (-math.inf < lo <= hi < math.inf and 0 < signal_step_nm < math.inf):
+        raise DomainError("signal range must be finite and ascending, with a finite "
+                          "positive step")
+    if not 0 < target_center_nm < math.inf:
+        raise DomainError(f"target must be finite and positive, got {target_center_nm}")
     count = int(np.floor((hi - lo) / signal_step_nm + 1e-9)) + 1
     signals = [float(lo + i * signal_step_nm) for i in range(count)]
     results: list[TuningResult] = []
@@ -347,13 +353,12 @@ def hub_sweep(signal_range_nm: tuple[float, float], signal_step_nm: float,
 
 
 def sweet_spot_report(signal_nm: float, target_center_nm: float,
-                      temperature_c: float, material: SellmeierModel,
-                      tolerance_nm: float = 0.5) -> SweetSpotReport:
+                      temperature_c: float, material: SellmeierModel) -> SweetSpotReport:
     """Group-index mismatch at the working point and the second-harmonic test.
 
     The flag is set when twice the signal wavelength falls inside
-    [converted, pump] (within the tolerance) with the converted side shorter,
-    which is the geometry that keeps the linear mismatch term small.
+    [converted, pump] (within ``_SECOND_HARMONIC_TOL_NM``) with the converted
+    side shorter, which is the geometry that keeps the linear mismatch term small.
     """
     signal = SpectralPoint.from_wavelength_nm(signal_nm)
     center = SpectralPoint.from_wavelength_nm(target_center_nm)
@@ -364,7 +369,8 @@ def sweet_spot_report(signal_nm: float, target_center_nm: float,
     pump_nm = pump0.wavelength_nm
     midpoint = 0.5 * (target_center_nm + pump_nm)
     flag = (target_center_nm < pump_nm
-            and target_center_nm - tolerance_nm <= second_harmonic <= pump_nm + tolerance_nm)
+            and target_center_nm - _SECOND_HARMONIC_TOL_NM <= second_harmonic
+            <= pump_nm + _SECOND_HARMONIC_TOL_NM)
     return SweetSpotReport(
         signal_nm=signal_nm,
         converted_nm=target_center_nm,

@@ -22,10 +22,14 @@ def read_schema_csv(path):
     return rows
 
 
+def _reject_constant(name):
+    raise ValueError(f"summary line holds {name}, which is not JSON")
+
+
 def summary_of(proc):
     assert proc.returncode == 0, proc.stderr
     line = proc.stdout.strip().splitlines()[-1]
-    return json.loads(line)
+    return json.loads(line, parse_constant=_reject_constant)
 
 
 def test_index_table(tmp_path, run_cli):
@@ -136,6 +140,35 @@ def test_tuning_range_summary(tmp_path, run_cli):
     assert summary["width_nm"] == pytest.approx(19.5, abs=1.5)
     assert summary["limiting_constraint"] == "cutoff"
     assert summary["threshold"] == 0.9
+
+
+_TUNING = ["tuning-range", "--signal", "780", "--target", "1540"]
+_SWEEP = ["hub-sweep", "--start", "700", "--stop", "710", "--target", "1540"]
+_SCAN = ["pm-scan", "--signal", "780", "--target", "1540"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param([*_TUNING, "--length", "nan"], id="length-nan"),
+    pytest.param([*_TUNING, "--cutoff", "nan"], id="cutoff-nan"),
+    pytest.param([*_TUNING, "--scan-halfwidth-thz", "nan"], id="scan-halfwidth-nan"),
+    pytest.param([*_TUNING, "--coarse-step-ghz", "inf"], id="coarse-step-inf"),
+    pytest.param([*_SWEEP, "--temperature", "nan"], id="temperature-nan"),
+    pytest.param(["hub-sweep", "--start", "nan", "--stop", "710", "--target", "1540"],
+                 id="sweep-start-nan"),
+    pytest.param(["hub-sweep", "--start", "700", "--stop", "inf", "--target", "1540"],
+                 id="sweep-stop-inf"),
+    pytest.param(["hub-sweep", "--start", "700", "--stop", "710", "--target", "nan"],
+                 id="sweep-target-nan"),
+    pytest.param(["reproduce-paper", "--sweep-step", "nan"], id="sweep-step-nan"),
+    pytest.param([*_SCAN, "--window-thz", "nan"], id="window-nan"),
+    pytest.param([*_SCAN, "--step-ghz", "inf"], id="scan-step-inf"),
+    pytest.param(["plan", "--curve", "--curve-step-ghz", "nan"], id="curve-step-nan"),
+])
+def test_non_finite_values_exit_2(argv, tmp_path, run_cli):
+    proc = run_cli(argv, tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert proc.stdout == ""
 
 
 def test_tuning_range_empty_is_exit_zero(tmp_path, run_cli):

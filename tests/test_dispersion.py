@@ -6,7 +6,7 @@ import pytest
 
 from qfchub import (DomainError, SpectralPoint, ValidityError, get_material,
                     group_index, index_derivative, load_material_file,
-                    refractive_index, wavelength_frequency_convert)
+                    refractive_index)
 from qfchub.constants import C_NM_THZ
 
 
@@ -138,19 +138,19 @@ def test_alternative_models_agree(materials, rng):
 
 
 def test_convert_examples():
-    point = wavelength_frequency_convert(frequency_thz=194.850)
+    point = SpectralPoint.from_frequency_thz(194.850)
     # printed grid wavelength agrees to 4 significant figures
     assert point.wavelength_nm == pytest.approx(1538.66, abs=0.5)
-    assert wavelength_frequency_convert(wavelength_nm=780.0).frequency_thz == \
+    assert SpectralPoint.from_wavelength_nm(780.0).frequency_thz == \
         pytest.approx(C_NM_THZ / 780.0, rel=1e-12)
-    assert wavelength_frequency_convert(wavelength_nm=780.0).frequency_thz == \
+    assert SpectralPoint.from_wavelength_nm(780.0).frequency_thz == \
         pytest.approx(384.349, abs=5e-4)
 
 
 def test_convert_round_trip():
     for nm in (493.0, 780.0, 1310.0, 1540.0, 1580.5263157894738):
-        nu = wavelength_frequency_convert(wavelength_nm=nm).frequency_thz
-        back = wavelength_frequency_convert(frequency_thz=nu).wavelength_nm
+        nu = SpectralPoint.from_wavelength_nm(nm).frequency_thz
+        back = SpectralPoint.from_frequency_thz(nu).wavelength_nm
         assert back == pytest.approx(nm, rel=1e-12)
 
 
@@ -162,12 +162,11 @@ def test_spectral_point_invariant():
 
 
 def test_convert_domain_errors():
-    with pytest.raises(DomainError):
-        wavelength_frequency_convert(wavelength_nm=-1.0)
-    with pytest.raises(DomainError):
-        wavelength_frequency_convert()
-    with pytest.raises(DomainError):
-        wavelength_frequency_convert(wavelength_nm=780.0, frequency_thz=384.0)
+    for bad in (-1.0, 0.0):
+        for build in (SpectralPoint.from_wavelength_nm, SpectralPoint.from_wavelength_um,
+                      SpectralPoint.from_frequency_thz):
+            with pytest.raises(DomainError):
+                build(bad)
 
 
 def test_material_lookup_and_user_file(tmp_path):

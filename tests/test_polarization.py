@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from qfchub import (ConvergenceError, DegenerateError, DomainError,
                     EfficiencyCurveParams, PolarizationState, ProcessMatrix,
                     PumpSplit, QfcChannelModel,
-                    SingularityError, apply_channel, apply_process,
-                    chi_from_payload, chi_payload, efficiency_model,
-                    fit_efficiency, ideal_process, kraus_operator, kraus_to_chi,
+                    SingularityError, apply_channel, chi_payload, efficiency_model,
+                    fit_efficiency, kraus_operator, kraus_to_chi,
                     process_fidelity, pump_balance, reconstruct_chi,
                     simulate_tomography)
 from qfchub.polarization import (_BALANCE_BISECTIONS, _BALANCE_GRID, _FRAME_CACHE_SIZE,
@@ -223,21 +222,14 @@ def test_label_states_are_shared_and_read_only():
                            atol=1e-15)
 
 
-def test_ideal_process_examples():
-    chi = ideal_process()
-    assert chi.trace == pytest.approx(1.0)
-    assert chi.chi[1, 1] == pytest.approx(1.0)
-    assert np.count_nonzero(chi.chi) == 1
-    out, _ = apply_process(chi, PolarizationState.from_label("H"))
-    assert out.bloch_vector() == pytest.approx((0.0, 0.0, -1.0), abs=1e-12)
-    assert process_fidelity(chi) == pytest.approx(1.0, abs=1e-15)
-
-
 def test_kraus_to_chi_balanced_is_scaled_bit_flip():
     model = QfcChannelModel(eta_cw=0.3, eta_ccw=0.3)
     chi = kraus_to_chi(model)
     assert chi.trace == pytest.approx(0.3, abs=1e-12)
-    assert np.allclose(chi.chi, 0.3 * ideal_process().chi, atol=1e-12)
+    assert np.allclose(chi.chi, [[0, 0, 0, 0],
+                                 [0, 0.3, 0, 0],
+                                 [0, 0, 0, 0],
+                                 [0, 0, 0, 0]], atol=1e-12)
 
 
 def test_kraus_to_chi_quarter_phase_splits_x_y():
@@ -639,11 +631,11 @@ def test_pump_balance_zero_total():
         (0.0, 0.0, 0.0, 0.0)
 
 
-def test_chi_serialization_round_trip():
+def test_chi_payload_layout():
     chi = kraus_to_chi(QfcChannelModel(0.40, 0.44, 0.3, 0.05))
     payload = chi_payload(chi)
     assert payload["basis"] == ["I", "X", "Y", "Z"]
-    rebuilt = chi_from_payload(payload)
-    assert np.allclose(rebuilt.chi, chi.chi, atol=1e-15)
-    with pytest.raises(DomainError):
-        chi_from_payload({"basis": ["X", "I", "Y", "Z"], "chi": payload["chi"]})
+    assert payload["layout"] == "row-major"
+    pairs = np.array(payload["chi"])
+    assert pairs.shape == (4, 4, 2)
+    assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], chi.chi)
