@@ -9,10 +9,8 @@ from .constants import C_NM_THZ, C_UM_THZ
 from .dispersion import (DEFAULT_MATERIAL, SellmeierModel, SpectralPoint,
                          builtin_materials, get_material, group_index,
                          index_derivative, load_material_file, refractive_index)
-from .dwdm import (DwdmGrid, EfficiencyCurve, EfficiencyCurvePoint, LaserSpec,
-                   PumpPlan, PumpPlanEntry, efficiency_curve_columns,
-                   high_efficiency_band, plan_pumps, port_frequency,
-                   relative_efficiency_curve)
+from .dwdm import (DwdmGrid, EfficiencyCurve, LaserSpec, PumpPlan, PumpPlanEntry,
+                   efficiency_curve_columns, plan_pumps, port_frequency)
 from .errors import (ConfigError, ConvergenceError, DegenerateError, DomainError,
                      QfcHubError, RangeError, SingularityError, ValidityError)
 from .polarization import (EfficiencyCurveParams, EfficiencyFit,
@@ -24,10 +22,9 @@ from .polarization import (EfficiencyCurveParams, EfficiencyFit,
 from .qpm import (DeviceConfig, group_index_mismatch, make_device,
                   phase_mismatch_vs_converted, pm_efficiency, pump_for, sinc,
                   solve_poling_period, wavenumber_mismatch)
-from .tuning import (HubSweepPoint, Spectrum, SpectrumPoint, SweetSpotReport,
-                     TuningConstraints, TuningResult, channel_count, hub_sweep,
-                     pm_spectrum, pm_spectrum_columns, sweep_csv_rows,
-                     sweet_spot_report, tuning_range)
+from .tuning import (HubSweepPoint, Spectrum, SweetSpotReport, TuningConstraints,
+                     TuningResult, channel_count, hub_sweep, pm_spectrum_columns,
+                     sweep_csv_rows, sweet_spot_report, tuning_range)
 
 __version__ = "0.1.0"
 
@@ -42,9 +39,8 @@ __all__ = [
     "get_material", "group_index", "index_derivative", "load_material_file",
     "refractive_index",
     # dwdm
-    "DwdmGrid", "EfficiencyCurve", "EfficiencyCurvePoint", "LaserSpec", "PumpPlan",
-    "PumpPlanEntry", "efficiency_curve_columns", "high_efficiency_band", "plan_pumps",
-    "port_frequency", "relative_efficiency_curve",
+    "DwdmGrid", "EfficiencyCurve", "LaserSpec", "PumpPlan", "PumpPlanEntry",
+    "efficiency_curve_columns", "plan_pumps", "port_frequency",
     # errors
     "ConfigError", "ConvergenceError", "DegenerateError", "DomainError", "QfcHubError",
     "RangeError", "SingularityError", "ValidityError",
@@ -58,7 +54,7 @@ __all__ = [
     "phase_mismatch_vs_converted", "pm_efficiency", "pump_for", "sinc",
     "solve_poling_period", "wavenumber_mismatch",
     # tuning
-    "HubSweepPoint", "Spectrum", "SpectrumPoint", "SweetSpotReport",
-    "TuningConstraints", "TuningResult", "channel_count", "hub_sweep", "pm_spectrum",
-    "pm_spectrum_columns", "sweep_csv_rows", "sweet_spot_report", "tuning_range",
+    "HubSweepPoint", "Spectrum", "SweetSpotReport", "TuningConstraints",
+    "TuningResult", "channel_count", "hub_sweep", "pm_spectrum_columns",
+    "sweep_csv_rows", "sweet_spot_report", "tuning_range",
 ]

@@ -17,7 +17,8 @@ from pathlib import Path
 
 from .config import ENV_CONFIG_PATH, RunConfig, apply_overrides, load_config
 from .dispersion import get_material, group_index, index_derivative, refractive_index
-from .dwdm import PLAN_CSV_COLUMNS, efficiency_curve_columns, plan_csv_rows, plan_pumps
+from .dwdm import (PLAN_CSV_COLUMNS, EfficiencyCurve, PumpPlan, efficiency_curve_columns,
+                   plan_csv_rows, plan_pumps)
 from .emit import csv_rows, read_two_column_csv, write_csv, write_json
 from .errors import (ConfigError, ConvergenceError, DegenerateError, DomainError,
                      RangeError, SingularityError, ValidityError)
@@ -289,11 +290,30 @@ def cmd_hub_sweep(config: RunConfig, args: argparse.Namespace) -> dict:
             "max_width_signal_nm": widest.signal_nm, "output": str(out)}
 
 
-def cmd_plan(config: RunConfig, args: argparse.Namespace) -> dict:
-    model = get_material(config.material, config.material_file)
+def _pump_plan(config: RunConfig, model, center_frequency_thz: float | None,
+               curve_step_ghz: float | None) -> tuple[PumpPlan, EfficiencyCurve | None]:
+    """The configured pump plan and, given a step, its efficiency curve over the laser range."""
     plan = plan_pumps(config.grid(), config.signal_frequency_thz, config.laser(),
                       config.length_mm, config.temperature_c, model,
-                      center_frequency_thz=args.center_frequency_thz)
+                      center_frequency_thz=center_frequency_thz)
+    if curve_step_ghz is None:
+        return plan, None
+    device = DeviceConfig(plan.poling_period_um, config.length_mm,
+                          config.temperature_c, model)
+    pump_range = (C_NM_THZ / config.laser_max_nm, C_NM_THZ / config.laser_min_nm)
+    return plan, efficiency_curve_columns(device, config.signal_frequency_thz,
+                                          pump_range, curve_step_ghz)
+
+
+def _write_curve(path: Path, curve: EfficiencyCurve) -> Path:
+    return write_csv(path, ("nu_p_THz", "rel_eff", "extrapolated"),
+                     csv_rows("{:.6f},{:.8f},{}", *curve))
+
+
+def cmd_plan(config: RunConfig, args: argparse.Namespace) -> dict:
+    model = get_material(config.material, config.material_file)
+    plan, curve = _pump_plan(config, model, args.center_frequency_thz,
+                             args.curve_step_ghz if args.curve else None)
     ext = config.output_format
     out = _out_path(config, f"pump_plan.{ext}")
     if ext == "json":
@@ -319,16 +339,8 @@ def cmd_plan(config: RunConfig, args: argparse.Namespace) -> dict:
                "pump_max_nm": round(max(pumps), 2),
                "all_in_laser_range": all(e.in_laser_range for e in plan.entries),
                "output": str(out)}
-    if args.curve:
-        device = DeviceConfig(plan.poling_period_um, config.length_mm,
-                              config.temperature_c, model)
-        pump_lo = C_NM_THZ / config.laser_max_nm
-        pump_hi = C_NM_THZ / config.laser_min_nm
-        curve = efficiency_curve_columns(device, config.signal_frequency_thz,
-                                         (pump_lo, pump_hi), args.curve_step_ghz)
-        curve_out = out.with_name(out.stem + "_curve.csv")
-        write_csv(curve_out, ("nu_p_THz", "rel_eff", "extrapolated"),
-                  csv_rows("{:.6f},{:.8f},{}", *curve))
+    if curve is not None:
+        curve_out = _write_curve(out.with_name(out.stem + "_curve.csv"), curve)
         band = curve.band()
         summary["curve_output"] = str(curve_out)
         summary["band_90_THz"] = [round(band[0], 4), round(band[1], 4)]
@@ -383,54 +395,54 @@ def cmd_fit(config: RunConfig, args: argparse.Namespace) -> dict:
 
 
 def cmd_reproduce_paper(config: RunConfig, args: argparse.Namespace) -> dict:
+    """Every result is computed before the first file is written, so a run that
+    fails leaves no file; the spectra are then computed and written one by one."""
     run_dir = Path(args.out_dir) / "paper-run"
-    run_dir.mkdir(parents=True, exist_ok=True)
     model = get_material(config.material, config.material_file)
-    produced: list[str] = []
-
-    def scan(signal: float, target: float, length: float, window: float,
-             step: float, name: str) -> None:
-        device = make_device(signal, target, length, config.temperature_c, model)
-        spectrum = pm_spectrum_columns(signal, target, device, window, step)
-        produced.append(str(write_csv(run_dir / name, SPECTRUM_CSV_COLUMNS,
-                                      _spectrum_rows(spectrum))))
 
     # phase-matching spectra for the three representative signals, both lengths
-    scan(780.0, 1540.0, 40.0, 6.0, 2.0, "pm_scan_780_L40.csv")
-    scan(780.0, 1540.0, 20.0, 6.0, 2.0, "pm_scan_780_L20.csv")
-    scan(493.0, 1540.0, 40.0, 1.0, 0.5, "pm_scan_493_L40.csv")
-    scan(934.0, 1540.0, 40.0, 20.0, 5.0, "pm_scan_934_L40.csv")
+    scans = [(make_device(signal, 1540.0, length, config.temperature_c, model),
+              signal, window, step, name)
+             for signal, length, window, step, name in (
+                 (780.0, 40.0, 6.0, 2.0, "pm_scan_780_L40.csv"),
+                 (780.0, 20.0, 6.0, 2.0, "pm_scan_780_L20.csv"),
+                 (493.0, 40.0, 1.0, 0.5, "pm_scan_493_L40.csv"),
+                 (934.0, 40.0, 20.0, 5.0, "pm_scan_934_L40.csv"))]
 
     sweep_constraints = replace(config.tuning_constraints(),
                                 constraint_mode="min_pump_converted_separation",
                                 constraint_value_nm=20.0)
-    for target, name in ((1540.0, "sweep_cband.csv"), (1310.0, "sweep_oband.csv")):
-        points = hub_sweep((400.0, 1000.0), args.sweep_step, target,
-                           config.length_mm, config.temperature_c, model,
-                           sweep_constraints)
-        produced.append(str(write_csv(run_dir / name, SWEEP_CSV_COLUMNS,
-                                      sweep_csv_rows(points))))
+    sweeps = [(name, sweep_csv_rows(hub_sweep((400.0, 1000.0), args.sweep_step, target,
+                                              config.length_mm, config.temperature_c,
+                                              model, sweep_constraints)))
+              for target, name in ((1540.0, "sweep_cband.csv"),
+                                   (1310.0, "sweep_oband.csv"))]
 
     cutoff_constraints = replace(sweep_constraints,
                                  constraint_mode="max_converted_wavelength",
                                  constraint_value_nm=1550.0)
-    for length, name in ((40.0, "tuning_range_L40.json"),
-                         (20.0, "tuning_range_L20.json")):
-        result = tuning_range(780.0, 1540.0, length, config.temperature_c,
-                              model, cutoff_constraints)
-        produced.append(str(write_json(
-            run_dir / name,
-            tuning_result_payload(result, cutoff_constraints.efficiency_threshold))))
+    ranges = [(name, tuning_range(780.0, 1540.0, length, config.temperature_c,
+                                  model, cutoff_constraints))
+              for length, name in ((40.0, "tuning_range_L40.json"),
+                                   (20.0, "tuning_range_L20.json"))]
 
-    plan_args = argparse.Namespace(center_frequency_thz=None, curve=True,
-                                   curve_step_ghz=1.0)
-    plan_config = apply_overrides(config, output=str(run_dir / "pump_plan.csv"),
-                                  output_format="csv")
-    cmd_plan(plan_config, plan_args)
-    produced.extend([str(run_dir / "pump_plan.csv"),
-                     str(run_dir / "pump_plan_curve.csv")])
+    plan, curve = _pump_plan(config, model, None, 1.0)
 
-    return {"directory": str(run_dir), "files": sorted(produced)}
+    produced = []
+    for device, signal, window, step, name in scans:
+        spectrum = pm_spectrum_columns(signal, 1540.0, device, window, step)
+        produced.append(write_csv(run_dir / name, SPECTRUM_CSV_COLUMNS,
+                                  _spectrum_rows(spectrum)))
+    for name, rows in sweeps:
+        produced.append(write_csv(run_dir / name, SWEEP_CSV_COLUMNS, rows))
+    for name, result in ranges:
+        produced.append(write_json(run_dir / name, tuning_result_payload(
+            result, cutoff_constraints.efficiency_threshold)))
+    produced.append(write_csv(run_dir / "pump_plan.csv", PLAN_CSV_COLUMNS,
+                              plan_csv_rows(plan)))
+    produced.append(_write_curve(run_dir / "pump_plan_curve.csv", curve))
+
+    return {"directory": str(run_dir), "files": sorted(map(str, produced))}
 
 
 _HANDLERS = {

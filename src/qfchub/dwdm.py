@@ -18,7 +18,7 @@ from .constants import C_NM_THZ, C_UM_THZ
 from .dispersion import SellmeierModel, SpectralPoint
 from .emit import csv_rows
 from .errors import DomainError, RangeError
-from .qpm import DeviceConfig, device_efficiency, solve_poling_period
+from .qpm import DeviceConfig, _grid_steps, device_efficiency, solve_poling_period
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,8 @@ class DwdmGrid:
         if not (0 < self.anchor_frequency_thz < math.inf
                 and 0 < self.spacing_ghz < math.inf):
             raise DomainError("grid anchor and spacing must be finite and positive")
-        if not 1 <= self.port_count < math.inf:
-            raise DomainError("grid needs a finite number of ports, at least one")
+        if not (isinstance(self.port_count, (int, np.integer)) and self.port_count >= 1):
+            raise DomainError("grid needs a whole number of ports, at least one")
 
 
 @dataclass(frozen=True)
@@ -120,34 +120,24 @@ def plan_pumps(grid: DwdmGrid, signal_frequency_thz: float, laser: LaserSpec,
     return PumpPlan(signal_frequency_thz, period, center, tuple(entries))
 
 
-@dataclass(frozen=True)
-class EfficiencyCurvePoint:
-    nu_p_thz: float
-    relative_efficiency: float
-    extrapolated: bool
-
-
-def _band(nu_p, rel, threshold: float) -> tuple[float, float]:
-    """Outermost frequencies of the run of rel >= threshold on each side of the peak."""
-    peak = int(np.nanargmax(rel))
-    failing = np.flatnonzero(~(rel >= threshold))  # NaN fails
-    below = failing[:np.searchsorted(failing, peak)]
-    above = failing[np.searchsorted(failing, peak, side="right"):]
-    lo = below[-1] + 1 if below.size else 0
-    hi = above[0] - 1 if above.size else rel.size - 1
-    return float(nu_p[lo]), float(nu_p[hi])
-
-
 class EfficiencyCurve(NamedTuple):
-    """A relative efficiency curve as columns, one array per ``EfficiencyCurvePoint`` field."""
+    """A relative efficiency curve as columns, one array entry per pump frequency."""
 
     nu_p_thz: np.ndarray
     relative_efficiency: np.ndarray
     extrapolated: np.ndarray
 
     def band(self, threshold: float = 0.9) -> tuple[float, float]:
-        """``high_efficiency_band`` of this curve."""
-        return _band(self.nu_p_thz, self.relative_efficiency, threshold)
+        """Contiguous pump-frequency band around the peak with efficiency >= threshold:
+        the outermost frequencies of that run on each side of the peak."""
+        rel = self.relative_efficiency
+        peak = int(np.nanargmax(rel))
+        failing = np.flatnonzero(~(rel >= threshold))  # NaN fails
+        below = failing[:np.searchsorted(failing, peak)]
+        above = failing[np.searchsorted(failing, peak, side="right"):]
+        lo = below[-1] + 1 if below.size else 0
+        hi = above[0] - 1 if above.size else rel.size - 1
+        return float(self.nu_p_thz[lo]), float(self.nu_p_thz[hi])
 
 
 def efficiency_curve_columns(device: DeviceConfig, signal_frequency_thz: float,
@@ -162,10 +152,8 @@ def efficiency_curve_columns(device: DeviceConfig, signal_frequency_thz: float,
     lo, hi = pump_range_thz
     if not 0 < lo < hi < math.inf:
         raise DomainError("pump range must be finite, ascending and positive")
-    if not 0 < step_ghz < math.inf:
-        raise DomainError("step must be finite and positive")
     step = step_ghz / 1000.0
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
+    count = _grid_steps(hi - lo, step) + 1
     nu_p = lo + step * np.arange(count)
     nu_c = signal_frequency_thz - nu_p
     if np.any(nu_c <= 0):
@@ -179,21 +167,6 @@ def efficiency_curve_columns(device: DeviceConfig, signal_frequency_thz: float,
     in_domain = (device.material.in_validity(C_UM_THZ / nu_p, device.temperature_c)
                  & device.material.in_validity(C_UM_THZ / nu_c, device.temperature_c))
     return EfficiencyCurve(nu_p, rel, ~in_domain)
-
-
-def relative_efficiency_curve(device: DeviceConfig, signal_frequency_thz: float,
-                              pump_range_thz: tuple[float, float],
-                              step_ghz: float = 1.0) -> list[EfficiencyCurvePoint]:
-    """``efficiency_curve_columns`` as one ``EfficiencyCurvePoint`` per pump frequency."""
-    columns = efficiency_curve_columns(device, signal_frequency_thz, pump_range_thz, step_ghz)
-    return [EfficiencyCurvePoint(*row) for row in zip(*(c.tolist() for c in columns))]
-
-
-def high_efficiency_band(curve: list[EfficiencyCurvePoint],
-                         threshold: float = 0.9) -> tuple[float, float]:
-    """Contiguous pump-frequency band around the peak with efficiency >= threshold."""
-    return _band(np.array([p.nu_p_thz for p in curve]),
-                 np.array([p.relative_efficiency for p in curve]), threshold)
 
 
 PLAN_CSV_COLUMNS = ("port", "nu_c_THz", "lambda_c_nm", "nu_p_THz", "lambda_p_nm",

@@ -16,6 +16,24 @@ from .dispersion import (SellmeierModel, SpectralPoint, _n_squared,
                          _require_validity, group_index)
 from .errors import DomainError
 
+# Most steps across one grid span: a sweep or curve has one more point, a
+# spectrum lays a span on each side of its center.
+_MAX_GRID_POINTS = 1_000_000
+
+
+def _grid_steps(span: float, step: float) -> int:
+    """Whole steps of ``step`` in ``span``, a step short by 1e-9 counting as whole.
+
+    The one step/count rule of every frequency or wavelength grid; the caller
+    checks the shape of its range and lays out its own points.
+    """
+    if not (0 < step < math.inf and -math.inf < span < math.inf):
+        raise DomainError("grid span must be finite and its step finite and positive")
+    steps = np.floor(span / step + 1e-9)
+    if not steps <= _MAX_GRID_POINTS:
+        raise DomainError(f"grid of {steps:.3g} steps exceeds {_MAX_GRID_POINTS} steps")
+    return int(steps)
+
 
 @dataclass(frozen=True)
 class DeviceConfig:

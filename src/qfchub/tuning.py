@@ -18,7 +18,7 @@ from .constants import C_NM_THZ, C_UM_THZ, REFINE_GHZ
 from .dispersion import SellmeierModel, SpectralPoint
 from .emit import csv_rows
 from .errors import DomainError
-from .qpm import (DeviceConfig, device_efficiency, grating_mismatch,
+from .qpm import (DeviceConfig, _grid_steps, device_efficiency, grating_mismatch,
                   group_index_mismatch, make_device, pm_efficiency, pump_for,
                   wavenumber_mismatch)
 
@@ -88,17 +88,8 @@ class HubSweepPoint:
     tuning: TuningResult
 
 
-@dataclass(frozen=True)
-class SpectrumPoint:
-    nu_c_thz: float
-    lambda_c_nm: float
-    lambda_p_nm: float
-    efficiency: float
-    extrapolated: bool
-
-
 class Spectrum(NamedTuple):
-    """A phase-matching spectrum as columns, one array per ``SpectrumPoint`` field."""
+    """A phase-matching spectrum as columns, one array entry per converted frequency."""
 
     nu_c_thz: np.ndarray
     lambda_c_nm: np.ndarray
@@ -303,13 +294,13 @@ def pm_spectrum_columns(signal_nm: float, target_center_nm: float, device: Devic
     Points that leave the material validity window are evaluated by
     extrapolation and flagged rather than dropped.
     """
-    if not (0 < window_thz < math.inf and 0 < step_ghz < math.inf):
-        raise DomainError("window and step must be finite and positive")
+    if not 0 < window_thz < math.inf:
+        raise DomainError("window must be finite and positive")
+    step = step_ghz / 1000.0
+    n_side = _grid_steps(window_thz, step)
     signal = SpectralPoint.from_wavelength_nm(signal_nm)
     center = SpectralPoint.from_wavelength_nm(target_center_nm)
     nu_s, nu_c0 = signal.frequency_thz, center.frequency_thz
-    step = step_ghz / 1000.0
-    n_side = int(np.floor(window_thz / step + 1e-9))
     nu_c = nu_c0 + step * np.arange(-n_side, n_side + 1)
     nu_c = nu_c[(nu_c > 0.0) & (nu_c < nu_s)]
 
@@ -319,13 +310,6 @@ def pm_spectrum_columns(signal_nm: float, target_center_nm: float, device: Devic
     in_domain = (device.material.in_validity(lam_c / 1000.0, device.temperature_c)
                  & device.material.in_validity(lam_p / 1000.0, device.temperature_c))
     return Spectrum(nu_c, lam_c, lam_p, eff, ~in_domain)
-
-
-def pm_spectrum(signal_nm: float, target_center_nm: float, device: DeviceConfig,
-                window_thz: float, step_ghz: float) -> list[SpectrumPoint]:
-    """``pm_spectrum_columns`` as one ``SpectrumPoint`` per frequency."""
-    columns = pm_spectrum_columns(signal_nm, target_center_nm, device, window_thz, step_ghz)
-    return [SpectrumPoint(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def hub_sweep(signal_range_nm: tuple[float, float], signal_step_nm: float,
@@ -338,12 +322,11 @@ def hub_sweep(signal_range_nm: tuple[float, float], signal_step_nm: float,
     ``scan_edge`` point. ``workers`` is accepted for compatibility and ignored.
     """
     lo, hi = signal_range_nm
-    if not (-math.inf < lo <= hi < math.inf and 0 < signal_step_nm < math.inf):
-        raise DomainError("signal range must be finite and ascending, with a finite "
-                          "positive step")
+    if not -math.inf < lo <= hi < math.inf:
+        raise DomainError("signal range must be finite and ascending")
     if not 0 < target_center_nm < math.inf:
         raise DomainError(f"target must be finite and positive, got {target_center_nm}")
-    count = int(np.floor((hi - lo) / signal_step_nm + 1e-9)) + 1
+    count = _grid_steps(hi - lo, signal_step_nm) + 1
     signals = [float(lo + i * signal_step_nm) for i in range(count)]
     results: list[TuningResult] = []
     for i in range(0, count, _SIGNAL_BATCH):

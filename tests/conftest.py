@@ -18,6 +18,7 @@ def run_python():
     absolute directory of the qfchub this process imported at the front of
     PYTHONPATH. A relative entry such as ``src`` would resolve against the
     child's cwd and fail to import qfchub, or import another copy of it.
+    A child that runs past 120 s fails the test instead of stalling the suite.
     """
     package_root = str(Path(qfchub.__file__).resolve().parent.parent)
 
@@ -25,8 +26,8 @@ def run_python():
         env = dict(os.environ if env is None else env)
         path = env.get("PYTHONPATH")
         env["PYTHONPATH"] = package_root + (os.pathsep + path if path else "")
-        return subprocess.run([sys.executable, *args],
-                              capture_output=True, text=True, cwd=cwd, env=env)
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              cwd=cwd, env=env, timeout=120)
     return run
 
 

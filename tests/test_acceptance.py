@@ -14,12 +14,11 @@ from scipy.signal import find_peaks
 
 from qfchub import (DeviceConfig, DwdmGrid, EfficiencyCurveParams, LaserSpec,
                     PolarizationState, QfcChannelModel, SpectralPoint,
-                    TuningConstraints, efficiency_model, fit_efficiency,
-                    group_index_mismatch, high_efficiency_band, hub_sweep,
+                    TuningConstraints, efficiency_curve_columns, efficiency_model,
+                    fit_efficiency, group_index_mismatch, hub_sweep,
                     kraus_to_chi, make_device, phase_mismatch_vs_converted,
                     plan_pumps, port_frequency, process_fidelity, pump_for,
-                    reconstruct_chi, relative_efficiency_curve,
-                    simulate_tomography, tuning_range)
+                    reconstruct_chi, simulate_tomography, tuning_range)
 from qfchub.constants import C_NM_THZ
 
 TEMPERATURE_C = 48.0
@@ -153,11 +152,11 @@ def test_criterion_7_relative_efficiency_band(jundt):
     plan = plan_pumps(DwdmGrid(), 384.200, LaserSpec(), 40.0, TEMPERATURE_C, jundt)
     device = DeviceConfig(plan.poling_period_um, 40.0, TEMPERATURE_C, jundt)
     laser = LaserSpec()
-    curve = relative_efficiency_curve(
+    curve = efficiency_curve_columns(
         device, 384.200,
         (C_NM_THZ / laser.max_wavelength_nm, C_NM_THZ / laser.min_wavelength_nm),
         step_ghz=1.0)
-    lo, hi = high_efficiency_band(curve, threshold=0.9)
+    lo, hi = curve.band(threshold=0.9)
     width = hi - lo
     ok = abs(width - 2.0) <= 0.5 and lo <= 188.9 and hi >= 190.5
     report("criterion 7 (0.9 pump band)", ok,

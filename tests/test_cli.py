@@ -163,12 +163,17 @@ _SCAN = ["pm-scan", "--signal", "780", "--target", "1540"]
     pytest.param([*_SCAN, "--window-thz", "nan"], id="window-nan"),
     pytest.param([*_SCAN, "--step-ghz", "inf"], id="scan-step-inf"),
     pytest.param(["plan", "--curve", "--curve-step-ghz", "nan"], id="curve-step-nan"),
+    pytest.param([*_SWEEP, "--step", "1e-300"], id="sweep-step-tiny"),
+    pytest.param(["reproduce-paper", "--sweep-step", "1e-300"], id="paper-sweep-step-tiny"),
+    pytest.param([*_SCAN, "--step-ghz", "1e-12"], id="scan-step-tiny"),
+    pytest.param(["plan", "--curve", "--curve-step-ghz", "1e-12"], id="curve-step-tiny"),
 ])
 def test_non_finite_values_exit_2(argv, tmp_path, run_cli):
     proc = run_cli(argv, tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert proc.stdout == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_tuning_range_empty_is_exit_zero(tmp_path, run_cli):
@@ -486,7 +491,7 @@ def test_flags_reach_the_run_config(monkeypatch):
     {"grid_ports": 0}, {"grid_anchor_thz": 0.0}, {"grid_spacing_ghz": -25.0},
     {"laser_min_nm": 1610.0}, {"laser_min_nm": 0.0},
     {"temperature_c": -300.0}, {"length_mm": 0.0}, {"signal_frequency_thz": 0.0},
-    {"output_format": "xml"}, {"workers": 2},
+    {"output_format": "xml"}, {"workers": 2}, {"grid_ports": 2.5},
 ])
 def test_bad_config_values_raise_config_error(overrides, tmp_path):
     with pytest.raises(ConfigError):

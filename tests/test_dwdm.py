@@ -3,10 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfchub import (DeviceConfig, DomainError, DwdmGrid, EfficiencyCurve,
-                    EfficiencyCurvePoint, LaserSpec, RangeError,
-                    efficiency_curve_columns, high_efficiency_band, plan_pumps,
-                    port_frequency, relative_efficiency_curve)
+from qfchub import (DeviceConfig, DomainError, DwdmGrid, EfficiencyCurve, LaserSpec,
+                    RangeError, efficiency_curve_columns, plan_pumps, port_frequency)
 from qfchub.constants import C_NM_THZ
 
 SIGNAL_THZ = 384.200
@@ -40,6 +38,8 @@ def test_grid_validation():
         DwdmGrid(anchor_frequency_thz=-1.0)
     with pytest.raises(DomainError):
         DwdmGrid(port_count=0)
+    with pytest.raises(DomainError):
+        DwdmGrid(port_count=2.5)
     with pytest.raises(DomainError):
         LaserSpec(1600.0, 1500.0)
 
@@ -100,11 +100,9 @@ def test_relative_efficiency_curve_normalization_and_symmetry(jundt):
     plan = plan_pumps(DwdmGrid(), SIGNAL_THZ, LaserSpec(), 40.0, 48.0, jundt)
     device = DeviceConfig(plan.poling_period_um, 40.0, 48.0, jundt)
     center_pump = SIGNAL_THZ - plan.center_frequency_thz
-    curve = relative_efficiency_curve(device, SIGNAL_THZ,
-                                      (center_pump - 1.0, center_pump + 1.0),
-                                      step_ghz=1.0)
-    rel = np.array([p.relative_efficiency for p in curve])
-    nus = np.array([p.nu_p_thz for p in curve])
+    nus, rel, _ = efficiency_curve_columns(device, SIGNAL_THZ,
+                                           (center_pump - 1.0, center_pump + 1.0),
+                                           step_ghz=1.0)
     assert rel.max() == pytest.approx(1.0, abs=1e-12)
     at = lambda nu: rel[int(np.argmin(np.abs(nus - nu)))]
     assert at(center_pump) == pytest.approx(1.0, abs=1e-6)
@@ -117,20 +115,9 @@ def test_high_efficiency_band_over_laser_range(jundt):
     laser = LaserSpec()
     lo = C_NM_THZ / laser.max_wavelength_nm
     hi = C_NM_THZ / laser.min_wavelength_nm
-    curve = relative_efficiency_curve(device, SIGNAL_THZ, (lo, hi), step_ghz=1.0)
-    band = high_efficiency_band(curve, threshold=0.9)
+    band = efficiency_curve_columns(device, SIGNAL_THZ, (lo, hi), step_ghz=1.0).band(0.9)
     assert band[0] < 188.9 and band[1] > 190.5
     assert 1.5 <= band[1] - band[0] <= 2.5
-
-
-def test_efficiency_curve_points_are_its_columns(jundt):
-    device = DeviceConfig(19.19, 40.0, 48.0, jundt)
-    columns = efficiency_curve_columns(device, SIGNAL_THZ, (186.0, 192.0), step_ghz=50.0)
-    curve = relative_efficiency_curve(device, SIGNAL_THZ, (186.0, 192.0), step_ghz=50.0)
-    assert len(curve) == columns.nu_p_thz.size
-    for i, p in enumerate(curve):
-        assert p == EfficiencyCurvePoint(*(column[i].item() for column in columns))
-        assert [type(v) for v in vars(p).values()] == [float, float, bool]
 
 
 def _band_by_walking(nus, rel, threshold):
@@ -156,16 +143,14 @@ def test_high_efficiency_band_equals_walking_loops(rel, threshold):
     nus = 188.0 + 0.001 * np.arange(len(rel))
     rel = np.array(rel)
     expected = _band_by_walking(nus, rel, threshold)
-    curve = [EfficiencyCurvePoint(nu, r, False) for nu, r in zip(nus.tolist(), rel.tolist())]
-    assert high_efficiency_band(curve, threshold) == expected
     assert EfficiencyCurve(nus, rel, np.zeros(rel.size, bool)).band(threshold) == expected
 
 
 def test_curve_input_validation(jundt):
     device = DeviceConfig(19.19, 40.0, 48.0, jundt)
     with pytest.raises(DomainError):
-        relative_efficiency_curve(device, SIGNAL_THZ, (190.0, 188.0))
+        efficiency_curve_columns(device, SIGNAL_THZ, (190.0, 188.0))
     with pytest.raises(DomainError):
-        relative_efficiency_curve(device, SIGNAL_THZ, (188.0, 190.0), step_ghz=0.0)
+        efficiency_curve_columns(device, SIGNAL_THZ, (188.0, 190.0), step_ghz=0.0)
     with pytest.raises(DomainError):
-        relative_efficiency_curve(device, 100.0, (99.0, 101.0))
+        efficiency_curve_columns(device, 100.0, (99.0, 101.0))

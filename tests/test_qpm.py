@@ -8,6 +8,7 @@ from qfchub import (DeviceConfig, DomainError, SpectralPoint, group_index,
                     pm_efficiency, pump_for, refractive_index, sinc,
                     solve_poling_period, wavenumber_mismatch)
 from qfchub.constants import C_UM_THZ
+from qfchub.qpm import _MAX_GRID_POINTS, _grid_steps
 
 # Frozen from a standalone evaluation of 2*pi/(k_s - k_p - k_c) with the
 # default material at 48 C; regression constants, not external references.
@@ -53,6 +54,17 @@ def test_device_validation(jundt):
         DeviceConfig(-1.0, 40.0, 48.0, jundt)
     with pytest.raises(DomainError):
         DeviceConfig(19.0, 0.0, 48.0, jundt)
+
+
+def test_grid_steps_rule_and_bound():
+    assert _grid_steps(0.3, 0.1) == 3  # 0.3 / 0.1 is 2.9999999999999996
+    assert _grid_steps(0.0, 1.0) == 0
+    assert _grid_steps(1.0, 1.0 / _MAX_GRID_POINTS) == _MAX_GRID_POINTS
+    for span, step in ((1.0, 0.99 / _MAX_GRID_POINTS), (600.0, 1e-300), (1e10, 1e-310),
+                       (1.0, 0.0), (1.0, -1.0), (1.0, float("nan")), (1.0, float("inf")),
+                       (float("nan"), 1.0), (float("inf"), 1.0)):
+        with pytest.raises(DomainError):
+            _grid_steps(span, step)
 
 
 def test_poling_period_regression(jundt):

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfchub import (DomainError, SpectrumPoint, TuningConstraints, channel_count,
+from qfchub import (DomainError, TuningConstraints, channel_count,
                     group_index_mismatch, hub_sweep, make_device, pm_efficiency,
-                    pm_spectrum, pm_spectrum_columns, sweet_spot_report,
-                    tuning_range, wavenumber_mismatch)
+                    pm_spectrum_columns, sweet_spot_report, tuning_range,
+                    wavenumber_mismatch)
 from qfchub import tuning
 from qfchub.dispersion import SpectralPoint
 from qfchub.errors import QfcHubError
@@ -116,52 +116,42 @@ def test_bisection_agrees_with_brute_force_grid(jundt, rng):
 
 def test_pm_spectrum_center_and_ordering(jundt):
     device = make_device(780.0, 1540.0, 40.0, 48.0, jundt)
-    points = pm_spectrum(780.0, 1540.0, device, window_thz=6.0, step_ghz=2.0)
-    nus = [p.nu_c_thz for p in points]
-    assert nus == sorted(nus)
-    center = max(points, key=lambda p: p.efficiency)
-    assert center.lambda_c_nm == pytest.approx(1540.0, abs=1e-6)
-    assert center.efficiency == pytest.approx(1.0, abs=1e-12)
-    assert all(0.0 <= p.efficiency <= 1.0 for p in points)
+    spectrum = pm_spectrum_columns(780.0, 1540.0, device, window_thz=6.0, step_ghz=2.0)
+    assert np.all(np.diff(spectrum.nu_c_thz) > 0)
+    center = int(np.argmax(spectrum.efficiency))
+    assert spectrum.lambda_c_nm[center] == pytest.approx(1540.0, abs=1e-6)
+    assert spectrum.efficiency[center] == pytest.approx(1.0, abs=1e-12)
+    assert np.all((spectrum.efficiency >= 0.0) & (spectrum.efficiency <= 1.0))
     nu_s = SpectralPoint.from_wavelength_nm(780.0).frequency_thz
-    for p in points[:: len(points) // 7]:
-        assert nu_s - p.nu_c_thz == pytest.approx(C_NM_THZ / p.lambda_p_nm, rel=1e-9)
+    stride = spectrum.nu_c_thz.size // 7
+    for nu_c, lam_p in zip(spectrum.nu_c_thz[::stride], spectrum.lambda_p_nm[::stride]):
+        assert nu_s - nu_c == pytest.approx(C_NM_THZ / lam_p, rel=1e-9)
 
 
 def test_pm_spectrum_twin_peaks_at_mirror(jundt):
     device = make_device(780.0, 1540.0, 40.0, 48.0, jundt)
-    points = pm_spectrum(780.0, 1540.0, device, window_thz=6.0, step_ghz=2.0)
-    mirror = [p for p in points if 1575.0 <= p.lambda_c_nm <= 1585.0]
-    assert max(p.efficiency for p in mirror) > 0.99
+    spectrum = pm_spectrum_columns(780.0, 1540.0, device, window_thz=6.0, step_ghz=2.0)
+    mirror = (spectrum.lambda_c_nm >= 1575.0) & (spectrum.lambda_c_nm <= 1585.0)
+    assert spectrum.efficiency[mirror].max() > 0.99
 
 
 def test_pm_spectrum_narrow_peak_493(jundt):
     device = make_device(493.0, 1540.0, 40.0, 48.0, jundt)
-    points = pm_spectrum(493.0, 1540.0, device, window_thz=0.5, step_ghz=0.5)
-    above = [p.lambda_c_nm for p in points if p.efficiency >= 0.9]
-    assert 0.05 < max(above) - min(above) < 0.5
+    spectrum = pm_spectrum_columns(493.0, 1540.0, device, window_thz=0.5, step_ghz=0.5)
+    flags = spectrum.efficiency >= 0.9
+    above = spectrum.lambda_c_nm[flags]
+    assert 0.05 < above.max() - above.min() < 0.5
     # single contiguous high-efficiency run
-    flags = [p.efficiency >= 0.9 for p in points]
-    runs = sum(1 for i, f in enumerate(flags) if f and (i == 0 or not flags[i - 1]))
+    runs = np.count_nonzero(flags & ~np.concatenate(([False], flags[:-1])))
     assert runs == 1
 
 
 def test_pm_spectrum_flags_extrapolated_points(jundt):
     # converted side wanders past the long-wavelength validity edge
     device = make_device(500.0, 4800.0, 40.0, 48.0, jundt)
-    points = pm_spectrum(500.0, 4800.0, device, window_thz=5.0, step_ghz=50.0)
-    assert any(p.extrapolated for p in points)
-    assert any(not p.extrapolated for p in points)
-
-
-def test_pm_spectrum_points_are_its_columns(jundt):
-    device = make_device(500.0, 4800.0, 40.0, 48.0, jundt)
-    columns = pm_spectrum_columns(500.0, 4800.0, device, window_thz=5.0, step_ghz=50.0)
-    points = pm_spectrum(500.0, 4800.0, device, window_thz=5.0, step_ghz=50.0)
-    assert len(points) == columns.nu_c_thz.size
-    for i, p in enumerate(points):
-        assert p == SpectrumPoint(*(column[i].item() for column in columns))
-        assert [type(v) for v in vars(p).values()] == [float] * 4 + [bool]
+    spectrum = pm_spectrum_columns(500.0, 4800.0, device, window_thz=5.0, step_ghz=50.0)
+    assert spectrum.extrapolated.any()
+    assert not spectrum.extrapolated.all()
 
 
 def test_channel_count():
