@@ -15,6 +15,8 @@ import time
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from .config import ENV_CONFIG_PATH, RunConfig, apply_overrides, load_config
 from .dispersion import get_material, group_index, index_derivative, refractive_index
 from .dwdm import (PLAN_CSV_COLUMNS, EfficiencyCurve, PumpPlan, efficiency_curve_columns,
@@ -226,11 +228,11 @@ def cmd_pm_scan(config: RunConfig, args: argparse.Namespace) -> dict:
         write_json(out, payload)
     else:
         write_csv(out, SPECTRUM_CSV_COLUMNS, _spectrum_rows(spectrum))
-    efficiency = spectrum.efficiency.tolist()
-    # max() keeps the first of equal values and never moves to a NaN
-    peak = max(range(len(efficiency)), key=efficiency.__getitem__)
+    # the first highest efficiency; a NaN point (n^2 < 0 when extrapolating) is
+    # never the peak, and the center is always a finite point
+    peak = int(np.nanargmax(spectrum.efficiency))
     return {"signal_nm": args.signal, "target_nm": args.target,
-            "points": len(efficiency),
+            "points": spectrum.efficiency.size,
             "peak_lambda_c_nm": round(float(spectrum.lambda_c_nm[peak]), 4),
             "poling_period_um": round(device.poling_period_um, 6),
             "output": str(out)}

@@ -171,14 +171,6 @@ class ProcessMatrix:
         return float(np.trace(self.chi).real)
 
 
-def kraus_operator(model: QfcChannelModel) -> np.ndarray:
-    """K = sqrt(eta_cw)|H><V| + sqrt(eta_ccw) e^{i phase} |V><H|."""
-    k = np.zeros((2, 2), dtype=complex)
-    k[0, 1] = np.sqrt(model.eta_cw)
-    k[1, 0] = np.sqrt(model.eta_ccw) * np.exp(1j * model.phase_rad)
-    return k
-
-
 def apply_channel(state: PolarizationState,
                   model: QfcChannelModel) -> tuple[PolarizationState, float]:
     """Channel action on a state: (normalized output, success probability).

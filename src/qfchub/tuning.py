@@ -27,8 +27,13 @@ ConstraintMode = Literal["max_converted_wavelength", "min_pump_converted_separat
 LimitTag = Literal["threshold", "cutoff", "separation", "scan_edge"]
 
 _BLOCK = 256  # coarse steps per block of the outward walk
-_PREFIXES = (8, 32, _BLOCK)  # a block is evaluated in these growing prefixes
-_SIGNAL_BATCH = 32  # signals solved together; bounds the working arrays and peak RSS
+_PREFIXES = (8, 32, 128, _BLOCK)  # a block is evaluated in these growing prefixes
+# Most walk steps in one efficiency evaluation: bounds the kernel's temporaries.
+_WALK_POINTS = 8192
+# Signals solved together: a paper sweep of 601 signals is one solve, and a
+# longer sweep keeps its per-signal arrays bounded. A bisection step evaluates
+# 2 * _SIGNAL_BATCH points, within _WALK_POINTS.
+_SIGNAL_BATCH = 1024
 _SECOND_HARMONIC_TOL_NM = 0.5  # slack of sweet_spot_report's second-harmonic test
 
 
@@ -143,37 +148,46 @@ def _walk(eff, start: float, bound, direction, coarse_thz: float, threshold: flo
     steps past the row's bound clipped to it, and bisect the first failing step
     to REFINE_GHZ. Returns each row's edge and whether the threshold ended it.
 
-    A block's steps are evaluated in the growing prefixes of ``_PREFIXES``; a
-    row leaves the block at the first prefix that fails or reaches its bound,
-    so most rows never evaluate the steps past their edge.
+    A block's steps are evaluated in the growing prefixes of ``_PREFIXES``, and
+    only for the rows still walking: a row leaves at the first prefix that fails
+    or reaches its bound, so most rows never evaluate the steps past their edge.
+    Each ``eff`` call gets at most ``_WALK_POINTS`` steps of one prefix, and a
+    step's position depends only on its row and index, never on the chunking.
     """
     n = bound.size
-    prev = np.full(n, start)
-    good, bad = np.empty(n), np.empty(n)
+    prev = np.full(n, start)  # each walking row's block base
+    good = np.full(n, start)  # each row's last step known to pass
+    bad = np.empty(n)
     hit = np.zeros(n, dtype=bool)
     k = np.arange(1, _BLOCK + 1)
     todo = np.arange(n)
     while todo.size:
-        b = bound[todo, None]
-        steps = prev[todo, None] + direction[todo, None] * coarse_thz * k
-        inside = np.where(direction[todo, None] > 0, steps < b, steps > b)
-        steps = np.where(inside, steps, b)
         lo = 0
         for hi in _PREFIXES:
-            # NaN fails, as in the bisection
-            failing = ~(eff(todo, steps[:, lo:hi]) >= threshold)
-            crossed = failing.any(axis=1)
-            first = lo + failing.argmax(axis=1)[crossed]
-            rows = todo[crossed]
-            good[rows] = np.where(first > 0, steps[crossed, first - 1], prev[rows])
-            bad[rows] = steps[crossed, first]
-            hit[rows] = True
-            keep = ~crossed & inside[:, hi - 1]
-            todo, steps, inside = todo[keep], steps[keep], inside[keep]
+            keep = np.zeros(todo.size, dtype=bool)
+            per_call = max(1, _WALK_POINTS // (hi - lo))
+            for c in range(0, todo.size, per_call):
+                rows = todo[c:c + per_call]
+                b = bound[rows, None]
+                steps = prev[rows, None] + direction[rows, None] * coarse_thz * k[lo:hi]
+                inside = np.where(direction[rows, None] > 0, steps < b, steps > b)
+                steps = np.where(inside, steps, b)
+                # NaN fails, as in the bisection
+                failing = ~(eff(rows, steps) >= threshold)
+                crossed = failing.any(axis=1)
+                first = failing.argmax(axis=1)[crossed]
+                ended = rows[crossed]
+                good[ended] = np.where(first > 0, steps[crossed, first - 1], good[ended])
+                bad[ended] = steps[crossed, first]
+                hit[ended] = True
+                walking = ~crossed & inside[:, -1]
+                good[rows[walking]] = steps[walking, -1]
+                keep[c:c + per_call] = walking
+            todo = todo[keep]
             if not todo.size:
                 break
             lo = hi
-        prev[todo] = steps[:, -1]
+        prev[todo] = good[todo]
     active = hit & (np.abs(bad - good) > REFINE_GHZ / 1000.0)
     while active.any():
         i = np.nonzero(active)[0]
@@ -185,21 +199,13 @@ def _walk(eff, start: float, bound, direction, coarse_thz: float, threshold: flo
     return np.where(hit, good, bound), hit
 
 
-def _combine_tags(tag_lo: LimitTag, tag_hi: LimitTag) -> LimitTag:
-    return next((tag for tag in ("cutoff", "separation", "scan_edge")
-                 if tag in (tag_lo, tag_hi)), "threshold")
-
-
-def _empty_result(target_nm: float, tag: LimitTag) -> TuningResult:
-    return TuningResult((float(target_nm), float(target_nm)), 0.0, 0.0, 0, tag)
-
-
 def _solve(signal_nm, target_nm: float, length_mm: float, temperature_c: float,
            material: SellmeierModel, constraints: TuningConstraints) -> list[TuningResult]:
     """Tuning intervals of many signals around one target, all solved together.
 
     A signal failing the working-point checks of ``make_device`` gets an empty
-    ``scan_edge`` result. Walk rows 0..n-1 go down from the center, n..2n-1 up.
+    ``scan_edge`` result. Walk rows 0..n-1 go down from the center, n..2n-1 up,
+    so the low converted wavelength comes from the upper frequency edge.
     """
     signal_nm = np.asarray(signal_nm, dtype=float)
     center = SpectralPoint.from_wavelength_nm(target_nm)
@@ -208,20 +214,20 @@ def _solve(signal_nm, target_nm: float, length_mm: float, temperature_c: float,
         nu_s = C_NM_THZ / signal_nm
         d0 = wavenumber_mismatch(material, temperature_c, nu_s, nu_c0,
                                  signal_nm / 1000.0, center.wavelength_um)
-        empty = np.where(
+        limit = np.where(
             (signal_nm > 0) & (nu_s > nu_c0) & (d0 > 0)
             & material.in_validity(signal_nm / 1000.0, temperature_c)
             & material.in_validity(C_UM_THZ / (nu_s - nu_c0), temperature_c)
             & material.in_validity(center.wavelength_um, temperature_c),
             "", "scan_edge").astype(object)
-        empty[(empty == "") & (nu_c0 == nu_s / 2.0)] = "separation"
+        limit[(limit == "") & (nu_c0 == nu_s / 2.0)] = "separation"
         value = constraints.constraint_value_nm
         if constraints.constraint_mode == "max_converted_wavelength":
-            empty[(empty == "") & (target_nm > value)] = "cutoff"
+            limit[(limit == "") & (target_nm > value)] = "cutoff"
         else:
             separation_nm = np.abs(C_NM_THZ / (nu_s - nu_c0) - C_NM_THZ / nu_c0)
-            empty[(empty == "") & (separation_nm < value)] = "separation"
-    live = np.nonzero(empty == "")[0]
+            limit[(limit == "") & (separation_nm < value)] = "separation"
+    live = np.nonzero(limit == "")[0]
 
     n = live.size
     nu_s, lam_s, d0 = (np.tile(x[live], 2) for x in (nu_s, signal_nm / 1000.0, d0))
@@ -256,19 +262,22 @@ def _solve(signal_nm, target_nm: float, length_mm: float, temperature_c: float,
                       constraints.efficiency_threshold)
     tag[hit] = "threshold"
 
-    results = [_empty_result(target_nm, t) for t in empty]
-    for j, row in enumerate(live):
-        nu_lo, nu_hi = float(edge[j]), float(edge[j + n])
-        lam_lo, lam_hi = C_NM_THZ / nu_hi, C_NM_THZ / nu_lo
-        width_thz = nu_hi - nu_lo
-        results[row] = TuningResult(
-            converted_interval_nm=(lam_lo, lam_hi),
-            width_nm=lam_hi - lam_lo,
-            width_thz=width_thz,
-            channel_count=channel_count(width_thz, constraints.channel_spacing_ghz),
-            limiting_constraint=_combine_tags(tag[j], tag[j + n]),
-        )
-    return results
+    # An empty signal keeps the target as both ends, zero widths and its tag;
+    # a live one takes the first of cutoff, separation, scan_edge on either side.
+    lam_lo = np.full(signal_nm.size, float(target_nm))
+    lam_hi = lam_lo.copy()
+    width_thz = np.zeros(signal_nm.size)
+    lam_lo[live] = C_NM_THZ / edge[n:]
+    lam_hi[live] = C_NM_THZ / edge[:n]
+    width_thz[live] = edge[n:] - edge[:n]
+    channels = np.floor(width_thz * 1000.0 / constraints.channel_spacing_ghz)
+    limit[live] = "threshold"
+    for name in ("scan_edge", "separation", "cutoff"):
+        limit[live[(tag[:n] == name) | (tag[n:] == name)]] = name
+    return [TuningResult((lo, hi), width_nm, width, count, name)
+            for lo, hi, width_nm, width, count, name in zip(
+                lam_lo.tolist(), lam_hi.tolist(), (lam_hi - lam_lo).tolist(),
+                width_thz.tolist(), channels.astype(int).tolist(), limit.tolist())]
 
 
 def tuning_range(signal_nm: float, target_center_nm: float, length_mm: float,
@@ -327,12 +336,13 @@ def hub_sweep(signal_range_nm: tuple[float, float], signal_step_nm: float,
     if not 0 < target_center_nm < math.inf:
         raise DomainError(f"target must be finite and positive, got {target_center_nm}")
     count = _grid_steps(hi - lo, signal_step_nm) + 1
-    signals = [float(lo + i * signal_step_nm) for i in range(count)]
-    results: list[TuningResult] = []
-    for i in range(0, count, _SIGNAL_BATCH):
-        results += _solve(signals[i:i + _SIGNAL_BATCH], target_center_nm, length_mm,
-                          temperature_c, material, constraints)
-    return [HubSweepPoint(s, r) for s, r in zip(signals, results)]
+    points: list[HubSweepPoint] = []
+    for first in range(0, count, _SIGNAL_BATCH):
+        signals = [float(lo + i * signal_step_nm)
+                   for i in range(first, min(first + _SIGNAL_BATCH, count))]
+        points += map(HubSweepPoint, signals, _solve(
+            signals, target_center_nm, length_mm, temperature_c, material, constraints))
+    return points
 
 
 def sweet_spot_report(signal_nm: float, target_center_nm: float,

@@ -111,6 +111,16 @@ def test_pm_scan_peak_at_target(tmp_path, run_cli):
     assert float(best["lambda_c_nm"]) == pytest.approx(1540.0, abs=1e-3)
 
 
+def test_pm_scan_peak_skips_nan_points(tmp_path, run_cli):
+    # extrapolated far enough that n^2 < 0 makes some efficiencies NaN
+    proc = run_cli(["pm-scan", "--signal", "780", "--target", "1540", "--window-thz",
+                    "190", "--step-ghz", "1000", "--allow-extrapolation"], tmp_path)
+    summary = summary_of(proc)
+    rows = read_schema_csv(tmp_path / summary["output"])
+    assert any(r["efficiency"] == "nan" for r in rows)
+    assert summary["peak_lambda_c_nm"] == 1540.0
+
+
 def test_pm_scan_narrow_peak_493(tmp_path, run_cli):
     proc = run_cli(["pm-scan", "--signal", "493", "--target", "1540",
                     "--window-thz", "1", "--step-ghz", "0.5"], tmp_path)

@@ -7,7 +7,7 @@ from qfchub import (ConvergenceError, DegenerateError, DomainError,
                     EfficiencyCurveParams, PolarizationState, ProcessMatrix,
                     PumpSplit, QfcChannelModel,
                     SingularityError, apply_channel, chi_payload, efficiency_model,
-                    fit_efficiency, kraus_operator, kraus_to_chi,
+                    fit_efficiency, kraus_to_chi,
                     process_fidelity, pump_balance, reconstruct_chi,
                     simulate_tomography)
 from qfchub.polarization import (_BALANCE_BISECTIONS, _BALANCE_GRID, _FRAME_CACHE_SIZE,
@@ -44,6 +44,15 @@ def random_frame(rng) -> dict[str, PolarizationState]:
         mix = float(rng.uniform(0.0, 0.5))
         frame[label] = PolarizationState((1.0 - mix) * pure + 0.5 * mix * np.eye(2))
     return frame
+
+
+def kraus_operator(model: QfcChannelModel) -> np.ndarray:
+    """K = sqrt(eta_cw)|H><V| + sqrt(eta_ccw) e^{i phase} |V><H|, the channel's
+    reference matrix."""
+    k = np.zeros((2, 2), dtype=complex)
+    k[0, 1] = np.sqrt(model.eta_cw)
+    k[1, 0] = np.sqrt(model.eta_ccw) * np.exp(1j * model.phase_rad)
+    return k
 
 
 def apply_channel_matmul(state, model):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from qfchub import (DomainError, TuningConstraints, channel_count,
 from qfchub import tuning
 from qfchub.dispersion import SpectralPoint
 from qfchub.errors import QfcHubError
-from qfchub.tuning import (_empty_result, _separation_bound, _solve, _walk,
+from qfchub.tuning import (TuningResult, _separation_bound, _solve, _walk,
                            sweep_csv_rows)
 from qfchub.constants import C_NM_THZ
 
@@ -314,7 +316,7 @@ def _alone(signal_nm, target_nm, material, constraints):
     try:
         return tuning_range(signal_nm, target_nm, 40.0, 48.0, material, constraints)
     except QfcHubError:
-        return _empty_result(target_nm, "scan_edge")
+        return TuningResult((float(target_nm), float(target_nm)), 0.0, 0.0, 0, "scan_edge")
 
 
 @settings(max_examples=25, deadline=None)
@@ -323,13 +325,79 @@ def _alone(signal_nm, target_nm, material, constraints):
        target=st.sampled_from([1540.0, 1310.0]),
        cutoff=st.booleans())
 def test_batched_solver_matches_single_signal(jundt, signals, target, cutoff):
-    # any subset of 300-1100 nm in any order, across the 64-signal batch edge
+    # any subset of 300-1100 nm in any order
     constraints = (TuningConstraints(constraint_mode="max_converted_wavelength",
                                      constraint_value_nm=target + 10.0) if cutoff
                    else TuningConstraints(constraint_mode="min_pump_converted_separation",
                                           constraint_value_nm=20.0))
     batched = _solve(signals, target, 40.0, 48.0, jundt, constraints)
     assert batched == [_alone(s, target, jundt, constraints) for s in signals]
+
+
+_SWEEPS = dict(
+    start=st.floats(300.0, 1100.0), count=st.integers(1, 24), step=st.floats(0.05, 40.0),
+    target=st.sampled_from([1310.0, 1540.0, 1700.0]), cutoff=st.booleans(),
+    threshold=st.sampled_from([0.5, 0.8, 0.9, 0.97]),
+    coarse=st.sampled_from([1.0, 5.0, 12.5]), halfwidth=st.sampled_from([2.0, 60.0]))
+
+
+def _sweep_args(start, count, step, target, cutoff, threshold, coarse, halfwidth):
+    constraints = TuningConstraints(
+        efficiency_threshold=threshold,
+        constraint_mode="max_converted_wavelength" if cutoff
+        else "min_pump_converted_separation",
+        constraint_value_nm=target + 10.0 if cutoff else 20.0,
+        scan_halfwidth_thz=halfwidth, coarse_step_ghz=coarse)
+    return ((start, start + (count - 1) * step), step, target, 40.0, 48.0), constraints
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_SWEEPS)
+def test_hub_sweep_chunking_changes_nothing(jundt, start, count, step, target, cutoff,
+                                            threshold, coarse, halfwidth):
+    # one signal per solve and one walk row per kernel call give the same points
+    args, constraints = _sweep_args(start, count, step, target, cutoff, threshold,
+                                    coarse, halfwidth)
+    points = hub_sweep(*args, jundt, constraints)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tuning, "_WALK_POINTS", 1)
+        mp.setattr(tuning, "_SIGNAL_BATCH", 1)
+        assert hub_sweep(*args, jundt, constraints) == points
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_SWEEPS)
+def test_hub_sweep_rows_match_tuning_range(jundt, start, count, step, target, cutoff,
+                                           threshold, coarse, halfwidth):
+    # signals from 300 nm leave the 400 nm validity edge of jundt1997
+    args, constraints = _sweep_args(start, count, step, target, cutoff, threshold,
+                                    coarse, halfwidth)
+    points = hub_sweep(*args, jundt, constraints)
+    assert len(points) == count
+    for p in points:
+        assert p.tuning == _alone(p.signal_nm, target, jundt, constraints)
+
+
+def test_hub_sweep_memory_is_bounded(jundt, separation_20):
+    # A sweep holds one batch of signals at a time, so its peak above what the
+    # returned points keep does not grow with the sweep. Counted from the code:
+    # - _solve and _walk hold at most 16 arrays of one 8-byte entry per walk row
+    #   (signal and pump columns, period, direction, bound, tags, the walk's
+    #   edges, the result columns), and a batch has 2 * _SIGNAL_BATCH rows;
+    # - one kernel call sees at most _WALK_POINTS steps, with at most 12 live
+    #   8-byte arrays of that size: the walk's steps and masks and the
+    #   temporaries of the Sellmeier, mismatch and sinc^2 expressions.
+    bound = 8 * (16 * 2 * tuning._SIGNAL_BATCH + 12 * tuning._WALK_POINTS)
+    for step in (1.0, 0.1):  # 601 and 6,001 signals
+        tracemalloc.start()
+        try:
+            points = hub_sweep((400.0, 1000.0), step, 1540.0, 40.0, 48.0, jundt,
+                               separation_20)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(points) == round(600.0 / step) + 1
+        assert peak - kept <= bound
 
 
 def test_hub_sweep_points_match_single_signal(jundt, separation_20):
