@@ -9,7 +9,7 @@ from .constants import C_NM_THZ, C_UM_THZ
 from .dispersion import (DEFAULT_MATERIAL, SellmeierModel, SpectralPoint,
                          builtin_materials, get_material, group_index,
                          index_derivative, load_material_file, refractive_index)
-from .dwdm import (DwdmGrid, EfficiencyCurve, LaserSpec, PumpPlan, PumpPlanEntry,
+from .dwdm import (DwdmGrid, EfficiencyCurve, LaserSpec, PumpPlan,
                    efficiency_curve_columns, plan_pumps, port_frequency)
 from .errors import (ConfigError, ConvergenceError, DegenerateError, DomainError,
                      QfcHubError, RangeError, SingularityError, ValidityError)
@@ -23,7 +23,7 @@ from .qpm import (DeviceConfig, group_index_mismatch, make_device,
                   phase_mismatch_vs_converted, pm_efficiency, pump_for, sinc,
                   solve_poling_period, wavenumber_mismatch)
 from .tuning import (HubSweepPoint, Spectrum, SweetSpotReport, TuningConstraints,
-                     TuningResult, channel_count, hub_sweep, pm_spectrum_columns,
+                     TuningResult, hub_sweep, pm_spectrum_columns,
                      sweep_csv_rows, sweet_spot_report, tuning_range)
 
 __version__ = "0.1.0"
@@ -39,7 +39,7 @@ __all__ = [
     "get_material", "group_index", "index_derivative", "load_material_file",
     "refractive_index",
     # dwdm
-    "DwdmGrid", "EfficiencyCurve", "LaserSpec", "PumpPlan", "PumpPlanEntry",
+    "DwdmGrid", "EfficiencyCurve", "LaserSpec", "PumpPlan",
     "efficiency_curve_columns", "plan_pumps", "port_frequency",
     # errors
     "ConfigError", "ConvergenceError", "DegenerateError", "DomainError", "QfcHubError",
@@ -55,6 +55,6 @@ __all__ = [
     "solve_poling_period", "wavenumber_mismatch",
     # tuning
     "HubSweepPoint", "Spectrum", "SweetSpotReport", "TuningConstraints",
-    "TuningResult", "channel_count", "hub_sweep", "pm_spectrum_columns",
+    "TuningResult", "hub_sweep", "pm_spectrum_columns",
     "sweep_csv_rows", "sweet_spot_report", "tuning_range",
 ]

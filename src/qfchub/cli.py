@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -223,8 +224,10 @@ def cmd_pm_scan(config: RunConfig, args: argparse.Namespace) -> dict:
     ext = config.output_format
     out = _out_path(config, f"pm_scan.{ext}")
     if ext == "json":
-        payload = [dict(zip(SPECTRUM_CSV_COLUMNS, row))
-                   for row in zip(*(c.tolist() for c in spectrum))]
+        columns = [c.tolist() for c in spectrum]
+        # JSON has no NaN: null is an efficiency undefined where n^2 < 0
+        columns[3] = [None if math.isnan(e) else e for e in columns[3]]
+        payload = [dict(zip(SPECTRUM_CSV_COLUMNS, row)) for row in zip(*columns)]
         write_json(out, payload)
     else:
         write_csv(out, SPECTRUM_CSV_COLUMNS, _spectrum_rows(spectrum))
@@ -323,23 +326,21 @@ def cmd_plan(config: RunConfig, args: argparse.Namespace) -> dict:
             "signal_frequency_THz": plan.signal_frequency_thz,
             "poling_period_um": plan.poling_period_um,
             "center_frequency_THz": plan.center_frequency_thz,
-            "ports": [{"port": e.port, "nu_c_THz": round(e.nu_c_thz, 6),
-                       "lambda_c_nm": round(e.lambda_c_nm, 2),
-                       "nu_p_THz": round(e.nu_p_thz, 6),
-                       "lambda_p_nm": round(e.lambda_p_nm, 2),
-                       "in_laser_range": e.in_laser_range,
-                       "rel_eff": round(e.relative_efficiency, 6)}
-                      for e in plan.entries],
+            "ports": [dict(zip(PLAN_CSV_COLUMNS, (
+                port, round(nu_c, 6), round(lam_c, 2), round(nu_p, 6), round(lam_p, 2),
+                in_range, round(eff, 6))))
+                for port, (nu_c, lam_c, nu_p, lam_p, in_range, eff)
+                in enumerate(zip(*(c.tolist() for c in plan[3:])), start=1)],
         }
         write_json(out, payload)
     else:
         write_csv(out, PLAN_CSV_COLUMNS, plan_csv_rows(plan))
-    pumps = [e.lambda_p_nm for e in plan.entries]
-    summary = {"ports": len(plan.entries),
+    pumps = plan.lambda_p_nm.tolist()
+    summary = {"ports": len(pumps),
                "poling_period_um": round(plan.poling_period_um, 6),
                "pump_min_nm": round(min(pumps), 2),
                "pump_max_nm": round(max(pumps), 2),
-               "all_in_laser_range": all(e.in_laser_range for e in plan.entries),
+               "all_in_laser_range": all(plan.in_laser_range.tolist()),
                "output": str(out)}
     if curve is not None:
         curve_out = _write_curve(out.with_name(out.stem + "_curve.csv"), curve)

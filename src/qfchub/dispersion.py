@@ -8,6 +8,7 @@ pure, so they are safe under any amount of concurrency.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -17,7 +18,8 @@ import numpy as np
 from .constants import C_NM_THZ, C_UM_THZ
 from .errors import DomainError, ValidityError
 
-_FORMS = ("thermal_poles", "lambda_sq_poles")
+_FORMS = {"thermal_poles": "6 coefficients, 4 thermal coefficients, 2 thermal references",
+          "lambda_sq_poles": "a non-empty even number of coefficients"}
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,16 @@ class SellmeierModel:
     def __post_init__(self) -> None:
         if self.form not in _FORMS:
             raise DomainError(f"unknown dispersion form {self.form!r}")
+        k = len(self.coefficients)
+        if not (k == 6 and len(self.thermal_coefficients) == 4
+                and len(self.thermal_reference) == 2 if self.form == "thermal_poles"
+                else k > 0 and k % 2 == 0):
+            raise DomainError(
+                f"material {self.name!r}: {self.form} needs {_FORMS[self.form]}")
+        if not all(len(w) == 2 and w[0] < w[1]
+                   for w in (self.wavelength_um, self.temperature_c)):
+            raise DomainError(
+                f"material {self.name!r}: validity windows must be ascending pairs")
 
     def in_validity(self, wavelength_um, temperature_c):
         """Elementwise: True where (wavelength, temperature) is inside the fit's domain."""
@@ -115,30 +127,35 @@ def _dn2_dlam(model: SellmeierModel, lam, temperature_c: float):
     return d
 
 
+def _index(model: SellmeierModel, wavelength_um, temperature_c: float,
+           allow_extrapolation: bool):
+    """n(lambda, T) as numpy values, after the validity and n^2 > 1 checks."""
+    if not allow_extrapolation:
+        _require_validity(model, wavelength_um, temperature_c)
+    n2 = _n_squared(model, wavelength_um, temperature_c)
+    if np.any(n2 <= 1.0):
+        raise DomainError(
+            f"{model.name}: n^2 <= 1 at requested point; fit is unusable here")
+    return np.sqrt(n2)
+
+
 def refractive_index(model: SellmeierModel, wavelength_um, temperature_c: float,
                      allow_extrapolation: bool = False):
     """Extraordinary refractive index n(lambda, T), dimensionless.
 
     Raises ValidityError outside the model domain unless
     ``allow_extrapolation`` is set (extrapolated values must be flagged by
-    the caller in any emitted output).
+    the caller in any emitted output), and DomainError where n^2 <= 1; so
+    do ``index_derivative`` and ``group_index``.
     """
-    if not allow_extrapolation:
-        _require_validity(model, wavelength_um, temperature_c)
-    n2 = _n_squared(model, wavelength_um, temperature_c)
-    if np.any(np.asarray(n2) <= 1.0):
-        raise DomainError(
-            f"{model.name}: n^2 <= 1 at requested point; fit is unusable here")
-    n = np.sqrt(n2)
+    n = _index(model, wavelength_um, temperature_c, allow_extrapolation)
     return float(n) if np.isscalar(wavelength_um) else n
 
 
 def index_derivative(model: SellmeierModel, wavelength_um, temperature_c: float,
                      allow_extrapolation: bool = False):
     """Analytic dn/dlambda in 1/um."""
-    if not allow_extrapolation:
-        _require_validity(model, wavelength_um, temperature_c)
-    n = np.sqrt(_n_squared(model, wavelength_um, temperature_c))
+    n = _index(model, wavelength_um, temperature_c, allow_extrapolation)
     d = _dn2_dlam(model, wavelength_um, temperature_c) / (2.0 * n)
     return float(d) if np.isscalar(wavelength_um) else d
 
@@ -146,10 +163,8 @@ def index_derivative(model: SellmeierModel, wavelength_um, temperature_c: float,
 def group_index(model: SellmeierModel, wavelength_um, temperature_c: float,
                 allow_extrapolation: bool = False):
     """Group index n - lambda * dn/dlambda, dimensionless."""
-    if not allow_extrapolation:
-        _require_validity(model, wavelength_um, temperature_c)
     lam = np.asarray(wavelength_um, dtype=float)
-    n = np.sqrt(_n_squared(model, lam, temperature_c))
+    n = _index(model, lam, temperature_c, allow_extrapolation)
     g = n - lam * _dn2_dlam(model, lam, temperature_c) / (2.0 * n)
     return float(g) if np.isscalar(wavelength_um) else g
 
@@ -189,34 +204,39 @@ class SpectralPoint:
 
 def _model_from_record(rec: dict) -> SellmeierModel:
     try:
-        return SellmeierModel(
-            name=rec["name"],
-            form=rec["form"],
-            coefficients=tuple(rec["coefficients"]),
-            thermal_coefficients=tuple(rec.get("thermal_coefficients", ())),
-            thermal_reference=tuple(rec.get("thermal_reference", ())),
-            temperature_form=rec.get("temperature_form", ""),
-            wavelength_um=tuple(rec["wavelength_um"]),
-            temperature_c=tuple(rec["temperature_c"]),
-            comment=rec.get("comment", ""),
-        )
+        numbers = {key: tuple(rec.get(key, ()) if key.startswith("thermal_") else rec[key])
+                   for key in ("coefficients", "thermal_coefficients", "thermal_reference",
+                               "wavelength_um", "temperature_c")}
+        name, form = rec["name"], rec["form"]
     except KeyError as exc:
         raise DomainError(f"material record missing field {exc}") from exc
+    if not all(type(v) is float and math.isfinite(v)
+               for values in numbers.values() for v in values):
+        raise DomainError(f"material {name!r}: numeric fields must be finite numbers")
+    return SellmeierModel(name=name, form=form, comment=rec.get("comment", ""),
+                          temperature_form=rec.get("temperature_form", ""), **numbers)
+
+
+def _read_materials(source) -> dict[str, SellmeierModel]:
+    """The models of a ``{"materials": [record, ...]}`` JSON file, by name; every
+    JSON number parses as a float, so one type test finds each non-number."""
+    try:
+        records = json.loads(source.read_text(), parse_int=float)["materials"]
+        return {m.name: m for m in map(_model_from_record, records)}
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        raise DomainError(
+            f"bad material file {source}: {type(exc).__name__}: {exc}") from None
 
 
 def load_material_file(path: str | Path) -> dict[str, SellmeierModel]:
-    """Load user-supplied material models from a JSON key-value file."""
-    payload = json.loads(Path(path).read_text())
-    records = payload["materials"] if isinstance(payload, dict) else payload
-    models = [_model_from_record(rec) for rec in records]
-    return {m.name: m for m in models}
+    """Load user-supplied material models from a JSON file laid out like the
+    package's ``data/materials.json``; any fault in it raises DomainError."""
+    return _read_materials(Path(path))
 
 
 def builtin_materials() -> dict[str, SellmeierModel]:
     """The coefficient sets shipped with the package."""
-    text = resources.files("qfchub").joinpath("data/materials.json").read_text()
-    records = json.loads(text)["materials"]
-    return {m.name: m for m in map(_model_from_record, records)}
+    return _read_materials(resources.files("qfchub").joinpath("data/materials.json"))
 
 
 _BUILTIN_CACHE: dict[str, SellmeierModel] | None = None

@@ -9,7 +9,7 @@ plan's center channel.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -48,27 +48,19 @@ class LaserSpec:
         if not 0 < self.min_wavelength_nm < self.max_wavelength_nm < math.inf:
             raise DomainError("laser range must satisfy 0 < min < max < inf")
 
-    def contains(self, wavelength_nm: float) -> bool:
-        return self.min_wavelength_nm <= wavelength_nm <= self.max_wavelength_nm
 
+class PumpPlan(NamedTuple):
+    """A pump plan as columns, one array entry per port: port n is row n - 1."""
 
-@dataclass(frozen=True)
-class PumpPlanEntry:
-    port: int
-    nu_c_thz: float
-    lambda_c_nm: float
-    nu_p_thz: float
-    lambda_p_nm: float
-    in_laser_range: bool
-    relative_efficiency: float
-
-
-@dataclass(frozen=True)
-class PumpPlan:
     signal_frequency_thz: float
     poling_period_um: float
     center_frequency_thz: float
-    entries: tuple[PumpPlanEntry, ...]
+    nu_c_thz: np.ndarray
+    lambda_c_nm: np.ndarray
+    nu_p_thz: np.ndarray
+    lambda_p_nm: np.ndarray
+    in_laser_range: np.ndarray
+    relative_efficiency: np.ndarray
 
 
 def port_frequency(grid: DwdmGrid, port: int) -> float:
@@ -82,42 +74,32 @@ def port_frequency(grid: DwdmGrid, port: int) -> float:
 def plan_pumps(grid: DwdmGrid, signal_frequency_thz: float, laser: LaserSpec,
                length_mm: float, temperature_c: float, material: SellmeierModel,
                center_frequency_thz: float | None = None) -> PumpPlan:
-    """One pump record per DeMux port for a fixed signal frequency.
+    """One pump per DeMux port for a fixed signal frequency.
 
     The poling period is solved once at the plan center, by default the
     middle port or the midpoint of the two middle ports; every port's
     relative efficiency is the phase-matching function evaluated at that
-    port's detuning (1.0 at the center by construction).
+    port's detuning (1.0 at the center by construction). A pump is in the
+    laser range when its wavelength lies within the closed interval.
     """
     n = grid.port_count
-    freqs = [port_frequency(grid, p) for p in range(1, n + 1)]
-    if signal_frequency_thz <= max(freqs):
+    nu_c = np.array([port_frequency(grid, p) for p in range(1, n + 1)])
+    if signal_frequency_thz <= nu_c.max():
         raise DomainError(
             f"signal frequency {signal_frequency_thz:.3f} THz must exceed every "
-            f"port frequency (max {max(freqs):.3f} THz)")
+            f"port frequency (max {nu_c.max():.3f} THz)")
     center = center_frequency_thz
     if center is None:  # for odd n both name the middle port, and 0.5 * (x + x) == x
-        center = 0.5 * (freqs[(n - 1) // 2] + freqs[n // 2])
+        center = float(0.5 * (nu_c[(n - 1) // 2] + nu_c[n // 2]))
     signal = SpectralPoint.from_frequency_thz(signal_frequency_thz)
     period = solve_poling_period(
         signal, SpectralPoint.from_frequency_thz(center), temperature_c, material)
     device = DeviceConfig(period, length_mm, temperature_c, material)
-    eff = device_efficiency(device, signal_frequency_thz, np.array(freqs))
-
-    entries = []
-    for port_index, (nu_c, e) in enumerate(zip(freqs, eff), start=1):
-        nu_p = signal_frequency_thz - nu_c
-        lam_p = C_NM_THZ / nu_p
-        entries.append(PumpPlanEntry(
-            port=port_index,
-            nu_c_thz=nu_c,
-            lambda_c_nm=C_NM_THZ / nu_c,
-            nu_p_thz=nu_p,
-            lambda_p_nm=lam_p,
-            in_laser_range=laser.contains(lam_p),
-            relative_efficiency=float(e),
-        ))
-    return PumpPlan(signal_frequency_thz, period, center, tuple(entries))
+    nu_p = signal_frequency_thz - nu_c
+    lam_p = C_NM_THZ / nu_p
+    in_range = (laser.min_wavelength_nm <= lam_p) & (lam_p <= laser.max_wavelength_nm)
+    return PumpPlan(signal_frequency_thz, period, center, nu_c, C_NM_THZ / nu_c, nu_p,
+                    lam_p, in_range, device_efficiency(device, signal_frequency_thz, nu_c))
 
 
 class EfficiencyCurve(NamedTuple):
@@ -176,4 +158,4 @@ PLAN_CSV_COLUMNS = ("port", "nu_c_THz", "lambda_c_nm", "nu_p_THz", "lambda_p_nm"
 def plan_csv_rows(plan: PumpPlan) -> list[str]:
     """Wavelengths at 2 decimals (nm) and frequencies at 3 decimals (THz)."""
     return csv_rows("{},{:.3f},{:.2f},{:.3f},{:.2f},{},{:.6f}",
-                    *zip(*map(astuple, plan.entries)))
+                    range(1, plan.nu_c_thz.size + 1), *plan[3:])

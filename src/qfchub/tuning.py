@@ -116,15 +116,6 @@ class SweetSpotReport:
     is_second_harmonic_midpoint: bool
 
 
-def channel_count(width_thz: float, spacing_ghz: float) -> int:
-    """Number of DWDM channels of the given spacing that fit in the width."""
-    if width_thz < 0:
-        raise DomainError(f"width must be non-negative, got {width_thz}")
-    if spacing_ghz <= 0:
-        raise DomainError(f"channel spacing must be positive, got {spacing_ghz}")
-    return int(np.floor(width_thz * 1000.0 / spacing_ghz))
-
-
 def _validity_bounds_nu_c(nu_s, model: SellmeierModel):
     """Converted-frequency interval, per signal frequency, on which
     ``model.in_validity`` holds for both converted and pump."""

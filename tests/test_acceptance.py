@@ -166,10 +166,10 @@ def test_criterion_7_relative_efficiency_band(jundt):
 def test_criterion_8_dwdm_plan(jundt):
     grid = DwdmGrid()
     plan = plan_pumps(grid, 384.200, LaserSpec(), 40.0, TEMPERATURE_C, jundt)
-    lam_first = plan.entries[0].lambda_c_nm
-    lam_last = plan.entries[-1].lambda_c_nm
+    lam_first = plan.lambda_c_nm[0]
+    lam_last = plan.lambda_c_nm[-1]
     span = lam_last - lam_first
-    port7 = plan.entries[6]
+    port7_pump = plan.lambda_p_nm[6]  # port n is row n - 1
     checks = {
         "port1": abs(port_frequency(grid, 1) - 194.850) < 1e-12,
         "port16": abs(port_frequency(grid, 16) - 194.475) < 1e-12,
@@ -179,13 +179,13 @@ def test_criterion_8_dwdm_plan(jundt):
         "span_width": abs(span - (1541.63 - 1538.66)) <= 0.01,
         "span_endpoints": (abs(lam_first - 1538.66) <= 0.1
                            and abs(lam_last - 1541.63) <= 0.1),
-        "port7_pump": abs(port7.lambda_p_nm - 1582.02) <= 0.01,
-        "pumps_in_laser": all(e.in_laser_range for e in plan.entries),
+        "port7_pump": abs(port7_pump - 1582.02) <= 0.01,
+        "pumps_in_laser": bool(plan.in_laser_range.all()),
     }
     ok = all(checks.values())
     report("criterion 8 (DWDM plan)", ok,
            f"span = [{lam_first:.4f}, {lam_last:.4f}] nm, "
-           f"port-7 pump = {port7.lambda_p_nm:.4f} nm, "
+           f"port-7 pump = {port7_pump:.4f} nm, "
            + ", ".join(f"{k}={v}" for k, v in checks.items()))
 
 

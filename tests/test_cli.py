@@ -121,6 +121,19 @@ def test_pm_scan_peak_skips_nan_points(tmp_path, run_cli):
     assert summary["peak_lambda_c_nm"] == 1540.0
 
 
+def test_pm_scan_json_writes_null_for_nan(tmp_path, run_cli):
+    # strict JSON has no NaN token; the CSV of the same scan keeps "nan"
+    argv = ["pm-scan", "--signal", "780", "--target", "1540", "--window-thz", "190",
+            "--step-ghz", "1000", "--allow-extrapolation"]
+    summary = summary_of(run_cli([*argv, "--format", "json"], tmp_path))
+    records = json.loads((tmp_path / summary["output"]).read_text(),
+                         parse_constant=_reject_constant)
+    rows = read_schema_csv(tmp_path / summary_of(run_cli(argv, tmp_path))["output"])
+    assert ([r["efficiency"] is None for r in records]
+            == [r["efficiency"] == "nan" for r in rows])
+    assert sum(r["efficiency"] is None for r in records) == 32
+
+
 def test_pm_scan_narrow_peak_493(tmp_path, run_cli):
     proc = run_cli(["pm-scan", "--signal", "493", "--target", "1540",
                     "--window-thz", "1", "--step-ghz", "0.5"], tmp_path)
@@ -337,6 +350,75 @@ def test_bad_config_exits_2(tmp_path, run_cli):
     proc = run_cli(["plan", "--config", "bad.json"], tmp_path)
     assert proc.returncode == 2
     assert "unknown config keys" in proc.stderr
+
+
+_BUILTIN_RECORDS = {r["name"]: r for r in json.loads(
+    (Path(qfchub.__file__).parent / "data" / "materials.json").read_text())["materials"]}
+
+
+def _material_file(base, **changes):
+    """A one-record material file: built-in record ``base`` named "custom",
+    with ``changes`` applied (a value of None drops that field)."""
+    record = {**_BUILTIN_RECORDS[base], "name": "custom", **changes}
+    return json.dumps({"materials": [{k: v for k, v in record.items() if v is not None}]})
+
+
+# 22 C lies inside the validity window of both base records
+_CUSTOM_INDEX = ["index", "1540", "--material-file", "mats.json", "--material", "custom",
+                 "--temperature", "22"]
+_JUNDT_COEFFICIENTS = _BUILTIN_RECORDS["jundt1997"]["coefficients"]
+_ZELMON_COEFFICIENTS = _BUILTIN_RECORDS["zelmon1997"]["coefficients"]
+
+
+def test_good_material_file_runs(tmp_path, run_cli):
+    # the controls of the bad files below; lambda_sq_poles may omit thermal fields
+    for text in (_material_file("jundt1997"),
+                 _material_file("zelmon1997", thermal_coefficients=None,
+                                thermal_reference=None)):
+        (tmp_path / "mats.json").write_text(text)
+        assert summary_of(run_cli(_CUSTOM_INDEX, tmp_path))["rows"] == 1
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(None, id="missing-file"),
+    pytest.param("{not json", id="unparsable"),
+    pytest.param(json.dumps({"models": []}), id="no-materials-key"),
+    pytest.param(json.dumps(json.loads(_material_file("jundt1997"))["materials"]),
+                 id="bare-list"),
+    pytest.param(json.dumps({"materials": [1.5]}), id="record-not-object"),
+    pytest.param(_material_file("jundt1997", coefficients=_JUNDT_COEFFICIENTS[:5]),
+                 id="thermal-5-coefficients"),
+    pytest.param(_material_file("jundt1997", thermal_coefficients=[0.0] * 3),
+                 id="thermal-3-thermal-coefficients"),
+    pytest.param(_material_file("jundt1997", thermal_reference=None),
+                 id="thermal-no-reference"),
+    pytest.param(_material_file("zelmon1997", coefficients=_ZELMON_COEFFICIENTS[:3]),
+                 id="poles-odd-count"),
+    pytest.param(_material_file("zelmon1997", coefficients=[]), id="poles-empty"),
+    pytest.param(_material_file("jundt1997",
+                                coefficients=[*_JUNDT_COEFFICIENTS[:5], "0.015334"]),
+                 id="string-coefficient"),
+    pytest.param(_material_file("jundt1997", coefficients=[*_JUNDT_COEFFICIENTS[:5], True]),
+                 id="bool-coefficient"),
+    pytest.param(_material_file("zelmon1997", coefficients=[float("nan"), 0.02]),
+                 id="nan-coefficient"),
+    pytest.param(_material_file("jundt1997", temperature_c=[21.5, float("inf")]),
+                 id="inf-window"),
+    pytest.param(_material_file("jundt1997", wavelength_um=[5.0, 0.4]),
+                 id="descending-wavelengths"),
+    pytest.param(_material_file("zelmon1997", temperature_c=[25.0, 25.0]),
+                 id="empty-temperatures"),
+    pytest.param(_material_file("jundt1997", wavelength_um=[0.4, 3.0, 5.0]),
+                 id="three-bound-window"),
+])
+def test_bad_material_file_exits_2(text, tmp_path, run_cli):
+    if text is not None:
+        (tmp_path / "mats.json").write_text(text)
+    proc = run_cli(_CUSTOM_INDEX, tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert "material" in proc.stderr  # the file's fault, not a validity window
+    assert proc.stdout == ""
 
 
 def test_reproduce_paper_fast(tmp_path, run_cli):

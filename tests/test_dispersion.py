@@ -97,6 +97,14 @@ def test_group_index_identity(jundt):
         assert group_index(jundt, lam, 48.0) == pytest.approx(n - lam * d, abs=1e-12)
 
 
+def test_index_functions_reject_n_squared_at_most_one(jundt):
+    # jundt1997 extrapolated to 0.2 um has n^2 <= 1: all three fail the same way
+    for f in (refractive_index, index_derivative, group_index):
+        for lam in (0.2, np.array([0.2, 1.54])):
+            with pytest.raises(DomainError, match=r"n\^2 <= 1"):
+                f(jundt, lam, 48.0, allow_extrapolation=True)
+
+
 def test_validity_error_names_bound(jundt):
     with pytest.raises(ValidityError, match=r"0\.400"):
         refractive_index(jundt, 0.35, 48.0)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qfchub import (DeviceConfig, DomainError, DwdmGrid, EfficiencyCurve, LaserSpec,
                     RangeError, efficiency_curve_columns, plan_pumps, port_frequency)
 from qfchub.constants import C_NM_THZ
+from qfchub.qpm import device_efficiency
 
 SIGNAL_THZ = 384.200
 
@@ -45,39 +46,40 @@ def test_grid_validation():
 
 
 def test_plan_port7_reference_operating_point(jundt):
-    plan = plan_pumps(DwdmGrid(), SIGNAL_THZ, LaserSpec(), 40.0, 48.0, jundt)
-    entry = plan.entries[6]
-    assert entry.port == 7
-    assert entry.nu_c_thz == pytest.approx(194.700, abs=1e-12)
-    assert entry.nu_p_thz == pytest.approx(189.500, abs=1e-12)
-    assert entry.lambda_p_nm == pytest.approx(1582.02, abs=0.005)
-    assert entry.in_laser_range
+    grid = DwdmGrid()
+    plan = plan_pumps(grid, SIGNAL_THZ, LaserSpec(), 40.0, 48.0, jundt)
+    port7 = 6  # port n is row n - 1
+    assert plan.nu_c_thz[port7] == port_frequency(grid, 7)
+    assert plan.nu_c_thz[port7] == pytest.approx(194.700, abs=1e-12)
+    assert plan.nu_p_thz[port7] == pytest.approx(189.500, abs=1e-12)
+    assert plan.lambda_p_nm[port7] == pytest.approx(1582.02, abs=0.005)
+    assert plan.in_laser_range[port7]
 
 
 def test_plan_all_pumps_inside_default_laser(jundt):
     plan = plan_pumps(DwdmGrid(), SIGNAL_THZ, LaserSpec(), 40.0, 48.0, jundt)
-    assert len(plan.entries) == 16
-    assert all(e.in_laser_range for e in plan.entries)
-    pumps = [e.lambda_p_nm for e in plan.entries]
+    assert [column.shape for column in plan[3:]] == [(16,)] * 6
+    assert plan.in_laser_range.all()
+    pumps = plan.lambda_p_nm
     assert max(pumps) - min(pumps) < 36.0  # pump span well inside the laser span
 
 
 def test_plan_energy_conservation_and_determinism(jundt):
     plan_a = plan_pumps(DwdmGrid(), SIGNAL_THZ, LaserSpec(), 40.0, 48.0, jundt)
     plan_b = plan_pumps(DwdmGrid(), SIGNAL_THZ, LaserSpec(), 40.0, 48.0, jundt)
-    assert plan_a == plan_b
-    for e in plan_a.entries:
-        assert e.nu_p_thz + e.nu_c_thz == pytest.approx(SIGNAL_THZ, rel=1e-9)
-        assert 0.0 <= e.relative_efficiency <= 1.0
+    assert all(np.array_equal(a, b) for a, b in zip(plan_a, plan_b))
+    assert plan_a.nu_p_thz + plan_a.nu_c_thz == pytest.approx(
+        np.full(16, SIGNAL_THZ), rel=1e-9)
+    assert np.all((0.0 <= plan_a.relative_efficiency) & (plan_a.relative_efficiency <= 1.0))
 
 
 def test_plan_relative_efficiency_peaks_at_center(jundt):
     plan = plan_pumps(DwdmGrid(), SIGNAL_THZ, LaserSpec(), 40.0, 48.0, jundt)
     # the period is solved between ports 8 and 9; efficiency dips at the edges
-    mid = 0.5 * (plan.entries[7].relative_efficiency
-                 + plan.entries[8].relative_efficiency)
-    assert mid > plan.entries[0].relative_efficiency
-    assert mid > plan.entries[-1].relative_efficiency
+    rel = plan.relative_efficiency
+    mid = 0.5 * (rel[7] + rel[8])
+    assert mid > rel[0]
+    assert mid > rel[-1]
     assert mid > 0.9999
 
 
@@ -85,10 +87,40 @@ def test_plan_flags_out_of_laser_pump(jundt):
     # a hypothetical port at 191.0 THz needs an out-of-range pump near 1551.6 nm
     grid = DwdmGrid(anchor_frequency_thz=191.0, spacing_ghz=25.0, port_count=1)
     plan = plan_pumps(grid, SIGNAL_THZ, LaserSpec(), 40.0, 48.0, jundt)
-    entry = plan.entries[0]
-    assert entry.nu_p_thz == pytest.approx(193.200, abs=1e-12)
-    assert entry.lambda_p_nm == pytest.approx(1551.7, abs=0.1)
-    assert not entry.in_laser_range
+    assert plan.nu_p_thz[0] == pytest.approx(193.200, abs=1e-12)
+    assert plan.lambda_p_nm[0] == pytest.approx(1551.7, abs=0.1)
+    assert not plan.in_laser_range[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(ports=st.integers(1, 64), spacing_ghz=st.floats(12.5, 100.0),
+       anchor_thz=st.floats(190.0, 200.0), signal_thz=st.floats(300.0, 700.0),
+       pick=st.integers(0, 63), bound=st.sampled_from(["min", "max", "none"]),
+       width_nm=st.floats(0.01, 100.0), offset_nm=st.floats(-50.0, 50.0))
+def test_plan_columns_match_per_port_reference(jundt, ports, spacing_ghz, anchor_thz,
+                                               signal_thz, pick, bound, width_nm,
+                                               offset_nm):
+    grid = DwdmGrid(anchor_thz, spacing_ghz, ports)
+    nu_c = [port_frequency(grid, p) for p in range(1, ports + 1)]
+    lam_p = [C_NM_THZ / (signal_thz - f) for f in nu_c]
+    at = lam_p[pick % ports]  # a laser bound may sit exactly on this pump
+    laser = {"min": LaserSpec(at, at + width_nm),
+             "max": LaserSpec(at - width_nm, at),
+             "none": LaserSpec(at + offset_nm, at + offset_nm + width_nm)}[bound]
+    plan = plan_pumps(grid, signal_thz, laser, 40.0, 48.0, jundt)
+    device = DeviceConfig(plan.poling_period_um, 40.0, 48.0, jundt)
+    assert plan.nu_c_thz.tolist() == nu_c
+    assert plan.lambda_c_nm.tolist() == [C_NM_THZ / f for f in nu_c]
+    assert plan.nu_p_thz.tolist() == [signal_thz - f for f in nu_c]
+    assert plan.lambda_p_nm.tolist() == lam_p
+    assert plan.in_laser_range.tolist() == [
+        laser.min_wavelength_nm <= x <= laser.max_wavelength_nm for x in lam_p]
+    # numpy's vectorized sin and its scalar path may differ in the last bit
+    assert plan.relative_efficiency.tolist() == pytest.approx(
+        [float(device_efficiency(device, signal_thz, f)) for f in nu_c],
+        rel=1e-12, abs=1e-15)
+    if bound != "none":
+        assert plan.in_laser_range[pick % ports]
 
 
 def test_plan_rejects_low_signal(jundt):

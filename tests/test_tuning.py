@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfchub import (DomainError, TuningConstraints, channel_count,
-                    group_index_mismatch, hub_sweep, make_device, pm_efficiency,
-                    pm_spectrum_columns, sweet_spot_report, tuning_range,
-                    wavenumber_mismatch)
+from qfchub import (DomainError, TuningConstraints, group_index_mismatch, hub_sweep,
+                    make_device, pm_efficiency, pm_spectrum_columns,
+                    sweet_spot_report, tuning_range, wavenumber_mismatch)
 from qfchub import tuning
 from qfchub.dispersion import SpectralPoint
 from qfchub.errors import QfcHubError
@@ -154,16 +153,6 @@ def test_pm_spectrum_flags_extrapolated_points(jundt):
     spectrum = pm_spectrum_columns(500.0, 4800.0, device, window_thz=5.0, step_ghz=50.0)
     assert spectrum.extrapolated.any()
     assert not spectrum.extrapolated.all()
-
-
-def test_channel_count():
-    assert channel_count(2.465, 25.0) == 98
-    assert channel_count(4.071, 25.0) == 162
-    assert channel_count(0.0, 25.0) == 0
-    with pytest.raises(DomainError):
-        channel_count(-1.0, 25.0)
-    with pytest.raises(DomainError):
-        channel_count(1.0, 0.0)
 
 
 def test_hub_sweep_deterministic_across_workers(jundt, separation_20):
