@@ -5,6 +5,7 @@ Computes temperature-dependent dispersion, phase-matching spectra and
 polarization-preserving conversion channel with process tomography.
 """
 
+from . import emit
 from .constants import C_NM_THZ, C_UM_THZ
 from .dispersion import (DEFAULT_MATERIAL, SellmeierModel, SpectralPoint,
                          builtin_materials, get_material, group_index,
@@ -24,7 +25,7 @@ from .qpm import (DeviceConfig, group_index_mismatch, make_device,
                   solve_poling_period, wavenumber_mismatch)
 from .tuning import (HubSweepPoint, Spectrum, SweetSpotReport, TuningConstraints,
                      TuningResult, hub_sweep, pm_spectrum_columns,
-                     sweep_csv_rows, sweet_spot_report, tuning_range)
+                     sweet_spot_report, tuning_range)
 
 __version__ = "0.1.0"
 
@@ -56,5 +57,5 @@ __all__ = [
     # tuning
     "HubSweepPoint", "Spectrum", "SweetSpotReport", "TuningConstraints",
     "TuningResult", "hub_sweep", "pm_spectrum_columns",
-    "sweep_csv_rows", "sweet_spot_report", "tuning_range",
+    "sweet_spot_report", "tuning_range",
 ]

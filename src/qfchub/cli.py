@@ -20,8 +20,7 @@ import numpy as np
 
 from .config import ENV_CONFIG_PATH, RunConfig, apply_overrides, load_config
 from .dispersion import get_material, group_index, index_derivative, refractive_index
-from .dwdm import (PLAN_CSV_COLUMNS, EfficiencyCurve, PumpPlan, efficiency_curve_columns,
-                   plan_csv_rows, plan_pumps)
+from .dwdm import EfficiencyCurve, PumpPlan, efficiency_curve_columns, plan_pumps
 from .emit import csv_rows, read_two_column_csv, write_csv, write_json
 from .errors import (ConfigError, ConvergenceError, DegenerateError, DomainError,
                      RangeError, SingularityError, ValidityError)
@@ -30,8 +29,7 @@ from .polarization import (PolarizationState, QfcChannelModel, apply_channel,
                            chi_payload, fit_efficiency, kraus_to_chi,
                            process_fidelity, reconstruct_chi, simulate_tomography)
 from .qpm import DeviceConfig, make_device
-from .tuning import (SWEEP_CSV_COLUMNS, HubSweepPoint, Spectrum, hub_sweep,
-                     pm_spectrum_columns, sweep_csv_rows, sweet_spot_report,
+from .tuning import (HubSweepPoint, hub_sweep, pm_spectrum_columns, sweet_spot_report,
                      tuning_range, tuning_result_payload)
 
 USAGE_EXIT = 2
@@ -41,9 +39,16 @@ _USAGE_ERRORS = (ValidityError, DomainError, RangeError, ConfigError)
 _NUMERIC_ERRORS = (DegenerateError, SingularityError, ConvergenceError,
                    FloatingPointError, ZeroDivisionError)
 
-SPECTRUM_CSV_COLUMNS = ("nu_c_THz", "lambda_c_nm", "lambda_p_nm", "efficiency",
-                        "extrapolated")
-INDEX_CSV_COLUMNS = ("wavelength_nm", "n", "dn_dlambda_per_um", "group_index")
+# The CSV layouts, (header, row format) as emit.write_csv takes them
+INDEX_CSV = (("wavelength_nm", "n", "dn_dlambda_per_um", "group_index"),
+             "{:.4f},{:.8f},{:.8f},{:.8f}")
+SPECTRUM_CSV = (("nu_c_THz", "lambda_c_nm", "lambda_p_nm", "efficiency", "extrapolated"),
+                "{:.6f},{:.4f},{:.4f},{:.8f},{}")
+SWEEP_CSV = (("signal_nm", "lo_nm", "hi_nm", "width_nm", "width_THz", "channels",
+              "limiting_constraint"), "{:.4f},{:.4f},{:.4f},{:.4f},{:.6f},{},{}")
+PLAN_CSV = (("port", "nu_c_THz", "lambda_c_nm", "nu_p_THz", "lambda_p_nm",
+             "in_laser_range", "rel_eff"), "{},{:.3f},{:.2f},{:.3f},{:.2f},{},{:.6f}")
+CURVE_CSV = (("nu_p_THz", "rel_eff", "extrapolated"), "{:.6f},{:.8f},{}")
 
 
 # Each destination is the RunConfig field the flag sets (_resolve_config reads
@@ -192,26 +197,23 @@ def cmd_index(config: RunConfig, args: argparse.Namespace) -> dict:
         raise ConfigError("index --format json writes a file: give --output")
     model = get_material(config.material, config.material_file)
     um = [nm / 1000.0 for nm in args.wavelengths_nm]
-    rows = csv_rows("{:.4f},{:.8f},{:.8f},{:.8f}", args.wavelengths_nm,
-                    *([f(model, x, config.temperature_c, config.allow_extrapolation)
-                       for x in um]
-                      for f in (refractive_index, index_derivative, group_index)))
+    columns = [args.wavelengths_nm,
+               *([f(model, x, config.temperature_c, config.allow_extrapolation)
+                  for x in um]
+                 for f in (refractive_index, index_derivative, group_index))]
+    header, fmt = INDEX_CSV
+    rows = csv_rows(fmt, *columns)
     if config.output:
         if config.output_format == "json":
-            payload = [dict(zip(INDEX_CSV_COLUMNS, map(float, row.split(","))))
-                       for row in rows]
+            payload = [dict(zip(header, map(float, row.split(",")))) for row in rows]
             out = write_json(config.output, payload)
         else:
-            out = write_csv(config.output, INDEX_CSV_COLUMNS, rows)
+            out = write_csv(config.output, INDEX_CSV, *columns)
         return {"rows": len(rows), "output": str(out)}
-    print(",".join(INDEX_CSV_COLUMNS))
+    print(",".join(header))
     for row in rows:
         print(row)
     return {"rows": len(rows)}
-
-
-def _spectrum_rows(spectrum: Spectrum) -> list[str]:
-    return csv_rows("{:.6f},{:.4f},{:.4f},{:.8f},{}", *spectrum)
 
 
 def cmd_pm_scan(config: RunConfig, args: argparse.Namespace) -> dict:
@@ -227,10 +229,10 @@ def cmd_pm_scan(config: RunConfig, args: argparse.Namespace) -> dict:
         columns = [c.tolist() for c in spectrum]
         # JSON has no NaN: null is an efficiency undefined where n^2 < 0
         columns[3] = [None if math.isnan(e) else e for e in columns[3]]
-        payload = [dict(zip(SPECTRUM_CSV_COLUMNS, row)) for row in zip(*columns)]
+        payload = [dict(zip(SPECTRUM_CSV[0], row)) for row in zip(*columns)]
         write_json(out, payload)
     else:
-        write_csv(out, SPECTRUM_CSV_COLUMNS, _spectrum_rows(spectrum))
+        write_csv(out, SPECTRUM_CSV, *spectrum)
     # the first highest efficiency; a NaN point (n^2 < 0 when extrapolating) is
     # never the peak, and the center is always a finite point
     peak = int(np.nanargmax(spectrum.efficiency))
@@ -256,7 +258,7 @@ def cmd_tuning_range(config: RunConfig, args: argparse.Namespace) -> dict:
             write_json(config.output, summary)
         else:
             point = HubSweepPoint(args.signal, result)
-            write_csv(config.output, SWEEP_CSV_COLUMNS, sweep_csv_rows([point]))
+            write_csv(config.output, SWEEP_CSV, *_sweep_columns([point]))
         summary["output"] = config.output
     return summary
 
@@ -271,6 +273,13 @@ def cmd_sweet_spot(config: RunConfig, args: argparse.Namespace) -> dict:
             "midpoint_nm": round(report.midpoint_nm, 4),
             "second_harmonic_nm": report.second_harmonic_nm,
             "is_second_harmonic_midpoint": report.is_second_harmonic_midpoint}
+
+
+def _sweep_columns(points: list[HubSweepPoint]) -> list[tuple]:
+    """The columns of ``SWEEP_CSV``, transposed from the sweep's points."""
+    return list(zip(*((p.signal_nm, *p.tuning.converted_interval_nm, p.tuning.width_nm,
+                       p.tuning.width_thz, p.tuning.channel_count,
+                       p.tuning.limiting_constraint) for p in points)))
 
 
 def cmd_hub_sweep(config: RunConfig, args: argparse.Namespace) -> dict:
@@ -288,7 +297,7 @@ def cmd_hub_sweep(config: RunConfig, args: argparse.Namespace) -> dict:
                    for p in points]
         write_json(out, payload)
     else:
-        write_csv(out, SWEEP_CSV_COLUMNS, sweep_csv_rows(points))
+        write_csv(out, SWEEP_CSV, *_sweep_columns(points))
     widest = max(points, key=lambda p: p.tuning.width_nm)
     return {"target_nm": args.target, "points": len(points),
             "max_width_nm": round(widest.tuning.width_nm, 4),
@@ -310,11 +319,6 @@ def _pump_plan(config: RunConfig, model, center_frequency_thz: float | None,
                                           pump_range, curve_step_ghz)
 
 
-def _write_curve(path: Path, curve: EfficiencyCurve) -> Path:
-    return write_csv(path, ("nu_p_THz", "rel_eff", "extrapolated"),
-                     csv_rows("{:.6f},{:.8f},{}", *curve))
-
-
 def cmd_plan(config: RunConfig, args: argparse.Namespace) -> dict:
     model = get_material(config.material, config.material_file)
     plan, curve = _pump_plan(config, model, args.center_frequency_thz,
@@ -326,7 +330,7 @@ def cmd_plan(config: RunConfig, args: argparse.Namespace) -> dict:
             "signal_frequency_THz": plan.signal_frequency_thz,
             "poling_period_um": plan.poling_period_um,
             "center_frequency_THz": plan.center_frequency_thz,
-            "ports": [dict(zip(PLAN_CSV_COLUMNS, (
+            "ports": [dict(zip(PLAN_CSV[0], (
                 port, round(nu_c, 6), round(lam_c, 2), round(nu_p, 6), round(lam_p, 2),
                 in_range, round(eff, 6))))
                 for port, (nu_c, lam_c, nu_p, lam_p, in_range, eff)
@@ -334,7 +338,7 @@ def cmd_plan(config: RunConfig, args: argparse.Namespace) -> dict:
         }
         write_json(out, payload)
     else:
-        write_csv(out, PLAN_CSV_COLUMNS, plan_csv_rows(plan))
+        write_csv(out, PLAN_CSV, range(1, plan.nu_c_thz.size + 1), *plan[3:])
     pumps = plan.lambda_p_nm.tolist()
     summary = {"ports": len(pumps),
                "poling_period_um": round(plan.poling_period_um, 6),
@@ -343,7 +347,7 @@ def cmd_plan(config: RunConfig, args: argparse.Namespace) -> dict:
                "all_in_laser_range": all(plan.in_laser_range.tolist()),
                "output": str(out)}
     if curve is not None:
-        curve_out = _write_curve(out.with_name(out.stem + "_curve.csv"), curve)
+        curve_out = write_csv(out.with_name(out.stem + "_curve.csv"), CURVE_CSV, *curve)
         band = curve.band()
         summary["curve_output"] = str(curve_out)
         summary["band_90_THz"] = [round(band[0], 4), round(band[1], 4)]
@@ -415,7 +419,7 @@ def cmd_reproduce_paper(config: RunConfig, args: argparse.Namespace) -> dict:
     sweep_constraints = replace(config.tuning_constraints(),
                                 constraint_mode="min_pump_converted_separation",
                                 constraint_value_nm=20.0)
-    sweeps = [(name, sweep_csv_rows(hub_sweep((400.0, 1000.0), args.sweep_step, target,
+    sweeps = [(name, _sweep_columns(hub_sweep((400.0, 1000.0), args.sweep_step, target,
                                               config.length_mm, config.temperature_c,
                                               model, sweep_constraints)))
               for target, name in ((1540.0, "sweep_cband.csv"),
@@ -434,16 +438,15 @@ def cmd_reproduce_paper(config: RunConfig, args: argparse.Namespace) -> dict:
     produced = []
     for device, signal, window, step, name in scans:
         spectrum = pm_spectrum_columns(signal, 1540.0, device, window, step)
-        produced.append(write_csv(run_dir / name, SPECTRUM_CSV_COLUMNS,
-                                  _spectrum_rows(spectrum)))
-    for name, rows in sweeps:
-        produced.append(write_csv(run_dir / name, SWEEP_CSV_COLUMNS, rows))
+        produced.append(write_csv(run_dir / name, SPECTRUM_CSV, *spectrum))
+    for name, columns in sweeps:
+        produced.append(write_csv(run_dir / name, SWEEP_CSV, *columns))
     for name, result in ranges:
         produced.append(write_json(run_dir / name, tuning_result_payload(
             result, cutoff_constraints.efficiency_threshold)))
-    produced.append(write_csv(run_dir / "pump_plan.csv", PLAN_CSV_COLUMNS,
-                              plan_csv_rows(plan)))
-    produced.append(_write_curve(run_dir / "pump_plan_curve.csv", curve))
+    produced.append(write_csv(run_dir / "pump_plan.csv", PLAN_CSV,
+                              range(1, plan.nu_c_thz.size + 1), *plan[3:]))
+    produced.append(write_csv(run_dir / "pump_plan_curve.csv", CURVE_CSV, *curve))
 
     return {"directory": str(run_dir), "files": sorted(map(str, produced))}
 

@@ -190,12 +190,6 @@ class SpectralPoint:
         return cls(wavelength_nm / 1000.0, C_NM_THZ / wavelength_nm)
 
     @classmethod
-    def from_wavelength_um(cls, wavelength_um: float) -> "SpectralPoint":
-        if wavelength_um <= 0:
-            raise DomainError(f"wavelength must be positive, got {wavelength_um}")
-        return cls(wavelength_um, C_UM_THZ / wavelength_um)
-
-    @classmethod
     def from_frequency_thz(cls, frequency_thz: float) -> "SpectralPoint":
         if frequency_thz <= 0:
             raise DomainError(f"frequency must be positive, got {frequency_thz}")

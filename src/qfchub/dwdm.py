@@ -16,7 +16,6 @@ import numpy as np
 
 from .constants import C_NM_THZ, C_UM_THZ
 from .dispersion import SellmeierModel, SpectralPoint
-from .emit import csv_rows
 from .errors import DomainError, RangeError
 from .qpm import DeviceConfig, _grid_steps, device_efficiency, solve_poling_period
 
@@ -149,13 +148,3 @@ def efficiency_curve_columns(device: DeviceConfig, signal_frequency_thz: float,
     in_domain = (device.material.in_validity(C_UM_THZ / nu_p, device.temperature_c)
                  & device.material.in_validity(C_UM_THZ / nu_c, device.temperature_c))
     return EfficiencyCurve(nu_p, rel, ~in_domain)
-
-
-PLAN_CSV_COLUMNS = ("port", "nu_c_THz", "lambda_c_nm", "nu_p_THz", "lambda_p_nm",
-                    "in_laser_range", "rel_eff")
-
-
-def plan_csv_rows(plan: PumpPlan) -> list[str]:
-    """Wavelengths at 2 decimals (nm) and frequencies at 3 decimals (THz)."""
-    return csv_rows("{},{:.3f},{:.2f},{:.3f},{:.2f},{},{:.6f}",
-                    range(1, plan.nu_c_thz.size + 1), *plan[3:])

@@ -3,13 +3,14 @@
 CSV files carry a versioned ``# schema=N`` comment line ahead of the header
 so downstream plot scripts break loudly when the layout changes. Every row
 is one pre-formatted line from ``csv_rows``, which keeps byte-identical
-output across runs and worker counts.
+output across runs and worker counts. ``write_csv`` formats and writes the
+rows ``_CHUNK_ROWS`` at a time, so a file's text is never held whole.
 """
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .errors import DomainError
 
 CSV_SCHEMA = 1
 _BOOL_TEXT = ("false", "true")
+_CHUNK_ROWS = 65_536
 
 
 def csv_rows(fmt: str, *columns) -> list[str]:
@@ -34,36 +36,51 @@ def csv_rows(fmt: str, *columns) -> list[str]:
     return list(map(fmt.format, *values)) if values else []
 
 
-def render_csv(columns: Sequence[str], rows: Iterable[str],
-               schema: int = CSV_SCHEMA) -> str:
-    lines = [f"# schema={schema}", ",".join(columns), *rows]
-    return "\n".join(lines) + "\n"
+@contextmanager
+def _created(path: Path):
+    """``path`` open for writing in a made directory, any OSError a DomainError."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("w", newline="\n") as stream:
+            yield stream
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {type(exc).__name__}: {exc}") from None
 
 
-def write_csv(path: str | Path, columns: Sequence[str],
-              rows: Iterable[str], schema: int = CSV_SCHEMA) -> Path:
+def write_csv(path: str | Path, layout: tuple[tuple[str, ...], str], *columns) -> Path:
+    """The schema line, the header of ``layout = (header, fmt)``, then the rows
+    of the columns, formatted by ``csv_rows`` and written ``_CHUNK_ROWS`` at a time."""
+    header, fmt = layout
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render_csv(columns, rows, schema), newline="\n")
+    with _created(path) as stream:
+        stream.write(f"# schema={CSV_SCHEMA}\n{','.join(header)}\n")
+        for start in range(0, len(columns[0]), _CHUNK_ROWS):
+            chunk = csv_rows(fmt, *(c[start:start + _CHUNK_ROWS] for c in columns))
+            stream.write("\n".join(chunk) + "\n")
     return path
 
 
 def write_json(path: str | Path, payload) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n", newline="\n")
+    path, text = Path(path), json.dumps(payload, indent=2) + "\n"
+    with _created(path) as stream:
+        stream.write(text)
     return path
 
 
 def read_two_column_csv(path: str | Path) -> tuple[list[float], list[float]]:
     """Read (x, y) pairs, skipping blank and comment lines and a leading header row.
 
-    Any later row that does not start with two numbers raises DomainError.
+    Any later row that does not start with two numbers raises DomainError, as
+    does a file that cannot be read as UTF-8 text.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read {path}: {type(exc).__name__}: {exc}") from None
     xs: list[float] = []
     ys: list[float] = []
     header_allowed = True
-    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

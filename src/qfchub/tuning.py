@@ -16,7 +16,6 @@ import numpy as np
 
 from .constants import C_NM_THZ, C_UM_THZ, REFINE_GHZ
 from .dispersion import SellmeierModel, SpectralPoint
-from .emit import csv_rows
 from .errors import DomainError
 from .qpm import (DeviceConfig, _grid_steps, device_efficiency, grating_mismatch,
                   group_index_mismatch, make_device, pm_efficiency, pump_for,
@@ -326,6 +325,8 @@ def hub_sweep(signal_range_nm: tuple[float, float], signal_step_nm: float,
         raise DomainError("signal range must be finite and ascending")
     if not 0 < target_center_nm < math.inf:
         raise DomainError(f"target must be finite and positive, got {target_center_nm}")
+    if not 0 < length_mm < math.inf:
+        raise DomainError(f"length must be finite and > 0, got {length_mm}")
     count = _grid_steps(hi - lo, signal_step_nm) + 1
     points: list[HubSweepPoint] = []
     for first in range(0, count, _SIGNAL_BATCH):
@@ -364,17 +365,6 @@ def sweet_spot_report(signal_nm: float, target_center_nm: float,
         second_harmonic_nm=second_harmonic,
         is_second_harmonic_midpoint=flag,
     )
-
-
-SWEEP_CSV_COLUMNS = ("signal_nm", "lo_nm", "hi_nm", "width_nm", "width_THz",
-                     "channels", "limiting_constraint")
-
-
-def sweep_csv_rows(points: list[HubSweepPoint]) -> list[str]:
-    columns = zip(*((p.signal_nm, *p.tuning.converted_interval_nm, p.tuning.width_nm,
-                     p.tuning.width_thz, p.tuning.channel_count,
-                     p.tuning.limiting_constraint) for p in points))
-    return csv_rows("{:.4f},{:.4f},{:.4f},{:.4f},{:.6f},{},{}", *columns)
 
 
 def tuning_result_payload(result: TuningResult, threshold: float) -> dict:

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import gzip
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -300,6 +301,66 @@ def test_fit_non_finite_or_negative_input_exits_2(tmp_path, run_cli):
         assert proc.returncode == 2, (name, proc.stderr)
         assert message in proc.stderr and "Traceback" not in proc.stderr, name
         assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["fit", "--input", "missing.csv"], id="fit-missing-input"),
+    pytest.param(["fit", "--input", "latin1.csv"], id="fit-non-utf8-input"),
+    pytest.param(["index", "780", "--output", "a_directory"], id="index-output-is-directory"),
+    pytest.param(["tuning-range", "--signal", "780", "--target", "1540", "--format", "json",
+                  "--output", "a_file/x.json"], id="json-output-under-a-file"),
+])
+def test_unreadable_or_unwritable_file_exits_2(argv, tmp_path, run_cli):
+    (tmp_path / "latin1.csv").write_bytes("P_\u00b5W,eta\n10,0.1\n".encode("latin-1"))
+    (tmp_path / "a_directory").mkdir()
+    (tmp_path / "a_file").write_text("")
+    proc = run_cli(argv, tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    path = argv[argv.index("--output") + 1] if "--output" in argv else argv[-1]
+    assert path in proc.stderr
+    assert proc.stdout == ""
+
+
+# sha256 of files the paper run does not write, recorded from the code before
+# the CSV writer was chunked; each command writes the files listed with it
+PINNED_OUTPUTS = [
+    (["plan", "--output", "plan.csv"],
+     {"plan.csv": "879c998f60345a2b6c6fc724f3cc9916e93506b3c3c4f2d2407fd69b84d0f53b"}),
+    (["plan", "--format", "json", "--output", "plan.json"],
+     {"plan.json": "3b7614443cc85502da47c3265f12d87c5ef66f1c4e7b8c215ac28ee60c33487a"}),
+    (["plan", "--curve", "--output", "planc.csv"],
+     {"planc.csv": "879c998f60345a2b6c6fc724f3cc9916e93506b3c3c4f2d2407fd69b84d0f53b",
+      "planc_curve.csv": "015cabff81cfea92380dbeb40f912a60d5e5f1f7627f52c5fdf260572bee5046"}),
+    (["hub-sweep", "--start", "780", "--stop", "800", "--target", "1540",
+      "--output", "hs.csv"],
+     {"hs.csv": "467a5ff079b73854d0b939fb0061f24f7f7f525ea12374bc6d262a5a8549b639"}),
+    (["hub-sweep", "--start", "780", "--stop", "800", "--target", "1540",
+      "--format", "json", "--output", "hs.json"],
+     {"hs.json": "57de73137d34cc1dedb4b200e856333e4edc7dc0a92e444169d12899dc3c7dfc"}),
+    (["tuning-range", "--signal", "780", "--target", "1540", "--output", "x.csv"],
+     {"x.csv": "72baf5b3c178da8d773ab2fa08769517daf3c9e220c395ca476b898e6c58298c"}),
+    (["pm-scan", "--signal", "780", "--target", "1540", "--output", "pm.csv"],
+     {"pm.csv": "edc5dbd285d3082cc0ed088bcd096208872ee6f54aa0837929d9e182bc96593a"}),
+    (["pm-scan", "--signal", "780", "--target", "1540", "--format", "json",
+      "--output", "pm.json"],
+     {"pm.json": "b189ee705dc69b5f1edba5db64b19f313c8a9789507f3d9fd3ed4d118f8ff3af"}),
+    (["index", "780", "1540", "1580", "--output", "idx.csv"],
+     {"idx.csv": "bb4b45f5d647a4a230c387f56f51794de7d0d863ab38a8aafba7eec360eda71d"}),
+    (["index", "780", "1540", "1580", "--format", "json", "--output", "idx.json"],
+     {"idx.json": "701bbcb3544d2dbe3e91e8e1bda42054956d3ed09caf882a71b380b2bd8d0764"}),
+]
+
+
+@pytest.mark.parametrize("argv, digests", PINNED_OUTPUTS,
+                         ids=[" ".join(argv) for argv, _ in PINNED_OUTPUTS])
+def test_cli_files_match_pinned_digests(argv, digests, tmp_path, run_cli):
+    env = {k: v for k, v in os.environ.items() if k != ENV_CONFIG_PATH}
+    summary_of(run_cli(argv, tmp_path, env=env))
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(digests)
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_hub_sweep_file_and_repeatability(tmp_path, run_cli):

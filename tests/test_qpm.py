@@ -190,7 +190,7 @@ def test_cross_module_group_slope_consistency(jundt):
     nu_c = C_UM_THZ / lam_c
     nu_p = C_UM_THZ / lam_p
     signal = SpectralPoint.from_frequency_thz(nu_c + nu_p)
-    period = solve_poling_period(signal, SpectralPoint.from_wavelength_um(lam_c),
+    period = solve_poling_period(signal, SpectralPoint(lam_c, nu_c),
                                  48.0, jundt)
     device = DeviceConfig(period, 40.0, 48.0, jundt)
     h = 0.005

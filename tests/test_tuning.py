@@ -11,8 +11,9 @@ from qfchub import (DomainError, TuningConstraints, group_index_mismatch, hub_sw
 from qfchub import tuning
 from qfchub.dispersion import SpectralPoint
 from qfchub.errors import QfcHubError
-from qfchub.tuning import (TuningResult, _separation_bound, _solve, _walk,
-                           sweep_csv_rows)
+from qfchub.cli import SWEEP_CSV, _sweep_columns
+from qfchub.emit import write_csv
+from qfchub.tuning import TuningResult, _separation_bound, _solve, _walk
 from qfchub.constants import C_NM_THZ
 
 
@@ -185,6 +186,16 @@ def test_hub_sweep_rejects_bad_range(jundt, separation_20):
         hub_sweep((700.0, 800.0), -1.0, 1540.0, 40.0, 48.0, jundt, separation_20)
 
 
+@pytest.mark.parametrize("length_mm", [0.0, -40.0, float("nan"), float("inf")])
+def test_bad_length_raises_in_tuning_range_and_hub_sweep(length_mm, jundt):
+    # not a separation interval at L = 0, the +40 mm result at -40, or an empty result
+    constraints = TuningConstraints()
+    with pytest.raises(DomainError, match="length must be finite and > 0"):
+        tuning_range(780.0, 1540.0, length_mm, 48.0, jundt, constraints)
+    with pytest.raises(DomainError, match="length must be finite and > 0"):
+        hub_sweep((780.0, 780.0), 1.0, 1540.0, length_mm, 48.0, jundt, constraints)
+
+
 def test_sweet_spot_report_examples(jundt):
     report = sweet_spot_report(780.0, 1540.0, 48.0, jundt)
     assert report.is_second_harmonic_midpoint
@@ -200,10 +211,13 @@ def test_sweet_spot_report_examples(jundt):
     assert abs(near) < abs(far)
 
 
-def test_sweep_csv_rows_format(jundt, separation_20):
+def test_sweep_csv_rows_format(jundt, separation_20, tmp_path):
     points = hub_sweep((780.0, 782.0), 1.0, 1540.0, 40.0, 48.0, jundt,
                        separation_20)
-    rows = [line.split(",") for line in sweep_csv_rows(points)]
+    path = write_csv(tmp_path / "sweep.csv", SWEEP_CSV, *_sweep_columns(points))
+    lines = path.read_text().splitlines()
+    assert lines[:2] == ["# schema=1", ",".join(SWEEP_CSV[0])]
+    rows = [line.split(",") for line in lines[2:]]
     assert len(rows) == 3
     assert all(len(row) == 7 for row in rows)
     assert rows[0][0] == "780.0000"
