@@ -66,6 +66,9 @@ _RUN_OPTIONS = {
                             "help": "evaluate dispersion outside stated validity (flagged)"},
 }
 _MATERIAL = ("material", "material-file", "temperature")
+# Commands that write JSON only to a file: without --output, index prints its
+# CSV table and tuning-range only its summary line.
+_JSON_NEEDS_OUTPUT = ("index", "tuning-range")
 
 
 def _run_options(parser: argparse.ArgumentParser, *names: str) -> None:
@@ -193,8 +196,6 @@ def _out_path(config: RunConfig, default_name: str) -> Path:
 
 
 def cmd_index(config: RunConfig, args: argparse.Namespace) -> dict:
-    if config.output_format == "json" and not config.output:
-        raise ConfigError("index --format json writes a file: give --output")
     model = get_material(config.material, config.material_file)
     um = [nm / 1000.0 for nm in args.wavelengths_nm]
     columns = [args.wavelengths_nm,
@@ -471,6 +472,9 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         config = _resolve_config(args)
+        if (args.command in _JSON_NEEDS_OUTPUT and config.output_format == "json"
+                and not config.output):
+            raise ConfigError(f"{args.command} --format json writes a file: give --output")
         summary = _HANDLERS[args.command](config, args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -127,8 +127,8 @@ def efficiency_curve_columns(device: DeviceConfig, signal_frequency_thz: float,
     """Model conversion efficiency vs pump frequency, normalized to its peak.
 
     The device period should already be solved for a working point inside the
-    range. Points whose pump or converted wavelength leaves the material
-    validity window are flagged, not dropped.
+    range. Points whose signal, pump or converted wavelength lies outside the
+    material validity window are flagged, not dropped.
     """
     lo, hi = pump_range_thz
     if not 0 < lo < hi < math.inf:
@@ -139,12 +139,14 @@ def efficiency_curve_columns(device: DeviceConfig, signal_frequency_thz: float,
     nu_c = signal_frequency_thz - nu_p
     if np.any(nu_c <= 0):
         raise DomainError("pump range reaches the signal frequency")
-    eff = device_efficiency(device, signal_frequency_thz, nu_c)
-    peak = np.nanmax(eff)
+    rel = device_efficiency(device, signal_frequency_thz, nu_c)
+    peak = np.nanmax(rel)
     if not np.isfinite(peak) or peak <= 0:
         raise DomainError("efficiency is zero or undefined over the whole range")
-    rel = eff / peak
+    rel /= peak
 
     in_domain = (device.material.in_validity(C_UM_THZ / nu_p, device.temperature_c)
-                 & device.material.in_validity(C_UM_THZ / nu_c, device.temperature_c))
+                 & device.material.in_validity(C_UM_THZ / nu_c, device.temperature_c)
+                 & device.material.in_validity(C_UM_THZ / signal_frequency_thz,
+                                               device.temperature_c))
     return EfficiencyCurve(nu_p, rel, ~in_domain)

@@ -19,6 +19,9 @@ from .errors import DomainError
 # Most steps across one grid span: a sweep or curve has one more point, a
 # spectrum lays a span on each side of its center.
 _MAX_GRID_POINTS = 1_000_000
+# Most points in one kernel call: bounds the temporaries of the Sellmeier,
+# mismatch and sinc^2 expressions, however long the scan or walk.
+_KERNEL_POINTS = 8192
 
 
 def _grid_steps(span: float, step: float) -> int:
@@ -91,11 +94,19 @@ def grating_mismatch(material: SellmeierModel, temperature_c, period_um,
 
 
 def device_efficiency(device: DeviceConfig, nu_s_thz, nu_c_thz, lam_s_um=None):
-    """sinc^2 phase-matching efficiency of a device (unchecked), in [0, 1]."""
-    return pm_efficiency(
-        grating_mismatch(device.material, device.temperature_c,
-                         device.poling_period_um, nu_s_thz, nu_c_thz, lam_s_um),
-        device.length_mm)
+    """sinc^2 phase-matching efficiency of a device (unchecked), in [0, 1].
+
+    The converted frequencies of one signal are evaluated in slices of at
+    most ``_KERNEL_POINTS``; the result has the shape of ``nu_c_thz``.
+    """
+    flat = np.ravel(nu_c_thz)
+    out = np.empty(flat.size)
+    for i in range(0, flat.size, _KERNEL_POINTS):
+        out[i:i + _KERNEL_POINTS] = pm_efficiency(
+            grating_mismatch(device.material, device.temperature_c, device.poling_period_um,
+                             nu_s_thz, flat[i:i + _KERNEL_POINTS], lam_s_um),
+            device.length_mm)
+    return out.reshape(np.shape(nu_c_thz))
 
 
 def solve_poling_period(signal: SpectralPoint, converted: SpectralPoint,

@@ -17,21 +17,22 @@ import numpy as np
 from .constants import C_NM_THZ, C_UM_THZ, REFINE_GHZ
 from .dispersion import SellmeierModel, SpectralPoint
 from .errors import DomainError
-from .qpm import (DeviceConfig, _grid_steps, device_efficiency, grating_mismatch,
-                  group_index_mismatch, make_device, pm_efficiency, pump_for,
-                  wavenumber_mismatch)
+from .qpm import (_KERNEL_POINTS, DeviceConfig, _grid_steps, device_efficiency,
+                  grating_mismatch, group_index_mismatch, make_device, pm_efficiency,
+                  pump_for, wavenumber_mismatch)
 
 ConstraintMode = Literal["max_converted_wavelength", "min_pump_converted_separation"]
 
 LimitTag = Literal["threshold", "cutoff", "separation", "scan_edge"]
+# What ends an interval, in rising priority: a signal reports the later of
+# its two sides' tags
+_LIMITS: tuple[LimitTag, ...] = ("threshold", "scan_edge", "separation", "cutoff")
 
 _BLOCK = 256  # coarse steps per block of the outward walk
 _PREFIXES = (8, 32, 128, _BLOCK)  # a block is evaluated in these growing prefixes
-# Most walk steps in one efficiency evaluation: bounds the kernel's temporaries.
-_WALK_POINTS = 8192
 # Signals solved together: a paper sweep of 601 signals is one solve, and a
 # longer sweep keeps its per-signal arrays bounded. A bisection step evaluates
-# 2 * _SIGNAL_BATCH points, within _WALK_POINTS.
+# 2 * _SIGNAL_BATCH points, within _KERNEL_POINTS.
 _SIGNAL_BATCH = 1024
 _SECOND_HARMONIC_TOL_NM = 0.5  # slack of sweet_spot_report's second-harmonic test
 
@@ -67,6 +68,8 @@ class TuningConstraints:
         if not (0 < self.scan_halfwidth_thz < math.inf
                 and 0 < self.coarse_step_ghz < math.inf):
             raise DomainError("scan halfwidth and coarse step must be finite and positive")
+        # the walk's coarse steps across the halfwidth follow the one grid rule
+        _grid_steps(self.scan_halfwidth_thz, self.coarse_step_ghz / 1000.0)
         if not 0 < self.channel_spacing_ghz < math.inf:
             raise DomainError("channel spacing must be finite and positive")
 
@@ -141,7 +144,7 @@ def _walk(eff, start: float, bound, direction, coarse_thz: float, threshold: flo
     A block's steps are evaluated in the growing prefixes of ``_PREFIXES``, and
     only for the rows still walking: a row leaves at the first prefix that fails
     or reaches its bound, so most rows never evaluate the steps past their edge.
-    Each ``eff`` call gets at most ``_WALK_POINTS`` steps of one prefix, and a
+    Each ``eff`` call gets at most ``_KERNEL_POINTS`` steps of one prefix, and a
     step's position depends only on its row and index, never on the chunking.
     """
     n = bound.size
@@ -155,7 +158,7 @@ def _walk(eff, start: float, bound, direction, coarse_thz: float, threshold: flo
         lo = 0
         for hi in _PREFIXES:
             keep = np.zeros(todo.size, dtype=bool)
-            per_call = max(1, _WALK_POINTS // (hi - lo))
+            per_call = max(1, _KERNEL_POINTS // (hi - lo))
             for c in range(0, todo.size, per_call):
                 rows = todo[c:c + per_call]
                 b = bound[rows, None]
@@ -194,8 +197,9 @@ def _solve(signal_nm, target_nm: float, length_mm: float, temperature_c: float,
     """Tuning intervals of many signals around one target, all solved together.
 
     A signal failing the working-point checks of ``make_device`` gets an empty
-    ``scan_edge`` result. Walk rows 0..n-1 go down from the center, n..2n-1 up,
-    so the low converted wavelength comes from the upper frequency edge.
+    ``scan_edge`` result and a degenerate center an empty ``separation`` one.
+    Walk rows 0..n-1 go down from the center, n..2n-1 up, so the low converted
+    wavelength comes from the upper frequency edge.
     """
     signal_nm = np.asarray(signal_nm, dtype=float)
     center = SpectralPoint.from_wavelength_nm(target_nm)
@@ -204,20 +208,12 @@ def _solve(signal_nm, target_nm: float, length_mm: float, temperature_c: float,
         nu_s = C_NM_THZ / signal_nm
         d0 = wavenumber_mismatch(material, temperature_c, nu_s, nu_c0,
                                  signal_nm / 1000.0, center.wavelength_um)
-        limit = np.where(
-            (signal_nm > 0) & (nu_s > nu_c0) & (d0 > 0)
-            & material.in_validity(signal_nm / 1000.0, temperature_c)
-            & material.in_validity(C_UM_THZ / (nu_s - nu_c0), temperature_c)
-            & material.in_validity(center.wavelength_um, temperature_c),
-            "", "scan_edge").astype(object)
-        limit[(limit == "") & (nu_c0 == nu_s / 2.0)] = "separation"
-        value = constraints.constraint_value_nm
-        if constraints.constraint_mode == "max_converted_wavelength":
-            limit[(limit == "") & (target_nm > value)] = "cutoff"
-        else:
-            separation_nm = np.abs(C_NM_THZ / (nu_s - nu_c0) - C_NM_THZ / nu_c0)
-            limit[(limit == "") & (separation_nm < value)] = "separation"
-    live = np.nonzero(limit == "")[0]
+        valid = ((signal_nm > 0) & (nu_s > nu_c0) & (d0 > 0)
+                 & material.in_validity(signal_nm / 1000.0, temperature_c)
+                 & material.in_validity(C_UM_THZ / (nu_s - nu_c0), temperature_c)
+                 & material.in_validity(center.wavelength_um, temperature_c))
+        live = np.nonzero(valid & (nu_c0 != nu_s / 2.0))[0]
+    limit = np.where(valid, _LIMITS.index("separation"), _LIMITS.index("scan_edge"))
 
     n = live.size
     nu_s, lam_s, d0 = (np.tile(x[live], 2) for x in (nu_s, signal_nm / 1000.0, d0))
@@ -227,21 +223,25 @@ def _solve(signal_nm, target_nm: float, length_mm: float, temperature_c: float,
     hw = constraints.scan_halfwidth_thz
     bound = np.where(direction < 0, np.maximum(nu_c0 - hw, val_lo),
                      np.minimum(nu_c0 + hw, val_hi))
-    tag = np.full(2 * n, "scan_edge", dtype=object)
+    tag = np.full(2 * n, _LIMITS.index("scan_edge"))
 
     def tighten(candidate, name, rows):
         m = rows & (direction * candidate < direction * bound)
         bound[m] = np.broadcast_to(candidate, m.shape)[m]
-        tag[m] = name
+        tag[m] = _LIMITS.index(name)
 
     # Raman rule: the interval must stay on the center's side of the
     # pump/converted degeneracy.
     toward_degeneracy = np.where(direction < 0, nu_c0 > nu_s / 2.0, nu_c0 < nu_s / 2.0)
     tighten(nu_s / 2.0, "separation", toward_degeneracy)
+    value = constraints.constraint_value_nm
     if constraints.constraint_mode == "max_converted_wavelength":
         tighten(C_NM_THZ / value, "cutoff", direction < 0)
     else:
         tighten(_separation_bound(nu_s, nu_c0, value), "separation", toward_degeneracy)
+    # a bound past the center on either side leaves the signal no interval
+    empty = (direction * (bound - nu_c0) < 0).reshape(2, n).any(axis=0)
+    bound[np.tile(empty, 2)] = nu_c0
 
     def eff(rows, nu_c):
         return pm_efficiency(grating_mismatch(material, temperature_c, period[rows, None],
@@ -250,22 +250,20 @@ def _solve(signal_nm, target_nm: float, length_mm: float, temperature_c: float,
 
     edge, hit = _walk(eff, nu_c0, bound, direction, constraints.coarse_step_ghz / 1000.0,
                       constraints.efficiency_threshold)
-    tag[hit] = "threshold"
+    tag[hit] = _LIMITS.index("threshold")
 
-    # An empty signal keeps the target as both ends, zero widths and its tag;
-    # a live one takes the first of cutoff, separation, scan_edge on either side.
+    # An empty signal keeps the target as both ends and zero widths; a live one
+    # reports the higher-priority limit of its two sides.
     lam_lo = np.full(signal_nm.size, float(target_nm))
     lam_hi = lam_lo.copy()
     width_thz = np.zeros(signal_nm.size)
-    lam_lo[live] = C_NM_THZ / edge[n:]
-    lam_hi[live] = C_NM_THZ / edge[:n]
+    lam_lo[live] = np.where(empty, target_nm, C_NM_THZ / edge[n:])
+    lam_hi[live] = np.where(empty, target_nm, C_NM_THZ / edge[:n])
     width_thz[live] = edge[n:] - edge[:n]
     channels = np.floor(width_thz * 1000.0 / constraints.channel_spacing_ghz)
-    limit[live] = "threshold"
-    for name in ("scan_edge", "separation", "cutoff"):
-        limit[live[(tag[:n] == name) | (tag[n:] == name)]] = name
-    return [TuningResult((lo, hi), width_nm, width, count, name)
-            for lo, hi, width_nm, width, count, name in zip(
+    limit[live] = np.maximum(tag[:n], tag[n:])
+    return [TuningResult((lo, hi), width_nm, width, count, _LIMITS[code])
+            for lo, hi, width_nm, width, count, code in zip(
                 lam_lo.tolist(), lam_hi.tolist(), (lam_hi - lam_lo).tolist(),
                 width_thz.tolist(), channels.astype(int).tolist(), limit.tolist())]
 
@@ -290,8 +288,8 @@ def pm_spectrum_columns(signal_nm: float, target_center_nm: float, device: Devic
                         window_thz: float, step_ghz: float) -> Spectrum:
     """Efficiency vs converted frequency around the target, ascending in frequency.
 
-    Points that leave the material validity window are evaluated by
-    extrapolation and flagged rather than dropped.
+    Points whose signal, pump or converted wave lies outside the material
+    validity window are evaluated by extrapolation and flagged rather than dropped.
     """
     if not 0 < window_thz < math.inf:
         raise DomainError("window must be finite and positive")
@@ -307,7 +305,8 @@ def pm_spectrum_columns(signal_nm: float, target_center_nm: float, device: Devic
     lam_c = C_NM_THZ / nu_c
     lam_p = C_NM_THZ / (nu_s - nu_c)
     in_domain = (device.material.in_validity(lam_c / 1000.0, device.temperature_c)
-                 & device.material.in_validity(lam_p / 1000.0, device.temperature_c))
+                 & device.material.in_validity(lam_p / 1000.0, device.temperature_c)
+                 & device.material.in_validity(signal.wavelength_um, device.temperature_c))
     return Spectrum(nu_c, lam_c, lam_p, eff, ~in_domain)
 
 

@@ -191,6 +191,9 @@ _SCAN = ["pm-scan", "--signal", "780", "--target", "1540"]
     pytest.param(["reproduce-paper", "--sweep-step", "1e-300"], id="paper-sweep-step-tiny"),
     pytest.param([*_SCAN, "--step-ghz", "1e-12"], id="scan-step-tiny"),
     pytest.param(["plan", "--curve", "--curve-step-ghz", "1e-12"], id="curve-step-tiny"),
+    pytest.param([*_TUNING, "--coarse-step-ghz", "1e-300"], id="coarse-step-tiny"),
+    pytest.param([*_SWEEP, "--coarse-step-ghz", "0.01"], id="coarse-step-past-grid-bound"),
+    pytest.param([*_TUNING, "--format", "json"], id="tuning-range-json-without-output"),
 ])
 def test_non_finite_values_exit_2(argv, tmp_path, run_cli):
     proc = run_cli(argv, tmp_path)
@@ -324,7 +327,11 @@ def test_unreadable_or_unwritable_file_exits_2(argv, tmp_path, run_cli):
 
 
 # sha256 of files the paper run does not write, recorded from the code before
-# the CSV writer was chunked; each command writes the files listed with it
+# the CSV writer was chunked; each command writes the files listed with it. The
+# 300-1100 nm sweeps (degenerate, cutoff-empty, separation-empty and failed
+# working points) were recorded from the solver that still checked the cutoff
+# and the separation at the center.
+_WIDE_SWEEP = ["hub-sweep", "--start", "300", "--stop", "1100"]
 PINNED_OUTPUTS = [
     (["plan", "--output", "plan.csv"],
      {"plan.csv": "879c998f60345a2b6c6fc724f3cc9916e93506b3c3c4f2d2407fd69b84d0f53b"}),
@@ -339,6 +346,12 @@ PINNED_OUTPUTS = [
     (["hub-sweep", "--start", "780", "--stop", "800", "--target", "1540",
       "--format", "json", "--output", "hs.json"],
      {"hs.json": "57de73137d34cc1dedb4b200e856333e4edc7dc0a92e444169d12899dc3c7dfc"}),
+    ([*_WIDE_SWEEP, "--target", "1560", "--cutoff", "1550", "--output", "c1560.csv"],
+     {"c1560.csv": "a5e1704e7795173d35abd66574c8fd20eed18c122ac2a74d76ea10b4e5ce73ca"}),
+    ([*_WIDE_SWEEP, "--target", "1310", "--separation", "5", "--output", "s1310.csv"],
+     {"s1310.csv": "b7a7ed66211c277e96c9af35fe6b2ebeca69a2cdff29f0c5579133509383b053"}),
+    ([*_WIDE_SWEEP, "--target", "1540", "--separation", "20", "--output", "s1540.csv"],
+     {"s1540.csv": "7d0d0e026a6f79f06b97477313165af15b9f72a36c0b9140fc10db0e718336f8"}),
     (["tuning-range", "--signal", "780", "--target", "1540", "--output", "x.csv"],
      {"x.csv": "72baf5b3c178da8d773ab2fa08769517daf3c9e220c395ca476b898e6c58298c"}),
     (["pm-scan", "--signal", "780", "--target", "1540", "--output", "pm.csv"],
@@ -645,6 +658,7 @@ def test_flags_reach_the_run_config(monkeypatch):
     {"laser_min_nm": 1610.0}, {"laser_min_nm": 0.0},
     {"temperature_c": -300.0}, {"length_mm": 0.0}, {"signal_frequency_thz": 0.0},
     {"output_format": "xml"}, {"workers": 2}, {"grid_ports": 2.5},
+    {"coarse_step_ghz": 0.01}, {"coarse_step_ghz": 1e-300},
 ])
 def test_bad_config_values_raise_config_error(overrides, tmp_path):
     with pytest.raises(ConfigError):

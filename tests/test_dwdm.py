@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfchub import (DeviceConfig, DomainError, DwdmGrid, EfficiencyCurve, LaserSpec,
-                    RangeError, efficiency_curve_columns, plan_pumps, port_frequency)
-from qfchub.constants import C_NM_THZ
+                    RangeError, efficiency_curve_columns, make_device, plan_pumps,
+                    port_frequency)
+from qfchub.constants import C_NM_THZ, C_UM_THZ
 from qfchub.qpm import device_efficiency
 
 SIGNAL_THZ = 384.200
@@ -150,6 +151,20 @@ def test_high_efficiency_band_over_laser_range(jundt):
     band = efficiency_curve_columns(device, SIGNAL_THZ, (lo, hi), step_ghz=1.0).band(0.9)
     assert band[0] < 188.9 and band[1] > 190.5
     assert 1.5 <= band[1] - band[0] <= 2.5
+
+
+def test_curve_flags_an_extrapolated_signal(jundt):
+    # a 380 nm signal lies below the 400 nm validity edge of jundt1997, while
+    # every pump (near 504 nm) and converted wave of the curve lies inside it
+    device = make_device(380.0, 1540.0, 40.0, 48.0, jundt, allow_extrapolation=True)
+    signal_thz = C_NM_THZ / 380.0
+    center_pump = signal_thz - C_NM_THZ / 1540.0
+    curve = efficiency_curve_columns(device, signal_thz,
+                                     (center_pump - 1.0, center_pump + 1.0))
+    assert curve.nu_p_thz.size == 2001
+    assert jundt.in_validity(C_UM_THZ / curve.nu_p_thz, 48.0).all()
+    assert jundt.in_validity(C_UM_THZ / (signal_thz - curve.nu_p_thz), 48.0).all()
+    assert curve.extrapolated.all()
 
 
 def _band_by_walking(nus, rel, threshold):

@@ -7,8 +7,9 @@ from qfchub import (DeviceConfig, DomainError, SpectralPoint, group_index,
                     group_index_mismatch, make_device, phase_mismatch_vs_converted,
                     pm_efficiency, pump_for, refractive_index, sinc,
                     solve_poling_period, wavenumber_mismatch)
+from qfchub import qpm
 from qfchub.constants import C_UM_THZ
-from qfchub.qpm import _MAX_GRID_POINTS, _grid_steps
+from qfchub.qpm import _MAX_GRID_POINTS, _grid_steps, device_efficiency, grating_mismatch
 
 # Frozen from a standalone evaluation of 2*pi/(k_s - k_p - k_c) with the
 # default material at 48 C; regression constants, not external references.
@@ -65,6 +66,25 @@ def test_grid_steps_rule_and_bound():
                        (float("nan"), 1.0), (float("inf"), 1.0)):
         with pytest.raises(DomainError):
             _grid_steps(span, step)
+
+
+def test_device_efficiency_slices_stitch_to_one_call(jundt, monkeypatch):
+    # slices of 7 points (the last one short) give the same bits as one
+    # unsliced kernel call, for a run, a scalar and a 2-D grid
+    device = make_device(780.0, 1540.0, 40.0, 48.0, jundt)
+    signal = _point(780.0)
+    nu_c = 194.0 + 0.01 * np.arange(-150, 151)
+
+    def one_call(nu):
+        return pm_efficiency(grating_mismatch(
+            jundt, 48.0, device.poling_period_um, signal.frequency_thz, nu,
+            signal.wavelength_um), 40.0)
+
+    monkeypatch.setattr(qpm, "_KERNEL_POINTS", 7)
+    for nu in (nu_c, nu_c[:7], nu_c[:1], nu_c.reshape(7, 43), nu_c[0]):
+        eff = device_efficiency(device, signal.frequency_thz, nu, signal.wavelength_um)
+        assert eff.shape == np.shape(nu)
+        assert np.array_equal(eff, one_call(nu))
 
 
 def test_poling_period_regression(jundt):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qfchub import (DomainError, TuningConstraints, group_index_mismatch, hub_sweep,
                     make_device, pm_efficiency, pm_spectrum_columns,
                     sweet_spot_report, tuning_range, wavenumber_mismatch)
+from qfchub.qpm import device_efficiency
 from qfchub import tuning
 from qfchub.dispersion import SpectralPoint
 from qfchub.errors import QfcHubError
@@ -363,7 +364,7 @@ def test_hub_sweep_chunking_changes_nothing(jundt, start, count, step, target, c
                                     coarse, halfwidth)
     points = hub_sweep(*args, jundt, constraints)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tuning, "_WALK_POINTS", 1)
+        mp.setattr(tuning, "_KERNEL_POINTS", 1)
         mp.setattr(tuning, "_SIGNAL_BATCH", 1)
         assert hub_sweep(*args, jundt, constraints) == points
 
@@ -387,10 +388,10 @@ def test_hub_sweep_memory_is_bounded(jundt, separation_20):
     # - _solve and _walk hold at most 16 arrays of one 8-byte entry per walk row
     #   (signal and pump columns, period, direction, bound, tags, the walk's
     #   edges, the result columns), and a batch has 2 * _SIGNAL_BATCH rows;
-    # - one kernel call sees at most _WALK_POINTS steps, with at most 12 live
+    # - one kernel call sees at most _KERNEL_POINTS steps, with at most 12 live
     #   8-byte arrays of that size: the walk's steps and masks and the
     #   temporaries of the Sellmeier, mismatch and sinc^2 expressions.
-    bound = 8 * (16 * 2 * tuning._SIGNAL_BATCH + 12 * tuning._WALK_POINTS)
+    bound = 8 * (16 * 2 * tuning._SIGNAL_BATCH + 12 * tuning._KERNEL_POINTS)
     for step in (1.0, 0.1):  # 601 and 6,001 signals
         tracemalloc.start()
         try:
@@ -401,6 +402,97 @@ def test_hub_sweep_memory_is_bounded(jundt, separation_20):
             tracemalloc.stop()
         assert len(points) == round(600.0 / step) + 1
         assert peak - kept <= bound
+
+
+def test_spectrum_kernel_runs_in_bounded_slices(jundt):
+    # device_efficiency evaluates one slice of _KERNEL_POINTS at a time, with at
+    # most 12 live 8-byte arrays of that size (as in the walk), however long the
+    # run; a spectrum holds beyond its columns at most two 8-byte arrays of its
+    # grid while it lays the grid out. Unsliced, both grew with the run.
+    device = make_device(493.0, 1540.0, 40.0, 48.0, jundt)
+    signal = SpectralPoint.from_wavelength_nm(493.0)
+    slice_bound = 8 * 12 * tuning._KERNEL_POINTS
+    nu_c = 194.0 + 1e-5 * np.arange(300_001)
+    tracemalloc.start()
+    try:
+        eff = device_efficiency(device, signal.frequency_thz, nu_c, signal.wavelength_um)
+        kept, peak = tracemalloc.get_traced_memory()
+        kernel = peak - kept
+        tracemalloc.reset_peak()
+        spectrum = pm_spectrum_columns(493.0, 1540.0, device, 4.5, 0.03)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert spectrum.efficiency.size == eff.size == nu_c.size
+    assert kernel <= slice_bound
+    assert peak - kept <= 2 * 8 * nu_c.size + slice_bound
+
+
+def _center_rule(signal_nm, target_nm, constraints):
+    """The tag of an empty interval by the checks the solver once made at the
+    center, in their order, or None where the walk decides the interval."""
+    nu_s, nu_c0 = C_NM_THZ / signal_nm, C_NM_THZ / target_nm
+    value = constraints.constraint_value_nm
+    if nu_c0 == nu_s / 2.0:
+        return "separation"
+    if constraints.constraint_mode == "max_converted_wavelength":
+        return "cutoff" if target_nm > value else None
+    separation = abs(C_NM_THZ / (nu_s - nu_c0) - C_NM_THZ / nu_c0)
+    return "separation" if separation < value else None
+
+
+@settings(max_examples=40, deadline=None)
+@given(signals=st.lists(st.one_of(st.floats(300.0, 1100.0), st.none()),
+                        min_size=1, max_size=30),
+       target=st.floats(1200.0, 2400.0), cutoff=st.booleans(),
+       offset=st.one_of(st.just(0), st.integers(-80, 80)),
+       separation=st.floats(0.5, 80.0))
+def test_empty_results_match_the_center_rule(jundt, signals, target, cutoff, offset,
+                                             separation):
+    # the bounds decide empty intervals as the center checks did; None stands
+    # for the degenerate signal, half the target, and a cutoff lies on a
+    # 0.5 nm grid around the target, often at the target itself
+    signals = [target / 2.0 if s is None else s for s in signals]
+    constraints = TuningConstraints(
+        constraint_mode="max_converted_wavelength" if cutoff
+        else "min_pump_converted_separation",
+        constraint_value_nm=target + offset / 2.0 if cutoff else separation)
+    results = _solve(signals, target, 40.0, 48.0, jundt, constraints)
+    for signal, result in zip(signals, results):
+        try:
+            make_device(signal, target, 40.0, 48.0, jundt)
+        except QfcHubError:
+            expected = "scan_edge"
+        else:
+            expected = _center_rule(signal, target, constraints)
+        assert result.is_empty == (expected is not None)
+        if expected is not None:
+            assert result.limiting_constraint == expected
+            assert result.converted_interval_nm == (target, target)
+            assert result.width_thz == 0.0 and result.channel_count == 0
+
+
+def test_coarse_step_follows_the_grid_rule():
+    # the walk takes at most 1,000,000 coarse steps across the scan halfwidth:
+    # 0.06 GHz over the default 60 THz is exactly that many, a finer step is not
+    assert TuningConstraints(coarse_step_ghz=0.06).coarse_step_ghz == 0.06
+    with pytest.raises(DomainError, match="exceeds 1000000 steps"):
+        TuningConstraints(coarse_step_ghz=0.0599)
+    TuningConstraints(coarse_step_ghz=0.0599, scan_halfwidth_thz=59.0)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="coarse step must be finite and positive"):
+            TuningConstraints(coarse_step_ghz=bad)
+
+
+def test_extrapolated_counts_the_signal(jundt):
+    # 380 nm lies below the 400 nm validity edge of jundt1997, while every pump
+    # (near 504 nm) and converted wave of the scan lies inside it
+    device = make_device(380.0, 1540.0, 40.0, 48.0, jundt, allow_extrapolation=True)
+    spectrum = pm_spectrum_columns(380.0, 1540.0, device, 6.0, 2.0)
+    assert spectrum.efficiency.size == 6001
+    assert jundt.in_validity(spectrum.lambda_p_nm / 1000.0, 48.0).all()
+    assert jundt.in_validity(spectrum.lambda_c_nm / 1000.0, 48.0).all()
+    assert spectrum.extrapolated.all()
 
 
 def test_hub_sweep_points_match_single_signal(jundt, separation_20):
