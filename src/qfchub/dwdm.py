@@ -14,10 +14,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constants import C_NM_THZ, C_UM_THZ
+from .constants import C_NM_THZ
 from .dispersion import SellmeierModel, SpectralPoint
 from .errors import DomainError, RangeError
-from .qpm import DeviceConfig, _grid_steps, device_efficiency, solve_poling_period
+from .qpm import DeviceConfig, _grid_steps, grid_efficiency, solve_poling_period
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def plan_pumps(grid: DwdmGrid, signal_frequency_thz: float, laser: LaserSpec,
     lam_p = C_NM_THZ / nu_p
     in_range = (laser.min_wavelength_nm <= lam_p) & (lam_p <= laser.max_wavelength_nm)
     return PumpPlan(signal_frequency_thz, period, center, nu_c, C_NM_THZ / nu_c, nu_p,
-                    lam_p, in_range, device_efficiency(device, signal_frequency_thz, nu_c))
+                    lam_p, in_range, grid_efficiency(device, signal_frequency_thz, nu_c)[0])
 
 
 class EfficiencyCurve(NamedTuple):
@@ -134,19 +134,14 @@ def efficiency_curve_columns(device: DeviceConfig, signal_frequency_thz: float,
     if not 0 < lo < hi < math.inf:
         raise DomainError("pump range must be finite, ascending and positive")
     step = step_ghz / 1000.0
-    count = _grid_steps(hi - lo, step) + 1
+    count = _grid_steps(hi - lo, step, "step_ghz") + 1
     nu_p = lo + step * np.arange(count)
     nu_c = signal_frequency_thz - nu_p
     if np.any(nu_c <= 0):
         raise DomainError("pump range reaches the signal frequency")
-    rel = device_efficiency(device, signal_frequency_thz, nu_c)
+    rel, extrapolated = grid_efficiency(device, signal_frequency_thz, nu_c)
     peak = np.nanmax(rel)
     if not np.isfinite(peak) or peak <= 0:
         raise DomainError("efficiency is zero or undefined over the whole range")
     rel /= peak
-
-    in_domain = (device.material.in_validity(C_UM_THZ / nu_p, device.temperature_c)
-                 & device.material.in_validity(C_UM_THZ / nu_c, device.temperature_c)
-                 & device.material.in_validity(C_UM_THZ / signal_frequency_thz,
-                                               device.temperature_c))
-    return EfficiencyCurve(nu_p, rel, ~in_domain)
+    return EfficiencyCurve(nu_p, rel, extrapolated)

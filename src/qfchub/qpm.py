@@ -24,17 +24,18 @@ _MAX_GRID_POINTS = 1_000_000
 _KERNEL_POINTS = 8192
 
 
-def _grid_steps(span: float, step: float) -> int:
+def _grid_steps(span: float, step: float, label: str, unit: str = "THz") -> int:
     """Whole steps of ``step`` in ``span``, a step short by 1e-9 counting as whole.
 
-    The one step/count rule of every frequency or wavelength grid; the caller
-    checks the shape of its range and lays out its own points.
+    The one step/count rule of every frequency or wavelength grid; the caller checks
+    the shape of its range, lays out its own points and names its step in ``label``.
     """
     if not (0 < step < math.inf and -math.inf < span < math.inf):
-        raise DomainError("grid span must be finite and its step finite and positive")
+        raise DomainError(f"{label}: grid span must be finite and its step finite and positive")
     steps = np.floor(span / step + 1e-9)
     if not steps <= _MAX_GRID_POINTS:
-        raise DomainError(f"grid of {steps:.3g} steps exceeds {_MAX_GRID_POINTS} steps")
+        raise DomainError(f"{label}: grid of {steps:.3g} steps of {step:g} {unit} over "
+                          f"{span:g} {unit} exceeds {_MAX_GRID_POINTS} steps")
     return int(steps)
 
 
@@ -65,24 +66,40 @@ def pump_for(signal: SpectralPoint, converted: SpectralPoint) -> SpectralPoint:
     return SpectralPoint.from_frequency_thz(nu_p)
 
 
+def _triple_um(nu_s, nu_c, lam_s_um=None, lam_c_um=None):
+    """Signal, pump and converted wavelengths (um), nu_p = nu_s - nu_c; an exact wavelength
+    the caller holds (one given in nm) is used as given, as c/(c/lambda) may differ."""
+    nu_s, nu_c = np.asarray(nu_s, dtype=float), np.asarray(nu_c, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (C_UM_THZ / nu_s if lam_s_um is None else lam_s_um, C_UM_THZ / (nu_s - nu_c),
+                C_UM_THZ / nu_c if lam_c_um is None else lam_c_um)
+
+
+def _in_fit(model: SellmeierModel, temperature_c, lams):
+    """The one validity rule: True where all three waves of ``_triple_um`` are in the fit."""
+    s, p, c = (model.in_validity(lam, temperature_c) for lam in lams)
+    return s & p & c
+
+
+def _validity_bounds_nu_c(nu_s, model: SellmeierModel):
+    """``_in_fit``'s rule for pump and converted as an interval of converted
+    frequency per signal frequency, for the tuning walk (temperature aside)."""
+    lam_lo, lam_hi = model.wavelength_um
+    lo = np.maximum(C_UM_THZ / lam_hi, nu_s - C_UM_THZ / lam_lo)
+    hi = np.minimum(C_UM_THZ / lam_lo, nu_s - C_UM_THZ / lam_hi)
+    return lo, hi
+
+
 def wavenumber_mismatch(model: SellmeierModel, temperature_c, nu_s_thz, nu_c_thz,
                         lam_s_um=None, lam_c_um=None):
-    """k_s - k_p - k_c in rad/um with nu_p = nu_s - nu_c, broadcasting.
-
-    ``lam_s_um``/``lam_c_um`` pass an exact wavelength the caller holds (one
-    given in nm), since c/(c/lambda) can differ from lambda in the last bit.
-    Unchecked, so a scan can touch its window's edges; n^2 < 0 gives NaN.
-    """
-    nu_s = np.asarray(nu_s_thz, dtype=float)
-    nu_c = np.asarray(nu_c_thz, dtype=float)
-
+    """k_s - k_p - k_c in rad/um at ``_triple_um``'s wavelengths, broadcasting.
+    Unchecked, so a scan can touch its window's edges; n^2 < 0 gives NaN."""
     def k(lam):
         return 2.0 * np.pi * np.sqrt(_n_squared(model, lam, temperature_c)) / lam
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        return (k(C_UM_THZ / nu_s if lam_s_um is None else lam_s_um)
-                - k(C_UM_THZ / (nu_s - nu_c))
-                - k(C_UM_THZ / nu_c if lam_c_um is None else lam_c_um))
+        s, p, c = _triple_um(nu_s_thz, nu_c_thz, lam_s_um, lam_c_um)
+        return k(s) - k(p) - k(c)
 
 
 def grating_mismatch(material: SellmeierModel, temperature_c, period_um,
@@ -93,20 +110,20 @@ def grating_mismatch(material: SellmeierModel, temperature_c, period_um,
     return d * RAD_PER_UM_TO_RAD_PER_M
 
 
-def device_efficiency(device: DeviceConfig, nu_s_thz, nu_c_thz, lam_s_um=None):
-    """sinc^2 phase-matching efficiency of a device (unchecked), in [0, 1].
-
-    The converted frequencies of one signal are evaluated in slices of at
-    most ``_KERNEL_POINTS``; the result has the shape of ``nu_c_thz``.
-    """
+def grid_efficiency(device: DeviceConfig, nu_s_thz, nu_c_thz, lam_s_um=None):
+    """sinc^2 efficiency of a device (unchecked), in [0, 1], and ``~_in_fit`` at the
+    wavelengths its mismatch uses, in slices of at most ``_KERNEL_POINTS``
+    converted frequencies of one signal; both have the shape of ``nu_c_thz``."""
+    material, t = device.material, device.temperature_c
     flat = np.ravel(nu_c_thz)
-    out = np.empty(flat.size)
+    eff, extrapolated = np.empty(flat.size), np.empty(flat.size, dtype=bool)
     for i in range(0, flat.size, _KERNEL_POINTS):
-        out[i:i + _KERNEL_POINTS] = pm_efficiency(
-            grating_mismatch(device.material, device.temperature_c, device.poling_period_um,
-                             nu_s_thz, flat[i:i + _KERNEL_POINTS], lam_s_um),
-            device.length_mm)
-    return out.reshape(np.shape(nu_c_thz))
+        nu_c = flat[i:i + _KERNEL_POINTS]
+        eff[i:i + _KERNEL_POINTS] = pm_efficiency(grating_mismatch(
+            material, t, device.poling_period_um, nu_s_thz, nu_c, lam_s_um), device.length_mm)
+        extrapolated[i:i + _KERNEL_POINTS] = ~_in_fit(material, t,
+                                                      _triple_um(nu_s_thz, nu_c, lam_s_um))
+    return eff.reshape(np.shape(nu_c_thz)), extrapolated.reshape(np.shape(nu_c_thz))
 
 
 def solve_poling_period(signal: SpectralPoint, converted: SpectralPoint,
@@ -117,13 +134,13 @@ def solve_poling_period(signal: SpectralPoint, converted: SpectralPoint,
     Closed form: the period enters the mismatch linearly, so
     period = 2*pi / (k_s - k_p - k_c).
     """
-    pump = pump_for(signal, converted)
+    pump_for(signal, converted)  # raises unless nu_s > nu_c
+    lams = _triple_um(signal.frequency_thz, converted.frequency_thz,
+                      signal.wavelength_um, converted.wavelength_um)
     if not allow_extrapolation:
-        _require_validity(material, [signal.wavelength_um, pump.wavelength_um,
-                                     converted.wavelength_um], temperature_c)
+        _require_validity(material, lams, temperature_c)
     d = float(wavenumber_mismatch(material, temperature_c, signal.frequency_thz,
-                                  converted.frequency_thz, signal.wavelength_um,
-                                  converted.wavelength_um))
+                                  converted.frequency_thz, lams[0], lams[2]))
     if not d > 0:
         raise DomainError(
             "no first-order QPM solution: k_s - k_p - k_c = "

@@ -14,12 +14,13 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .constants import C_NM_THZ, C_UM_THZ, REFINE_GHZ
+from .constants import C_NM_THZ, REFINE_GHZ
 from .dispersion import SellmeierModel, SpectralPoint
 from .errors import DomainError
-from .qpm import (_KERNEL_POINTS, DeviceConfig, _grid_steps, device_efficiency,
-                  grating_mismatch, group_index_mismatch, make_device, pm_efficiency,
-                  pump_for, wavenumber_mismatch)
+from .qpm import (_KERNEL_POINTS, DeviceConfig, _grid_steps, _in_fit, _triple_um,
+                  _validity_bounds_nu_c, grating_mismatch, grid_efficiency,
+                  group_index_mismatch, make_device, pm_efficiency, pump_for,
+                  wavenumber_mismatch)
 
 ConstraintMode = Literal["max_converted_wavelength", "min_pump_converted_separation"]
 
@@ -69,7 +70,7 @@ class TuningConstraints:
                 and 0 < self.coarse_step_ghz < math.inf):
             raise DomainError("scan halfwidth and coarse step must be finite and positive")
         # the walk's coarse steps across the halfwidth follow the one grid rule
-        _grid_steps(self.scan_halfwidth_thz, self.coarse_step_ghz / 1000.0)
+        _grid_steps(self.scan_halfwidth_thz, self.coarse_step_ghz / 1000.0, "coarse_step_ghz")
         if not 0 < self.channel_spacing_ghz < math.inf:
             raise DomainError("channel spacing must be finite and positive")
 
@@ -116,15 +117,6 @@ class SweetSpotReport:
     midpoint_nm: float
     second_harmonic_nm: float
     is_second_harmonic_midpoint: bool
-
-
-def _validity_bounds_nu_c(nu_s, model: SellmeierModel):
-    """Converted-frequency interval, per signal frequency, on which
-    ``model.in_validity`` holds for both converted and pump."""
-    lam_lo, lam_hi = model.wavelength_um
-    lo = np.maximum(C_UM_THZ / lam_hi, nu_s - C_UM_THZ / lam_lo)
-    hi = np.minimum(C_UM_THZ / lam_lo, nu_s - C_UM_THZ / lam_hi)
-    return lo, hi
 
 
 def _separation_bound(nu_s, nu_c0, min_sep_nm: float):
@@ -206,17 +198,15 @@ def _solve(signal_nm, target_nm: float, length_mm: float, temperature_c: float,
     nu_c0 = center.frequency_thz
     with np.errstate(divide="ignore", invalid="ignore"):
         nu_s = C_NM_THZ / signal_nm
-        d0 = wavenumber_mismatch(material, temperature_c, nu_s, nu_c0,
-                                 signal_nm / 1000.0, center.wavelength_um)
+        lams = _triple_um(nu_s, nu_c0, signal_nm / 1000.0, center.wavelength_um)
+        d0 = wavenumber_mismatch(material, temperature_c, nu_s, nu_c0, lams[0], lams[2])
         valid = ((signal_nm > 0) & (nu_s > nu_c0) & (d0 > 0)
-                 & material.in_validity(signal_nm / 1000.0, temperature_c)
-                 & material.in_validity(C_UM_THZ / (nu_s - nu_c0), temperature_c)
-                 & material.in_validity(center.wavelength_um, temperature_c))
+                 & _in_fit(material, temperature_c, lams))
         live = np.nonzero(valid & (nu_c0 != nu_s / 2.0))[0]
     limit = np.where(valid, _LIMITS.index("separation"), _LIMITS.index("scan_edge"))
 
     n = live.size
-    nu_s, lam_s, d0 = (np.tile(x[live], 2) for x in (nu_s, signal_nm / 1000.0, d0))
+    nu_s, lam_s, d0 = (np.tile(x[live], 2) for x in (nu_s, lams[0], d0))
     period = 2.0 * np.pi / d0
     direction = np.repeat([-1.0, 1.0], n)
     val_lo, val_hi = _validity_bounds_nu_c(nu_s, material)
@@ -294,20 +284,17 @@ def pm_spectrum_columns(signal_nm: float, target_center_nm: float, device: Devic
     if not 0 < window_thz < math.inf:
         raise DomainError("window must be finite and positive")
     step = step_ghz / 1000.0
-    n_side = _grid_steps(window_thz, step)
+    n_side = _grid_steps(window_thz, step, "step_ghz")
     signal = SpectralPoint.from_wavelength_nm(signal_nm)
     center = SpectralPoint.from_wavelength_nm(target_center_nm)
     nu_s, nu_c0 = signal.frequency_thz, center.frequency_thz
     nu_c = nu_c0 + step * np.arange(-n_side, n_side + 1)
     nu_c = nu_c[(nu_c > 0.0) & (nu_c < nu_s)]
 
-    eff = device_efficiency(device, nu_s, nu_c, signal.wavelength_um)
-    lam_c = C_NM_THZ / nu_c
-    lam_p = C_NM_THZ / (nu_s - nu_c)
-    in_domain = (device.material.in_validity(lam_c / 1000.0, device.temperature_c)
-                 & device.material.in_validity(lam_p / 1000.0, device.temperature_c)
-                 & device.material.in_validity(signal.wavelength_um, device.temperature_c))
-    return Spectrum(nu_c, lam_c, lam_p, eff, ~in_domain)
+    eff, extrapolated = grid_efficiency(device, nu_s, nu_c, signal.wavelength_um)
+    lam_p = nu_s - nu_c
+    np.divide(C_NM_THZ, lam_p, out=lam_p)  # in place: the spectrum holds only its columns
+    return Spectrum(nu_c, C_NM_THZ / nu_c, lam_p, eff, extrapolated)
 
 
 def hub_sweep(signal_range_nm: tuple[float, float], signal_step_nm: float,
@@ -326,7 +313,7 @@ def hub_sweep(signal_range_nm: tuple[float, float], signal_step_nm: float,
         raise DomainError(f"target must be finite and positive, got {target_center_nm}")
     if not 0 < length_mm < math.inf:
         raise DomainError(f"length must be finite and > 0, got {length_mm}")
-    count = _grid_steps(hi - lo, signal_step_nm) + 1
+    count = _grid_steps(hi - lo, signal_step_nm, "signal_step_nm", "nm") + 1
     points: list[HubSweepPoint] = []
     for first in range(0, count, _SIGNAL_BATCH):
         signals = [float(lo + i * signal_step_nm)

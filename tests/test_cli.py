@@ -171,34 +171,42 @@ _SWEEP = ["hub-sweep", "--start", "700", "--stop", "710", "--target", "1540"]
 _SCAN = ["pm-scan", "--signal", "780", "--target", "1540"]
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param([*_TUNING, "--length", "nan"], id="length-nan"),
-    pytest.param([*_TUNING, "--cutoff", "nan"], id="cutoff-nan"),
-    pytest.param([*_TUNING, "--scan-halfwidth-thz", "nan"], id="scan-halfwidth-nan"),
-    pytest.param([*_TUNING, "--coarse-step-ghz", "inf"], id="coarse-step-inf"),
-    pytest.param([*_SWEEP, "--temperature", "nan"], id="temperature-nan"),
+@pytest.mark.parametrize("argv, named", [
+    pytest.param([*_TUNING, "--length", "nan"], None, id="length-nan"),
+    pytest.param([*_TUNING, "--cutoff", "nan"], None, id="cutoff-nan"),
+    pytest.param([*_TUNING, "--scan-halfwidth-thz", "nan"], None, id="scan-halfwidth-nan"),
+    pytest.param([*_TUNING, "--coarse-step-ghz", "inf"], None, id="coarse-step-inf"),
+    pytest.param([*_SWEEP, "--temperature", "nan"], None, id="temperature-nan"),
     pytest.param(["hub-sweep", "--start", "nan", "--stop", "710", "--target", "1540"],
-                 id="sweep-start-nan"),
+                 None, id="sweep-start-nan"),
     pytest.param(["hub-sweep", "--start", "700", "--stop", "inf", "--target", "1540"],
-                 id="sweep-stop-inf"),
+                 None, id="sweep-stop-inf"),
     pytest.param(["hub-sweep", "--start", "700", "--stop", "710", "--target", "nan"],
-                 id="sweep-target-nan"),
-    pytest.param(["reproduce-paper", "--sweep-step", "nan"], id="sweep-step-nan"),
-    pytest.param([*_SCAN, "--window-thz", "nan"], id="window-nan"),
-    pytest.param([*_SCAN, "--step-ghz", "inf"], id="scan-step-inf"),
-    pytest.param(["plan", "--curve", "--curve-step-ghz", "nan"], id="curve-step-nan"),
-    pytest.param([*_SWEEP, "--step", "1e-300"], id="sweep-step-tiny"),
-    pytest.param(["reproduce-paper", "--sweep-step", "1e-300"], id="paper-sweep-step-tiny"),
-    pytest.param([*_SCAN, "--step-ghz", "1e-12"], id="scan-step-tiny"),
-    pytest.param(["plan", "--curve", "--curve-step-ghz", "1e-12"], id="curve-step-tiny"),
-    pytest.param([*_TUNING, "--coarse-step-ghz", "1e-300"], id="coarse-step-tiny"),
-    pytest.param([*_SWEEP, "--coarse-step-ghz", "0.01"], id="coarse-step-past-grid-bound"),
-    pytest.param([*_TUNING, "--format", "json"], id="tuning-range-json-without-output"),
+                 None, id="sweep-target-nan"),
+    pytest.param(["reproduce-paper", "--sweep-step", "nan"], "signal_step_nm",
+                 id="sweep-step-nan"),
+    pytest.param([*_SCAN, "--window-thz", "nan"], None, id="window-nan"),
+    pytest.param([*_SCAN, "--step-ghz", "inf"], "step_ghz", id="scan-step-inf"),
+    pytest.param(["plan", "--curve", "--curve-step-ghz", "nan"], "step_ghz",
+                 id="curve-step-nan"),
+    pytest.param([*_SWEEP, "--step", "1e-300"], "signal_step_nm", id="sweep-step-tiny"),
+    pytest.param(["reproduce-paper", "--sweep-step", "1e-300"], "signal_step_nm",
+                 id="paper-sweep-step-tiny"),
+    pytest.param([*_SCAN, "--step-ghz", "1e-12"], "step_ghz", id="scan-step-tiny"),
+    pytest.param(["plan", "--curve", "--curve-step-ghz", "1e-12"], "step_ghz",
+                 id="curve-step-tiny"),
+    pytest.param([*_TUNING, "--coarse-step-ghz", "1e-300"], "coarse_step_ghz",
+                 id="coarse-step-tiny"),
+    pytest.param([*_SWEEP, "--coarse-step-ghz", "0.01"], "coarse_step_ghz",
+                 id="coarse-step-past-grid-bound"),
+    pytest.param([*_TUNING, "--format", "json"], None, id="tuning-range-json-without-output"),
 ])
-def test_non_finite_values_exit_2(argv, tmp_path, run_cli):
+def test_non_finite_values_exit_2(argv, named, tmp_path, run_cli):
+    # a bad grid step names its step parameter (the coarse step's non-finite
+    # values are rejected before the grid rule, by TuningConstraints)
     proc = run_cli(argv, tmp_path)
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.startswith(f"error: {named}: " if named else "error: ")
     assert proc.stdout == ""
     assert list(tmp_path.iterdir()) == []
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from qfchub import (DeviceConfig, DomainError, DwdmGrid, EfficiencyCurve, LaserS
                     RangeError, efficiency_curve_columns, make_device, plan_pumps,
                     port_frequency)
 from qfchub.constants import C_NM_THZ, C_UM_THZ
-from qfchub.qpm import device_efficiency
+from qfchub import qpm
+from qfchub.qpm import grid_efficiency
 
 SIGNAL_THZ = 384.200
 
@@ -118,7 +121,7 @@ def test_plan_columns_match_per_port_reference(jundt, ports, spacing_ghz, anchor
         laser.min_wavelength_nm <= x <= laser.max_wavelength_nm for x in lam_p]
     # numpy's vectorized sin and its scalar path may differ in the last bit
     assert plan.relative_efficiency.tolist() == pytest.approx(
-        [float(device_efficiency(device, signal_thz, f)) for f in nu_c],
+        [float(grid_efficiency(device, signal_thz, f)[0]) for f in nu_c],
         rel=1e-12, abs=1e-15)
     if bound != "none":
         assert plan.in_laser_range[pick % ports]
@@ -165,6 +168,27 @@ def test_curve_flags_an_extrapolated_signal(jundt):
     assert jundt.in_validity(C_UM_THZ / curve.nu_p_thz, 48.0).all()
     assert jundt.in_validity(C_UM_THZ / (signal_thz - curve.nu_p_thz), 48.0).all()
     assert curve.extrapolated.all()
+
+
+def test_curve_runs_in_bounded_slices(jundt):
+    # beyond its three columns a curve holds at most two 8-byte arrays of its
+    # grid (laying the grid out, then the converted frequencies) and one kernel
+    # slice (at most 12 live 8-byte arrays of _KERNEL_POINTS, as in the walk);
+    # with the flag computed beside the efficiency it needs no wavelength
+    # arrays of its own
+    plan = plan_pumps(DwdmGrid(), SIGNAL_THZ, LaserSpec(), 40.0, 48.0, jundt)
+    device = DeviceConfig(plan.poling_period_um, 40.0, 48.0, jundt)
+    center_pump = SIGNAL_THZ - plan.center_frequency_thz
+    slice_bound = 8 * 12 * qpm._KERNEL_POINTS
+    tracemalloc.start()
+    try:
+        curve = efficiency_curve_columns(device, SIGNAL_THZ,
+                                         (center_pump - 4.5, center_pump + 4.5), 0.01)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert curve.nu_p_thz.size == 900_001
+    assert peak - kept <= 2 * 8 * curve.nu_p_thz.size + slice_bound
 
 
 def _band_by_walking(nus, rel, threshold):

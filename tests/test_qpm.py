@@ -8,8 +8,9 @@ from qfchub import (DeviceConfig, DomainError, SpectralPoint, group_index,
                     pm_efficiency, pump_for, refractive_index, sinc,
                     solve_poling_period, wavenumber_mismatch)
 from qfchub import qpm
-from qfchub.constants import C_UM_THZ
-from qfchub.qpm import _MAX_GRID_POINTS, _grid_steps, device_efficiency, grating_mismatch
+from qfchub.constants import C_NM_THZ, C_UM_THZ
+from qfchub.qpm import (_MAX_GRID_POINTS, _grid_steps, _in_fit, _triple_um,
+                        _validity_bounds_nu_c, grating_mismatch, grid_efficiency)
 
 # Frozen from a standalone evaluation of 2*pi/(k_s - k_p - k_c) with the
 # default material at 48 C; regression constants, not external references.
@@ -58,22 +59,28 @@ def test_device_validation(jundt):
 
 
 def test_grid_steps_rule_and_bound():
-    assert _grid_steps(0.3, 0.1) == 3  # 0.3 / 0.1 is 2.9999999999999996
-    assert _grid_steps(0.0, 1.0) == 0
-    assert _grid_steps(1.0, 1.0 / _MAX_GRID_POINTS) == _MAX_GRID_POINTS
+    assert _grid_steps(0.3, 0.1, "step") == 3  # 0.3 / 0.1 is 2.9999999999999996
+    assert _grid_steps(0.0, 1.0, "step") == 0
+    assert _grid_steps(1.0, 1.0 / _MAX_GRID_POINTS, "step") == _MAX_GRID_POINTS
     for span, step in ((1.0, 0.99 / _MAX_GRID_POINTS), (600.0, 1e-300), (1e10, 1e-310),
                        (1.0, 0.0), (1.0, -1.0), (1.0, float("nan")), (1.0, float("inf")),
                        (float("nan"), 1.0), (float("inf"), 1.0)):
-        with pytest.raises(DomainError):
-            _grid_steps(span, step)
+        with pytest.raises(DomainError, match="^step_ghz: "):
+            _grid_steps(span, step, "step_ghz")
+    # the error names the step parameter, the step and the span, in the grid's unit
+    with pytest.raises(DomainError, match=r"^signal_step_nm: grid of 6e\+10 steps of "
+                                          r"1e-08 nm over 600 nm exceeds 1000000 steps$"):
+        _grid_steps(600.0, 1e-8, "signal_step_nm", "nm")
 
 
-def test_device_efficiency_slices_stitch_to_one_call(jundt, monkeypatch):
+def test_grid_efficiency_slices_stitch_to_one_call(jundt, monkeypatch):
     # slices of 7 points (the last one short) give the same bits as one
-    # unsliced kernel call, for a run, a scalar and a 2-D grid
+    # unsliced kernel call, efficiency and flag, for a run, a scalar and a 2-D
+    # grid; the run crosses the 5 um edge of jundt1997, so some points are flagged
     device = make_device(780.0, 1540.0, 40.0, 48.0, jundt)
     signal = _point(780.0)
     nu_c = 194.0 + 0.01 * np.arange(-150, 151)
+    nu_c[-40:] = np.linspace(58.0, 62.0, 40)
 
     def one_call(nu):
         return pm_efficiency(grating_mismatch(
@@ -81,10 +88,68 @@ def test_device_efficiency_slices_stitch_to_one_call(jundt, monkeypatch):
             signal.wavelength_um), 40.0)
 
     monkeypatch.setattr(qpm, "_KERNEL_POINTS", 7)
-    for nu in (nu_c, nu_c[:7], nu_c[:1], nu_c.reshape(7, 43), nu_c[0]):
-        eff = device_efficiency(device, signal.frequency_thz, nu, signal.wavelength_um)
-        assert eff.shape == np.shape(nu)
+    for nu in (nu_c, nu_c[:7], nu_c[:1], nu_c.reshape(7, 43), nu_c[0], nu_c[-1]):
+        eff, extrapolated = grid_efficiency(device, signal.frequency_thz, nu,
+                                            signal.wavelength_um)
+        assert eff.shape == extrapolated.shape == np.shape(nu)
         assert np.array_equal(eff, one_call(nu))
+        assert np.array_equal(extrapolated, ~(jundt.in_validity(C_UM_THZ / nu, 48.0)
+                                              & jundt.in_validity(C_UM_THZ / (
+                                                  signal.frequency_thz - nu), 48.0)))
+    assert 0 < np.count_nonzero(grid_efficiency(device, signal.frequency_thz, nu_c)[1]) < 40
+
+
+def _edge_frequency(edge_um, from_nm, ulps):
+    """Frequency (THz) of a wavelength on a window edge, nudged by ``ulps``: of
+    the wavelength when it is given in nm, else of the frequency c/edge."""
+    if from_nm:
+        nm = edge_um * 1000.0
+        return C_NM_THZ / (nm + ulps * np.spacing(nm)), (nm + ulps * np.spacing(nm)) / 1000.0
+    nu = C_UM_THZ / edge_um
+    return nu + ulps * np.spacing(nu), None
+
+
+@settings(max_examples=300, deadline=None)
+@given(wave=st.sampled_from(["signal", "pump", "converted"]), edge=st.sampled_from([0.4, 5.0]),
+       from_nm=st.booleans(), ulps=st.integers(-3, 3), signal_nm=st.floats(400.0, 2400.0),
+       others=st.lists(st.floats(0.01, 0.99), max_size=20))
+def test_flag_is_the_rule_at_window_edges(jundt, wave, edge, from_nm, ulps, signal_nm,
+                                          others):
+    # one wave sits on (or a few ulp beside) a 0.4/5.0 um edge of jundt1997;
+    # the flag is per-wave in_validity of the wavelengths the mismatch uses:
+    # the signal's exact nm value when it was given in nm, else c/nu
+    nu_s, lam_s = C_NM_THZ / signal_nm, signal_nm / 1000.0
+    nu_e, lam_e = _edge_frequency(edge, from_nm, ulps)
+    if wave == "signal":
+        nu_s, lam_s = nu_e, lam_e
+    nu_c = nu_s * np.array(others)
+    nu_c = np.append(nu_c, {"signal": 0.5 * nu_s, "pump": nu_s - nu_e, "converted": nu_e}[wave])
+    device = DeviceConfig(PERIOD_780_1540_48C_UM, 40.0, 48.0, jundt)
+    eff, extrapolated = grid_efficiency(device, nu_s, nu_c, lam_s)
+
+    with np.errstate(divide="ignore"):  # a pump edge can land on nu_c = 0
+        waves = (C_UM_THZ / nu_s if lam_s is None else lam_s, C_UM_THZ / (nu_s - nu_c),
+                 C_UM_THZ / nu_c)
+    assert all(np.array_equal(got, want) for got, want in zip(
+        _triple_um(nu_s, nu_c, lam_s), waves))
+    inside = [jundt.in_validity(lam, 48.0) for lam in waves]
+    assert np.array_equal(extrapolated, ~(inside[0] & inside[1] & inside[2]))
+    if wave == "signal" and from_nm and ulps == 0:
+        assert jundt.in_validity(lam_s, 48.0)  # an edge given in nm is inside
+
+
+@settings(max_examples=300, deadline=None)
+@given(signal_nm=st.floats(400.0, 2400.0), upper=st.booleans(), ulps=st.integers(4, 64))
+def test_walk_bounds_are_the_rule_for_pump_and_converted(jundt, signal_nm, upper, ulps):
+    # a few ulp inside either end of _validity_bounds_nu_c both waves are in
+    # the fit, and a few ulp outside one of them is not
+    nu_s = C_NM_THZ / signal_nm
+    lo, hi = _validity_bounds_nu_c(nu_s, jundt)
+    edge, inward = (hi, -1.0) if upper else (lo, 1.0)
+    nudge = inward * ulps * np.spacing(nu_s)
+    nu_c = np.array([edge + nudge, edge - nudge])
+    assert _in_fit(jundt, 48.0, _triple_um(nu_s, nu_c, signal_nm / 1000.0)).tolist() == [
+        True, False]
 
 
 def test_poling_period_regression(jundt):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qfchub import (DomainError, TuningConstraints, group_index_mismatch, hub_sweep,
                     make_device, pm_efficiency, pm_spectrum_columns,
                     sweet_spot_report, tuning_range, wavenumber_mismatch)
-from qfchub.qpm import device_efficiency
+from qfchub.qpm import grid_efficiency
 from qfchub import tuning
 from qfchub.dispersion import SpectralPoint
 from qfchub.errors import QfcHubError
@@ -405,17 +405,20 @@ def test_hub_sweep_memory_is_bounded(jundt, separation_20):
 
 
 def test_spectrum_kernel_runs_in_bounded_slices(jundt):
-    # device_efficiency evaluates one slice of _KERNEL_POINTS at a time, with at
+    # grid_efficiency evaluates one slice of _KERNEL_POINTS at a time, with at
     # most 12 live 8-byte arrays of that size (as in the walk), however long the
-    # run; a spectrum holds beyond its columns at most two 8-byte arrays of its
-    # grid while it lays the grid out. Unsliced, both grew with the run.
+    # run. A spectrum whose points all lie inside (0, nu_s) holds at most one
+    # kernel slice beyond its five columns: laying its grid out takes less than
+    # the columns, and the pump wavelengths are divided in place. Unsliced,
+    # both grew with the run.
     device = make_device(493.0, 1540.0, 40.0, 48.0, jundt)
     signal = SpectralPoint.from_wavelength_nm(493.0)
     slice_bound = 8 * 12 * tuning._KERNEL_POINTS
     nu_c = 194.0 + 1e-5 * np.arange(300_001)
     tracemalloc.start()
     try:
-        eff = device_efficiency(device, signal.frequency_thz, nu_c, signal.wavelength_um)
+        eff, extrapolated = grid_efficiency(device, signal.frequency_thz, nu_c,
+                                            signal.wavelength_um)
         kept, peak = tracemalloc.get_traced_memory()
         kernel = peak - kept
         tracemalloc.reset_peak()
@@ -423,9 +426,9 @@ def test_spectrum_kernel_runs_in_bounded_slices(jundt):
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert spectrum.efficiency.size == eff.size == nu_c.size
+    assert spectrum.efficiency.size == eff.size == extrapolated.size == nu_c.size
     assert kernel <= slice_bound
-    assert peak - kept <= 2 * 8 * nu_c.size + slice_bound
+    assert peak - kept <= slice_bound
 
 
 def _center_rule(signal_nm, target_nm, constraints):
