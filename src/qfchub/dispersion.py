@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import reduce
 from importlib import resources
 from pathlib import Path
 
@@ -70,13 +71,19 @@ class SellmeierModel:
         return (w >= lo) & (w <= hi) & ((temperature_c >= tlo) & (temperature_c <= thi))
 
 
-def _require_validity(model: SellmeierModel, wavelength_um, temperature_c: float) -> None:
+def _require_validity(model: SellmeierModel, wavelength_um, temperature_c: float,
+                      allow_extrapolation: bool = False) -> None:
+    """Wavelengths finite and > 0 um and the temperature finite, a rule extrapolation
+    does not lift; then, unless ``allow_extrapolation``, inside the fit's window."""
     w = np.asarray(wavelength_um, dtype=float)
-    if w.size == 0:
-        return
-    # the window is an interval, so the two extremes decide for every point
-    w = np.array([w.min(), w.max()])
-    if np.all(model.in_validity(w, temperature_c)):
+    # the window is an interval, so the two extremes decide for every point; NaN is both
+    w = np.array([w.min(), w.max()] if w.size else [])
+    for x in w:
+        if not 0 < x < math.inf:
+            raise DomainError(f"wavelength {x} um must be finite and > 0")
+    if not -math.inf < temperature_c < math.inf:
+        raise DomainError(f"temperature {temperature_c} C must be finite")
+    if allow_extrapolation or np.all(model.in_validity(w, temperature_c)):
         return
     (lo, hi), (tlo, thi) = model.wavelength_um, model.temperature_c
     if np.all(model.in_validity(w, tlo)):
@@ -88,52 +95,38 @@ def _require_validity(model: SellmeierModel, wavelength_um, temperature_c: float
         f"validity [{lo:.3f}, {hi:.3f}] um")
 
 
-def _thermal_f(model: SellmeierModel, temperature_c: float) -> float:
-    t0, t1 = model.thermal_reference
-    return (temperature_c - t0) * (temperature_c + t1)
+def _poles(model: SellmeierModel, temperature_c: float):
+    """``(a, ((b_k, c_k), ...), d)`` with n^2 = a + sum_k b_k/(L^2 - c_k) - d*L^2: both
+    forms as one pole list, and the only evaluation code that reads ``model.form``."""
+    if model.form == "thermal_poles":
+        a1, a2, a3, a4, a5, a6 = model.coefficients
+        (b1, b2, b3, b4), (t0, t1) = model.thermal_coefficients, model.thermal_reference
+        f = (temperature_c - t0) * (temperature_c + t1)
+        return a1 + b1 * f, ((a2 + b2 * f, (a3 + b3 * f) ** 2), (a4 + b4 * f, a5 ** 2)), a6
+    # b*L^2/(L^2 - c) = b + b*c/(L^2 - c)
+    b, c = model.coefficients[0::2], model.coefficients[1::2]
+    return sum(b, 1.0), tuple((b_k * c_k, c_k) for b_k, c_k in zip(b, c)), 0.0
 
 
 def _n_squared(model: SellmeierModel, lam, temperature_c: float):
     lam2 = np.asarray(lam, dtype=float) ** 2
-    if model.form == "thermal_poles":
-        a1, a2, a3, a4, a5, a6 = model.coefficients
-        b1, b2, b3, b4 = model.thermal_coefficients
-        f = _thermal_f(model, temperature_c)
-        return (a1 + b1 * f
-                + (a2 + b2 * f) / (lam2 - (a3 + b3 * f) ** 2)
-                + (a4 + b4 * f) / (lam2 - a5 ** 2)
-                - a6 * lam2)
-    c = model.coefficients
-    n2 = np.ones_like(lam2)
-    for b_i, c_i in zip(c[0::2], c[1::2]):
-        n2 = n2 + b_i * lam2 / (lam2 - c_i)
-    return n2
+    a, poles, d = _poles(model, temperature_c)
+    return reduce(np.add, (b / (lam2 - c) for b, c in poles), a) - d * lam2
 
 
 def _dn2_dlam(model: SellmeierModel, lam, temperature_c: float):
     lam = np.asarray(lam, dtype=float)
     lam2 = lam ** 2
-    if model.form == "thermal_poles":
-        a1, a2, a3, a4, a5, a6 = model.coefficients
-        b1, b2, b3, b4 = model.thermal_coefficients
-        f = _thermal_f(model, temperature_c)
-        return -2.0 * lam * ((a2 + b2 * f) / (lam2 - (a3 + b3 * f) ** 2) ** 2
-                             + (a4 + b4 * f) / (lam2 - a5 ** 2) ** 2
-                             + a6)
-    c = model.coefficients
-    d = np.zeros_like(lam)
-    for b_i, c_i in zip(c[0::2], c[1::2]):
-        d = d - 2.0 * lam * b_i * c_i / (lam2 - c_i) ** 2
-    return d
+    _, poles, d = _poles(model, temperature_c)
+    return -2.0 * lam * (reduce(np.add, (b / (lam2 - c) ** 2 for b, c in poles)) + d)
 
 
 def _index(model: SellmeierModel, wavelength_um, temperature_c: float,
            allow_extrapolation: bool):
     """n(lambda, T) as numpy values, after the validity and n^2 > 1 checks."""
-    if not allow_extrapolation:
-        _require_validity(model, wavelength_um, temperature_c)
+    _require_validity(model, wavelength_um, temperature_c, allow_extrapolation)
     n2 = _n_squared(model, wavelength_um, temperature_c)
-    if np.any(n2 <= 1.0):
+    if not (n2 > 1.0).all():
         raise DomainError(
             f"{model.name}: n^2 <= 1 at requested point; fit is unusable here")
     return np.sqrt(n2)
@@ -145,8 +138,9 @@ def refractive_index(model: SellmeierModel, wavelength_um, temperature_c: float,
 
     Raises ValidityError outside the model domain unless
     ``allow_extrapolation`` is set (extrapolated values must be flagged by
-    the caller in any emitted output), and DomainError where n^2 <= 1; so
-    do ``index_derivative`` and ``group_index``.
+    the caller in any emitted output), and DomainError where n^2 <= 1 or for
+    a wavelength not finite and > 0 or a temperature not finite, extrapolating
+    or not; so do ``index_derivative`` and ``group_index``.
     """
     n = _index(model, wavelength_um, temperature_c, allow_extrapolation)
     return float(n) if np.isscalar(wavelength_um) else n
@@ -185,14 +179,14 @@ class SpectralPoint:
 
     @classmethod
     def from_wavelength_nm(cls, wavelength_nm: float) -> "SpectralPoint":
-        if wavelength_nm <= 0:
-            raise DomainError(f"wavelength must be positive, got {wavelength_nm}")
+        if not 0 < wavelength_nm < math.inf:
+            raise DomainError(f"wavelength must be finite and positive, got {wavelength_nm}")
         return cls(wavelength_nm / 1000.0, C_NM_THZ / wavelength_nm)
 
     @classmethod
     def from_frequency_thz(cls, frequency_thz: float) -> "SpectralPoint":
-        if frequency_thz <= 0:
-            raise DomainError(f"frequency must be positive, got {frequency_thz}")
+        if not 0 < frequency_thz < math.inf:
+            raise DomainError(f"frequency must be finite and positive, got {frequency_thz}")
         return cls(C_UM_THZ / frequency_thz, frequency_thz)
 
 

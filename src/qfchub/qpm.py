@@ -54,6 +54,8 @@ class DeviceConfig:
                 f"poling period must be finite and > 0, got {self.poling_period_um}")
         if not 0 < self.length_mm < math.inf:
             raise DomainError(f"length must be finite and > 0, got {self.length_mm}")
+        if not -math.inf < self.temperature_c < math.inf:
+            raise DomainError(f"temperature must be finite, got {self.temperature_c}")
 
 
 def pump_for(signal: SpectralPoint, converted: SpectralPoint) -> SpectralPoint:
@@ -137,8 +139,7 @@ def solve_poling_period(signal: SpectralPoint, converted: SpectralPoint,
     pump_for(signal, converted)  # raises unless nu_s > nu_c
     lams = _triple_um(signal.frequency_thz, converted.frequency_thz,
                       signal.wavelength_um, converted.wavelength_um)
-    if not allow_extrapolation:
-        _require_validity(material, lams, temperature_c)
+    _require_validity(material, lams, temperature_c, allow_extrapolation)
     d = float(wavenumber_mismatch(material, temperature_c, signal.frequency_thz,
                                   converted.frequency_thz, lams[0], lams[2]))
     if not d > 0:

@@ -200,6 +200,13 @@ _SCAN = ["pm-scan", "--signal", "780", "--target", "1540"]
     pytest.param([*_SWEEP, "--coarse-step-ghz", "0.01"], "coarse_step_ghz",
                  id="coarse-step-past-grid-bound"),
     pytest.param([*_TUNING, "--format", "json"], None, id="tuning-range-json-without-output"),
+    pytest.param(["index", "-780", "--allow-extrapolation"], None, id="index-negative"),
+    pytest.param(["index", "0", "--allow-extrapolation"], None, id="index-zero"),
+    pytest.param(["index", "nan", "--allow-extrapolation"], None, id="index-nan"),
+    pytest.param(["pm-scan", "--signal", "nan", "--target", "1540", "--allow-extrapolation"],
+                 None, id="scan-signal-nan"),
+    pytest.param(["tuning-range", "--signal", "inf", "--target", "1540"], None,
+                 id="tuning-signal-inf"),
 ])
 def test_non_finite_values_exit_2(argv, named, tmp_path, run_cli):
     # a bad grid step names its step parameter (the coarse step's non-finite

@@ -1,13 +1,17 @@
+import hashlib
 import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from qfchub import (DomainError, SpectralPoint, ValidityError, get_material,
                     group_index, index_derivative, load_material_file,
                     refractive_index)
 from qfchub.constants import C_NM_THZ
+from qfchub.dispersion import SellmeierModel, _dn2_dlam, _n_squared
 
 
 def independent_index_1540_48c():
@@ -105,6 +109,17 @@ def test_index_functions_reject_n_squared_at_most_one(jundt):
                 f(jundt, lam, 48.0, allow_extrapolation=True)
 
 
+@pytest.mark.parametrize("lam, temperature", [
+    (-0.78, 48.0), (0.0, 48.0), (np.nan, 48.0), (np.inf, 48.0), (1.54, np.nan), (1.54, np.inf)])
+def test_index_functions_reject_impossible_inputs(jundt, lam, temperature):
+    # extrapolation does not lift the rule, and it is checked before the window
+    for f in (refractive_index, index_derivative, group_index):
+        for x in (lam, np.array([1.54, lam])):
+            for allow in (True, False):
+                with pytest.raises(DomainError, match="must be finite"):
+                    f(jundt, x, temperature, allow_extrapolation=allow)
+
+
 def test_validity_error_names_bound(jundt):
     with pytest.raises(ValidityError, match=r"0\.400"):
         refractive_index(jundt, 0.35, 48.0)
@@ -170,7 +185,7 @@ def test_spectral_point_invariant():
 
 
 def test_convert_domain_errors():
-    for bad in (-1.0, 0.0):
+    for bad in (-1.0, 0.0, float("nan"), float("inf")):
         for build in (SpectralPoint.from_wavelength_nm, SpectralPoint.from_frequency_thz):
             with pytest.raises(DomainError):
                 build(bad)
@@ -191,3 +206,125 @@ def test_material_lookup_and_user_file(tmp_path):
     table = load_material_file(path)
     assert refractive_index(table["custom"], 1.54, 21.0) > 2.0
     assert get_material("custom", extra_file=path).name == "custom"
+
+
+# sha256 of the kernels' float64 bytes on np.linspace(0.2, 6.0, 200001), recorded
+# before both forms became one pole list: a change that keeps every floating-point
+# operation and its order keeps these bytes.
+PINNED_KERNELS = {
+    ("jundt1997", 22.0): (
+        "e66a488ab2fed9afae3e28677276ee2e3a39ebb3099b756fe90c6bcdc60528b7",
+        "a36b0c55c4428f400c353f3e8675afb1b45f01199e03ac9868f2415e15fa10eb"),
+    ("jundt1997", 48.0): (
+        "80f04f070c0bca240c7067bc243a78dd83479c2b26afb398bf7d9b3c4db80051",
+        "908e37c8cd9b1dcb890548b0b0b22761b60ea9a0e563d6ace48efebc0f00e440"),
+    ("jundt1997", 200.0): (
+        "d97b5f0a9efcf55fa4c49a120645df706378587e5e73417e9867311310b53637",
+        "927cc53c1aeaf97bb3bb57be3f2cad13536d9497af9f33b5cd94757cafaaaf7b"),
+    ("edwards_lawrence1984", 22.0): (
+        "6cbd98f6bfd4d3d948f93b48eca2bc168cfa539cf1f468ba4e69f88692e8a24f",
+        "11708ff094ca9c181dd685c2c5b92a6c488eab85c32a377cb0095a29647497f4"),
+    ("edwards_lawrence1984", 48.0): (
+        "d755865f53b5374ff71953d977ecac02c7c455546dd81718ab5a2eaa92f33d31",
+        "bbf814c3d3683739b2862ac3c003e7a765e5872f861846f442f0f0ee1685a14c"),
+    ("edwards_lawrence1984", 200.0): (
+        "122677bd0d0c5fa4f4660971adf6168d3c654835829b79fd3ac807cc9f30eae3",
+        "c68c35481efd52ac4d212f4c0f393b33b511c490dac4c4cef91a6904dc43a519"),
+}
+
+
+@pytest.mark.parametrize("name, temperature", sorted(PINNED_KERNELS))
+def test_dispersion_kernels_match_pinned_digests(name, temperature, materials):
+    lam = np.linspace(0.2, 6.0, 200001)
+    with np.errstate(all="ignore"):
+        got = tuple(hashlib.sha256(kernel(materials[name], lam, temperature).tobytes())
+                    .hexdigest() for kernel in (_n_squared, _dn2_dlam))
+    assert got == PINNED_KERNELS[name, temperature]
+
+
+def _per_form_n2_dn2(model, lam, t):
+    """n^2 and dn^2/dlambda as each form was written out before the pole list."""
+    lam2 = lam ** 2
+    if model.form == "thermal_poles":
+        a1, a2, a3, a4, a5, a6 = model.coefficients
+        b1, b2, b3, b4 = model.thermal_coefficients
+        t0, t1 = model.thermal_reference
+        f = (t - t0) * (t + t1)
+        return (a1 + b1 * f
+                + (a2 + b2 * f) / (lam2 - (a3 + b3 * f) ** 2)
+                + (a4 + b4 * f) / (lam2 - a5 ** 2)
+                - a6 * lam2,
+                -2.0 * lam * ((a2 + b2 * f) / (lam2 - (a3 + b3 * f) ** 2) ** 2
+                              + (a4 + b4 * f) / (lam2 - a5 ** 2) ** 2
+                              + a6))
+    c = model.coefficients
+    n2, d = np.ones_like(lam2), np.zeros_like(lam)
+    for b_i, c_i in zip(c[0::2], c[1::2]):
+        n2 = n2 + b_i * lam2 / (lam2 - c_i)
+        d = d - 2.0 * lam * b_i * c_i / (lam2 - c_i) ** 2
+    return n2, d
+
+
+def _model(form, coefficients, thermal=(), reference=()):
+    return SellmeierModel("drawn", form, tuple(coefficients), tuple(thermal),
+                          tuple(reference), "", (0.4, 5.0), (20.0, 30.0))
+
+
+def _off_poles(lams, poles):
+    """The drawn wavelengths whose L^2 lies at least 0.01 um^2 from every pole."""
+    lam = np.array(lams)
+    lam = lam[np.all(np.abs(lam[:, None] ** 2 - np.array(poles)) >= 0.01, axis=1)]
+    assume(lam.size)
+    return lam
+
+
+_WAVELENGTHS = st.lists(st.floats(0.2, 6.0), min_size=1, max_size=16)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.lists(st.floats(-200.0, 200.0), min_size=6, max_size=6),
+       b=st.lists(st.floats(-1e-4, 1e-4), min_size=4, max_size=4),
+       reference=st.lists(st.floats(-600.0, 600.0), min_size=2, max_size=2),
+       t=st.floats(-100.0, 400.0), lams=_WAVELENGTHS)
+# pole strengths and a6 of -0.0: the bits include the sign of a zero derivative
+@example(a=[2.0, -0.0, 0.2, -0.0, 11.0, -0.0], b=[0.0, -0.0, 0.0, -0.0],
+         reference=[0.0, 0.0], t=10.0, lams=[1.54])
+def test_thermal_pole_list_is_bitwise_the_written_form(a, b, reference, t, lams):
+    model = _model("thermal_poles", a, b, reference)
+    f = (t - reference[0]) * (t + reference[1])
+    lam = _off_poles(lams, [(a[2] + b[2] * f) ** 2, a[4] ** 2])
+    n2, d = _per_form_n2_dn2(model, lam, t)
+    assert _n_squared(model, lam, t).tobytes() == n2.tobytes()
+    assert _dn2_dlam(model, lam, t).tobytes() == d.tobytes()
+
+
+_B = st.floats(-10.0, 10.0).filter(lambda b: abs(b) >= 1e-4)
+_C = st.one_of(st.just(0.0), st.floats(1e-6, 500.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(_B, _C), min_size=1, max_size=4),
+       t=st.floats(-100.0, 400.0), lams=_WAVELENGTHS)
+def test_lambda_sq_pole_list_within_its_rounding(pairs, t, lams):
+    # The rewrite b*L^2/(L^2 - c) = (1 + sum b) + sum b*c/(L^2 - c) changes only the
+    # rounding. With L^2 shared and u = 2^-53, gamma(n) = n*u/(1 - n*u) bounds n
+    # roundings (Higham, ch. 3). n^2: each term has 3 roundings (a product, L^2 - c,
+    # the quotient) and passes through at most 2K additions, so each value lies
+    # within gamma(2K + 3) of the sum of |terms| of its own expression. dn^2/dlambda:
+    # both sum the same K terms |2*L*b*c/(L^2 - c)^2|, and each term meets at most
+    # K + 5 roundings in either (the square doubles that of L^2 - c).
+    k = len(pairs)
+    model = _model("lambda_sq_poles", [x for pair in pairs for x in pair])
+    lam = _off_poles(lams, [c for _, c in pairs])
+    lam2 = lam ** 2
+    n2, d = _per_form_n2_dn2(model, lam, t)
+
+    def gamma(n):
+        return n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
+
+    old_terms = 1.0 + sum(abs(b * lam2 / (lam2 - c)) for b, c in pairs)
+    new_terms = 1.0 + sum(abs(b) + abs(b * c / (lam2 - c)) for b, c in pairs)
+    d_terms = sum(abs(2.0 * lam * b * c / (lam2 - c) ** 2) for b, c in pairs)
+    assert np.all(np.abs(_n_squared(model, lam, t) - n2)
+                  <= gamma(2 * k + 3) * (old_terms + new_terms))
+    assert np.all(np.abs(_dn2_dlam(model, lam, t) - d) <= 2 * gamma(k + 5) * d_terms)

@@ -56,6 +56,16 @@ def test_device_validation(jundt):
         DeviceConfig(-1.0, 40.0, 48.0, jundt)
     with pytest.raises(DomainError):
         DeviceConfig(19.0, 0.0, 48.0, jundt)
+    with pytest.raises(DomainError, match="temperature must be finite"):
+        DeviceConfig(19.0, 40.0, float("nan"), jundt)
+
+
+def test_make_device_rejects_non_finite_inputs(jundt):
+    # checked before the QPM solve, so a bad input is not reported as physics
+    for signal_nm, temperature in ((float("nan"), 48.0), (780.0, float("nan")),
+                                   (780.0, float("inf"))):
+        with pytest.raises(DomainError, match="must be finite"):
+            make_device(signal_nm, 1540.0, 40.0, temperature, jundt, allow_extrapolation=True)
 
 
 def test_grid_steps_rule_and_bound():
