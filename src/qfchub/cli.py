@@ -202,19 +202,18 @@ def cmd_index(config: RunConfig, args: argparse.Namespace) -> dict:
                *([f(model, x, config.temperature_c, config.allow_extrapolation)
                   for x in um]
                  for f in (refractive_index, index_derivative, group_index))]
+    count = len(columns[0])
+    if config.output and config.output_format == "csv":
+        return {"rows": count, "output": str(write_csv(config.output, INDEX_CSV, *columns))}
     header, fmt = INDEX_CSV
     rows = csv_rows(fmt, *columns)
     if config.output:
-        if config.output_format == "json":
-            payload = [dict(zip(header, map(float, row.split(",")))) for row in rows]
-            out = write_json(config.output, payload)
-        else:
-            out = write_csv(config.output, INDEX_CSV, *columns)
-        return {"rows": len(rows), "output": str(out)}
+        payload = [dict(zip(header, map(float, row.split(",")))) for row in rows]
+        return {"rows": count, "output": str(write_json(config.output, payload))}
     print(",".join(header))
     for row in rows:
         print(row)
-    return {"rows": len(rows)}
+    return {"rows": count}
 
 
 def cmd_pm_scan(config: RunConfig, args: argparse.Namespace) -> dict:

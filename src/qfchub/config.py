@@ -24,17 +24,18 @@ class RunConfig:
     material_file: str | None = None
     temperature_c: float = 48.0
     length_mm: float = 40.0
+    # the CLI's own cutoff default; the other defaults are those of the builders
     constraint_mode: str = "max_converted_wavelength"
     constraint_value_nm: float = 1550.0
-    efficiency_threshold: float = 0.9
-    scan_halfwidth_thz: float = 60.0
-    coarse_step_ghz: float = 5.0
-    channel_spacing_ghz: float = 25.0
-    grid_anchor_thz: float = 194.850
-    grid_spacing_ghz: float = 25.0
-    grid_ports: int = 16
-    laser_min_nm: float = 1572.063
-    laser_max_nm: float = 1607.760
+    efficiency_threshold: float = TuningConstraints.efficiency_threshold
+    scan_halfwidth_thz: float = TuningConstraints.scan_halfwidth_thz
+    coarse_step_ghz: float = TuningConstraints.coarse_step_ghz
+    channel_spacing_ghz: float = TuningConstraints.channel_spacing_ghz
+    grid_anchor_thz: float = DwdmGrid.anchor_frequency_thz
+    grid_spacing_ghz: float = DwdmGrid.spacing_ghz
+    grid_ports: int = DwdmGrid.port_count
+    laser_min_nm: float = LaserSpec.min_wavelength_nm
+    laser_max_nm: float = LaserSpec.max_wavelength_nm
     # Signal frequency reproducing the printed per-port pump values
     # (384.200 THz ~ 780.30 nm, not exactly 780 nm).
     signal_frequency_thz: float = 384.200
@@ -54,7 +55,13 @@ class RunConfig:
         return LaserSpec(self.laser_min_nm, self.laser_max_nm)
 
     def validate(self) -> "RunConfig":
-        """Check the fields no builder checks, then build what the commands use."""
+        """Check each field's type and the fields no builder checks, then build what
+        the commands use."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (isinstance(value, _FIELD_TYPES[f.type])
+                    and (f.type == "bool" or not isinstance(value, bool))):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if not -273.15 < self.temperature_c < math.inf:
             raise ConfigError("temperature must be finite and above absolute zero")
         for name in ("length_mm", "signal_frequency_thz"):
@@ -71,6 +78,9 @@ class RunConfig:
 
 
 _FIELD_NAMES = {f.name for f in fields(RunConfig)}
+# What each annotation accepts: a float field takes an int too, and only a bool field a bool
+_FIELD_TYPES = {"str": str, "str | None": (str, type(None)), "float": (int, float),
+                "int": int, "bool": bool}
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -3,7 +3,7 @@
 Sellmeier-type dispersion models with pluggable coefficient sets. Units are
 um for vacuum wavelength, THz for frequency and deg C for temperature. All
 evaluation functions accept a float or a numpy array of wavelengths and are
-pure, so they are safe under any amount of concurrency.
+pure.
 """
 from __future__ import annotations
 

@@ -17,12 +17,14 @@ import numpy as np
 from .constants import C_NM_THZ
 from .dispersion import SellmeierModel, SpectralPoint
 from .errors import DomainError, RangeError
-from .qpm import DeviceConfig, _grid_steps, grid_efficiency, solve_poling_period
+from .qpm import (_MAX_GRID_POINTS, DeviceConfig, _grid_steps, grid_efficiency,
+                  solve_poling_period)
 
 
 @dataclass(frozen=True)
 class DwdmGrid:
-    """Descending-frequency DWDM grid: port n sits at anchor - (n-1)*spacing."""
+    """Descending-frequency DWDM grid: port n sits at anchor - (n-1)*spacing, with
+    at most ``_MAX_GRID_POINTS`` steps, as every grid, and the last port above 0 THz."""
 
     anchor_frequency_thz: float = 194.850
     spacing_ghz: float = 25.0
@@ -34,6 +36,14 @@ class DwdmGrid:
             raise DomainError("grid anchor and spacing must be finite and positive")
         if not (isinstance(self.port_count, (int, np.integer)) and self.port_count >= 1):
             raise DomainError("grid needs a whole number of ports, at least one")
+        # the count first: a count past the bound may not even convert to float
+        if self.port_count - 1 > _MAX_GRID_POINTS:
+            raise DomainError(f"grid of {self.port_count} ports exceeds "
+                              f"{_MAX_GRID_POINTS + 1} ports")
+        last = port_frequency(self, self.port_count)
+        if not last > 0:
+            raise DomainError(f"grid of {self.port_count} ports ends at {last:.3f} THz, "
+                              "not above 0 THz")
 
 
 @dataclass(frozen=True)
@@ -82,7 +92,7 @@ def plan_pumps(grid: DwdmGrid, signal_frequency_thz: float, laser: LaserSpec,
     laser range when its wavelength lies within the closed interval.
     """
     n = grid.port_count
-    nu_c = np.array([port_frequency(grid, p) for p in range(1, n + 1)])
+    nu_c = grid.anchor_frequency_thz - np.arange(n, dtype=float) * grid.spacing_ghz / 1000.0
     if signal_frequency_thz <= nu_c.max():
         raise DomainError(
             f"signal frequency {signal_frequency_thz:.3f} THz must exceed every "

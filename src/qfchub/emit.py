@@ -3,7 +3,7 @@
 CSV files carry a versioned ``# schema=N`` comment line ahead of the header
 so downstream plot scripts break loudly when the layout changes. Every row
 is one pre-formatted line from ``csv_rows``, which keeps byte-identical
-output across runs and worker counts. ``write_csv`` formats and writes the
+output across runs. ``write_csv`` formats and writes the
 rows ``_CHUNK_ROWS`` at a time, so a file's text is never held whole.
 """
 from __future__ import annotations

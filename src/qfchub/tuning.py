@@ -15,7 +15,7 @@ from typing import Literal, NamedTuple
 import numpy as np
 
 from .constants import C_NM_THZ, REFINE_GHZ
-from .dispersion import SellmeierModel, SpectralPoint
+from .dispersion import SellmeierModel, SpectralPoint, _require_validity
 from .errors import DomainError
 from .qpm import (_KERNEL_POINTS, DeviceConfig, _grid_steps, _in_fit, _triple_um,
                   _validity_bounds_nu_c, grating_mismatch, grid_efficiency,
@@ -188,13 +188,19 @@ def _solve(signal_nm, target_nm: float, length_mm: float, temperature_c: float,
            material: SellmeierModel, constraints: TuningConstraints) -> list[TuningResult]:
     """Tuning intervals of many signals around one target, all solved together.
 
-    A signal failing the working-point checks of ``make_device`` gets an empty
-    ``scan_edge`` result and a degenerate center an empty ``separation`` one.
+    What every signal shares is checked once, and a fault raises for the whole
+    call: the target, the length, and the target and temperature against the
+    fit's validity window. A signal failing its own working-point checks of
+    ``make_device`` gets an empty ``scan_edge`` result and a degenerate center
+    an empty ``separation`` one.
     Walk rows 0..n-1 go down from the center, n..2n-1 up, so the low converted
     wavelength comes from the upper frequency edge.
     """
     signal_nm = np.asarray(signal_nm, dtype=float)
     center = SpectralPoint.from_wavelength_nm(target_nm)
+    if not 0 < length_mm < math.inf:
+        raise DomainError(f"length must be finite and > 0, got {length_mm}")
+    _require_validity(material, center.wavelength_um, temperature_c)
     nu_c0 = center.frequency_thz
     with np.errstate(divide="ignore", invalid="ignore"):
         nu_s = C_NM_THZ / signal_nm
@@ -303,22 +309,20 @@ def hub_sweep(signal_range_nm: tuple[float, float], signal_step_nm: float,
               workers: int = 1) -> list[HubSweepPoint]:
     """One tuning range per signal wavelength, ordered by signal wavelength.
 
-    A signal whose working point ``tuning_range`` would reject is an empty
-    ``scan_edge`` point. ``workers`` is accepted for compatibility and ignored.
+    A target, length or temperature that ``tuning_range`` would reject raises
+    as it does there, for the whole sweep; a signal whose own working point
+    it would reject is an empty ``scan_edge`` point. ``workers`` is accepted
+    for compatibility and ignored.
     """
     lo, hi = signal_range_nm
     if not -math.inf < lo <= hi < math.inf:
         raise DomainError("signal range must be finite and ascending")
-    if not 0 < target_center_nm < math.inf:
-        raise DomainError(f"target must be finite and positive, got {target_center_nm}")
-    if not 0 < length_mm < math.inf:
-        raise DomainError(f"length must be finite and > 0, got {length_mm}")
     count = _grid_steps(hi - lo, signal_step_nm, "signal_step_nm", "nm") + 1
     points: list[HubSweepPoint] = []
     for first in range(0, count, _SIGNAL_BATCH):
-        signals = [float(lo + i * signal_step_nm)
-                   for i in range(first, min(first + _SIGNAL_BATCH, count))]
-        points += map(HubSweepPoint, signals, _solve(
+        signals = lo + signal_step_nm * np.arange(first, min(first + _SIGNAL_BATCH, count),
+                                                  dtype=float)
+        points += map(HubSweepPoint, signals.tolist(), _solve(
             signals, target_center_nm, length_mm, temperature_c, material, constraints))
     return points
 

@@ -4,6 +4,7 @@ import gzip
 import hashlib
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +208,12 @@ _SCAN = ["pm-scan", "--signal", "780", "--target", "1540"]
                  None, id="scan-signal-nan"),
     pytest.param(["tuning-range", "--signal", "inf", "--target", "1540"], None,
                  id="tuning-signal-inf"),
+    # a fault every signal of a sweep shares fails the sweep, as in tuning-range
+    pytest.param([*_SWEEP, "--temperature", "300"], None, id="sweep-temperature-300"),
+    pytest.param(["hub-sweep", "--start", "780", "--stop", "782", "--target", "6000"],
+                 None, id="sweep-target-6000"),
+    pytest.param(["plan", "--grid-ports", "8000"], None, id="grid-ports-8000"),
+    pytest.param(["plan", "--grid-ports", "1000000000"], None, id="grid-ports-1e9"),
 ])
 def test_non_finite_values_exit_2(argv, named, tmp_path, run_cli):
     # a bad grid step names its step parameter (the coarse step's non-finite
@@ -214,6 +221,7 @@ def test_non_finite_values_exit_2(argv, named, tmp_path, run_cli):
     proc = run_cli(argv, tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(f"error: {named}: " if named else "error: ")
+    assert len(proc.stderr.splitlines()) == 1
     assert proc.stdout == ""
     assert list(tmp_path.iterdir()) == []
 
@@ -432,6 +440,48 @@ def test_config_via_environment(tmp_path, run_cli):
         ["tuning-range", "--signal", "780", "--target", "1540",
          "--cutoff", "1550"], tmp_path, env=env))
     assert summary["length_mm"] == 20.0
+
+
+@pytest.mark.parametrize("argv, config", [
+    pytest.param(["plan"], {"grid_ports": 8000}, id="grid-ports-8000"),
+    pytest.param(["index", "780"], {"length_mm": "40"}, id="length-str"),
+    pytest.param(["tuning-range", "--signal", "780", "--target", "1540"],
+                 {"efficiency_threshold": "0.9"}, id="threshold-str"),
+    pytest.param(["plan"], {"grid_ports": True}, id="grid-ports-bool"),
+    pytest.param(["index", "6000"], {"allow_extrapolation": "no"}, id="extrapolation-str"),
+])
+def test_bad_config_value_exits_2(argv, config, tmp_path, run_cli):
+    # a bad value or a value of the wrong type is one error line, and no file
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    proc = run_cli([*argv, "--config", "c.json"], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+def test_config_int_for_a_float_key_runs(tmp_path, run_cli):
+    argv = ["tuning-range", "--signal", "780", "--target", "1540"]
+    env = {k: v for k, v in os.environ.items() if k != ENV_CONFIG_PATH}
+    (tmp_path / "c.json").write_text(json.dumps({"length_mm": 40}))
+    with_int = summary_of(run_cli([*argv, "--config", "c.json"], tmp_path, env=env))
+    without = summary_of(run_cli(argv, tmp_path, env=env))
+    del with_int["elapsed_s"], without["elapsed_s"]
+    assert with_int == without
+    assert load_config(tmp_path / "c.json").length_mm == 40
+
+
+def test_run_config_defaults_are_the_builders_defaults():
+    config = RunConfig()
+    assert config.grid() == DwdmGrid()
+    assert config.laser() == LaserSpec()
+    constraints = config.tuning_constraints()
+    # the CLI's own cutoff of 1550 nm is the one difference
+    assert (constraints.constraint_mode, constraints.constraint_value_nm) == (
+        "max_converted_wavelength", 1550.0)
+    assert replace(constraints, constraint_mode=TuningConstraints.constraint_mode,
+                   constraint_value_nm=TuningConstraints.constraint_value_nm
+                   ) == TuningConstraints()
 
 
 def test_bad_config_exits_2(tmp_path, run_cli):
@@ -674,6 +724,8 @@ def test_flags_reach_the_run_config(monkeypatch):
     {"temperature_c": -300.0}, {"length_mm": 0.0}, {"signal_frequency_thz": 0.0},
     {"output_format": "xml"}, {"workers": 2}, {"grid_ports": 2.5},
     {"coarse_step_ghz": 0.01}, {"coarse_step_ghz": 1e-300},
+    {"length_mm": "40"}, {"efficiency_threshold": "0.9"}, {"grid_ports": True},
+    {"allow_extrapolation": "no"}, {"grid_ports": 8000},
 ])
 def test_bad_config_values_raise_config_error(overrides, tmp_path):
     with pytest.raises(ConfigError):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -47,6 +48,26 @@ def test_grid_validation():
         DwdmGrid(port_count=2.5)
     with pytest.raises(DomainError):
         LaserSpec(1600.0, 1500.0)
+
+
+def test_grid_accepts_up_to_the_grid_bound():
+    # port 17 of a 0.4 THz anchor at 25 GHz would sit exactly at 0 THz
+    assert port_frequency(DwdmGrid(math.nextafter(0.4, 1.0), 25.0, 17), 17) > 0.0
+    # at 0.1 GHz the last port of the longest grid stays near 95 THz
+    grid = DwdmGrid(spacing_ghz=0.1, port_count=qpm._MAX_GRID_POINTS + 1)
+    assert port_frequency(grid, grid.port_count) > 94.0
+
+
+@pytest.mark.parametrize("anchor_thz, spacing_ghz, ports, message", [
+    (0.4, 25.0, 17, "grid of 17 ports ends at 0.000 THz, not above 0 THz"),
+    (194.85, 25.0, 8000, "grid of 8000 ports ends at -5.125 THz"),
+    (194.85, 0.1, qpm._MAX_GRID_POINTS + 2, "grid of 1000002 ports exceeds 1000001 ports"),
+    # checked before any port is laid out, also for a count no float can hold
+    (194.85, 25.0, 10 ** 400, "exceeds 1000001 ports"),
+], ids=["last-at-zero", "8000-ports", "bound-plus-two", "past-float-range"])
+def test_grid_rejects_past_the_grid_bound(anchor_thz, spacing_ghz, ports, message):
+    with pytest.raises(DomainError, match=message):
+        DwdmGrid(anchor_thz, spacing_ghz, ports)
 
 
 def test_plan_port7_reference_operating_point(jundt):

@@ -197,6 +197,34 @@ def test_bad_length_raises_in_tuning_range_and_hub_sweep(length_mm, jundt):
         hub_sweep((780.0, 780.0), 1.0, 1540.0, length_mm, 48.0, jundt, constraints)
 
 
+@pytest.mark.parametrize("target, temperature", [
+    (1540.0, float("nan")), (1540.0, 300.0), (1540.0, 10.0),
+    (6000.0, 48.0), (float("nan"), 48.0)])
+def test_hub_sweep_shared_faults_raise_as_tuning_range(target, temperature, jundt,
+                                                       separation_20):
+    # a fault every signal shares fails the whole sweep, never a column of
+    # empty scan_edge rows; 780 nm is a valid signal
+    with pytest.raises(QfcHubError) as alone:
+        tuning_range(780.0, target, 40.0, temperature, jundt, separation_20)
+    with pytest.raises(QfcHubError) as swept:
+        hub_sweep((780.0, 782.0), 1.0, target, 40.0, temperature, jundt, separation_20)
+    assert type(swept.value) is type(alone.value)
+    assert str(swept.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("lo, hi, step", [(780, 800, 1), (400.3, 401.9, 0.1),
+                                          (700.0, 709.5, 0.5)])
+def test_hub_sweep_signals_are_the_grid_points(lo, hi, step, jundt, separation_20):
+    # the signals are float(lo + i * step), across batches of 3 signals
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tuning, "_SIGNAL_BATCH", 3)
+        points = hub_sweep((lo, hi), step, 1540.0, 40.0, 48.0, jundt, separation_20)
+    count = round((hi - lo) / step) + 1
+    assert len(points) == count > 6
+    assert [p.signal_nm for p in points] == [float(lo + i * step) for i in range(count)]
+    assert all(type(p.signal_nm) is float for p in points)
+
+
 def test_sweet_spot_report_examples(jundt):
     report = sweet_spot_report(780.0, 1540.0, 48.0, jundt)
     assert report.is_second_harmonic_midpoint
