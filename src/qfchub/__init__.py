@@ -21,7 +21,7 @@ from .polarization import (EfficiencyCurveParams, EfficiencyFit,
                            process_fidelity, pump_balance, reconstruct_chi,
                            simulate_tomography)
 from .qpm import (DeviceConfig, group_index_mismatch, make_device,
-                  phase_mismatch_vs_converted, pm_efficiency, pump_for, sinc,
+                  phase_mismatch_vs_converted, pm_efficiency, pump_for,
                   solve_poling_period, wavenumber_mismatch)
 from .tuning import (HubSweepPoint, Spectrum, SweetSpotReport, TuningConstraints,
                      TuningResult, hub_sweep, pm_spectrum_columns,
@@ -52,7 +52,7 @@ __all__ = [
     "pump_balance", "reconstruct_chi", "simulate_tomography",
     # qpm
     "DeviceConfig", "group_index_mismatch", "make_device",
-    "phase_mismatch_vs_converted", "pm_efficiency", "pump_for", "sinc",
+    "phase_mismatch_vs_converted", "pm_efficiency", "pump_for",
     "solve_poling_period", "wavenumber_mismatch",
     # tuning
     "HubSweepPoint", "Spectrum", "SweetSpotReport", "TuningConstraints",

@@ -189,30 +189,21 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return apply_overrides(config, **overrides)
 
 
-def _out_path(config: RunConfig, default_name: str) -> Path:
-    if config.output:
-        return Path(config.output)
-    return Path(default_name)
-
-
 def cmd_index(config: RunConfig, args: argparse.Namespace) -> dict:
     model = get_material(config.material, config.material_file)
-    um = [nm / 1000.0 for nm in args.wavelengths_nm]
+    um = np.array(args.wavelengths_nm) / 1000.0
     columns = [args.wavelengths_nm,
-               *([f(model, x, config.temperature_c, config.allow_extrapolation)
-                  for x in um]
+               *(f(model, um, config.temperature_c, config.allow_extrapolation).tolist()
                  for f in (refractive_index, index_derivative, group_index))]
     count = len(columns[0])
+    header, fmt = INDEX_CSV
     if config.output and config.output_format == "csv":
         return {"rows": count, "output": str(write_csv(config.output, INDEX_CSV, *columns))}
-    header, fmt = INDEX_CSV
-    rows = csv_rows(fmt, *columns)
-    if config.output:
-        payload = [dict(zip(header, map(float, row.split(",")))) for row in rows]
+    if config.output:  # round() is correctly rounded: the values of the CSV fields
+        payload = [dict(zip(header, (round(nm, 4), *(round(v, 8) for v in values))))
+                   for nm, *values in zip(*columns)]
         return {"rows": count, "output": str(write_json(config.output, payload))}
-    print(",".join(header))
-    for row in rows:
-        print(row)
+    print("\n".join([",".join(header), *csv_rows(fmt, *columns)]))
     return {"rows": count}
 
 
@@ -224,7 +215,7 @@ def cmd_pm_scan(config: RunConfig, args: argparse.Namespace) -> dict:
     spectrum = pm_spectrum_columns(args.signal, args.target, device,
                                    args.window_thz, args.step_ghz)
     ext = config.output_format
-    out = _out_path(config, f"pm_scan.{ext}")
+    out = Path(config.output or f"pm_scan.{ext}")
     if ext == "json":
         columns = [c.tolist() for c in spectrum]
         # JSON has no NaN: null is an efficiency undefined where n^2 < 0
@@ -289,7 +280,7 @@ def cmd_hub_sweep(config: RunConfig, args: argparse.Namespace) -> dict:
                        config.length_mm, config.temperature_c, model,
                        constraints)
     ext = config.output_format
-    out = _out_path(config, f"hub_sweep.{ext}")
+    out = Path(config.output or f"hub_sweep.{ext}")
     if ext == "json":
         payload = [{"signal_nm": p.signal_nm,
                     **tuning_result_payload(p.tuning,
@@ -324,7 +315,7 @@ def cmd_plan(config: RunConfig, args: argparse.Namespace) -> dict:
     plan, curve = _pump_plan(config, model, args.center_frequency_thz,
                              args.curve_step_ghz if args.curve else None)
     ext = config.output_format
-    out = _out_path(config, f"pump_plan.{ext}")
+    out = Path(config.output or f"pump_plan.{ext}")
     if ext == "json":
         payload = {
             "signal_frequency_THz": plan.signal_frequency_thz,
@@ -381,7 +372,7 @@ def cmd_tomography(config: RunConfig, args: argparse.Namespace) -> dict:
         "chi_reconstructed": chi_payload(chi),
         "chi_closed_form": chi_payload(kraus_to_chi(model)),
     }
-    out = _out_path(config, "tomography.json")
+    out = Path(config.output or "tomography.json")
     write_json(out, payload)
     return {"process_fidelity": round(fidelity, 9), "output": str(out)}
 

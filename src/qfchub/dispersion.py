@@ -143,7 +143,7 @@ def refractive_index(model: SellmeierModel, wavelength_um, temperature_c: float,
     or not; so do ``index_derivative`` and ``group_index``.
     """
     n = _index(model, wavelength_um, temperature_c, allow_extrapolation)
-    return float(n) if np.isscalar(wavelength_um) else n
+    return float(n) if np.ndim(wavelength_um) == 0 else n
 
 
 def index_derivative(model: SellmeierModel, wavelength_um, temperature_c: float,
@@ -151,7 +151,7 @@ def index_derivative(model: SellmeierModel, wavelength_um, temperature_c: float,
     """Analytic dn/dlambda in 1/um."""
     n = _index(model, wavelength_um, temperature_c, allow_extrapolation)
     d = _dn2_dlam(model, wavelength_um, temperature_c) / (2.0 * n)
-    return float(d) if np.isscalar(wavelength_um) else d
+    return float(d) if np.ndim(wavelength_um) == 0 else d
 
 
 def group_index(model: SellmeierModel, wavelength_um, temperature_c: float,
@@ -160,7 +160,7 @@ def group_index(model: SellmeierModel, wavelength_um, temperature_c: float,
     lam = np.asarray(wavelength_um, dtype=float)
     n = _index(model, lam, temperature_c, allow_extrapolation)
     g = n - lam * _dn2_dlam(model, lam, temperature_c) / (2.0 * n)
-    return float(g) if np.isscalar(wavelength_um) else g
+    return float(g) if np.ndim(wavelength_um) == 0 else g
 
 
 @dataclass(frozen=True)

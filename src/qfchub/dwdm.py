@@ -17,14 +17,15 @@ import numpy as np
 from .constants import C_NM_THZ
 from .dispersion import SellmeierModel, SpectralPoint
 from .errors import DomainError, RangeError
-from .qpm import (_MAX_GRID_POINTS, DeviceConfig, _grid_steps, grid_efficiency,
-                  solve_poling_period)
+from .qpm import (_MAX_GRID_POINTS, DeviceConfig, _grid_steps, _require_fit, _triple_um,
+                  grid_efficiency, solve_poling_period)
 
 
 @dataclass(frozen=True)
 class DwdmGrid:
-    """Descending-frequency DWDM grid: port n sits at anchor - (n-1)*spacing, with
-    at most ``_MAX_GRID_POINTS`` steps, as every grid, and the last port above 0 THz."""
+    """Descending-frequency DWDM grid: port n sits at anchor - (n-1)*spacing, with at most
+    ``_MAX_GRID_POINTS`` steps, as every grid, ports a step of at least one ulp of the
+    anchor apart, so that none coincide, and the last port above 0 THz."""
 
     anchor_frequency_thz: float = 194.850
     spacing_ghz: float = 25.0
@@ -40,6 +41,10 @@ class DwdmGrid:
         if self.port_count - 1 > _MAX_GRID_POINTS:
             raise DomainError(f"grid of {self.port_count} ports exceeds "
                               f"{_MAX_GRID_POINTS + 1} ports")
+        anchor = self.anchor_frequency_thz
+        if self.port_count > 1 and self.spacing_ghz / 1000.0 < math.ulp(anchor):
+            raise DomainError(f"grid spacing of {self.spacing_ghz:g} GHz is below the "
+                              f"resolution of its {anchor:g} THz anchor; ports coincide")
         last = port_frequency(self, self.port_count)
         if not last > 0:
             raise DomainError(f"grid of {self.port_count} ports ends at {last:.3f} THz, "
@@ -97,6 +102,8 @@ def plan_pumps(grid: DwdmGrid, signal_frequency_thz: float, laser: LaserSpec,
         raise DomainError(
             f"signal frequency {signal_frequency_thz:.3f} THz must exceed every "
             f"port frequency (max {nu_c.max():.3f} THz)")
+    # every port must lie in the fit; the window is an interval, so the end ports decide
+    _require_fit(material, temperature_c, _triple_um(signal_frequency_thz, nu_c[[0, -1]]))
     center = center_frequency_thz
     if center is None:  # for odd n both name the middle port, and 0.5 * (x + x) == x
         center = float(0.5 * (nu_c[(n - 1) // 2] + nu_c[n // 2]))

@@ -83,6 +83,13 @@ def _in_fit(model: SellmeierModel, temperature_c, lams):
     return s & p & c
 
 
+def _require_fit(model: SellmeierModel, temperature_c, lams, allow_extrapolation=False):
+    """The rule's raising form: ``_require_validity`` over every wavelength of ``lams``,
+    a ``_triple_um`` triple whose waves may differ in shape."""
+    _require_validity(model, np.concatenate([np.ravel(w) for w in lams]), temperature_c,
+                      allow_extrapolation)
+
+
 def _validity_bounds_nu_c(nu_s, model: SellmeierModel):
     """``_in_fit``'s rule for pump and converted as an interval of converted
     frequency per signal frequency, for the tuning walk (temperature aside)."""
@@ -139,7 +146,7 @@ def solve_poling_period(signal: SpectralPoint, converted: SpectralPoint,
     pump_for(signal, converted)  # raises unless nu_s > nu_c
     lams = _triple_um(signal.frequency_thz, converted.frequency_thz,
                       signal.wavelength_um, converted.wavelength_um)
-    _require_validity(material, lams, temperature_c, allow_extrapolation)
+    _require_fit(material, temperature_c, lams, allow_extrapolation)
     d = float(wavenumber_mismatch(material, temperature_c, signal.frequency_thz,
                                   converted.frequency_thz, lams[0], lams[2]))
     if not d > 0:
@@ -160,24 +167,16 @@ def make_device(signal_nm: float, target_nm: float, length_mm: float,
     return DeviceConfig(period, length_mm, temperature_c, material)
 
 
-def sinc(x):
-    """sin(x)/x with a series branch near zero; sinc(0) = 1.
-
-    The series branch keeps the tuning-range bisection, which evaluates
-    arbitrarily close to the phase-matching null, free of cancellation noise.
-    """
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    safe = np.where(small, 1.0, x)
-    out = np.where(small, 1.0 - x * x / 6.0, np.sin(safe) / safe)
-    return float(out) if out.ndim == 0 else out
-
-
 def pm_efficiency(dk_rad_per_m, length_mm: float):
-    """Phase-matching efficiency sinc^2(dk * L / 2), in [0, 1]."""
+    """The one sinc^2 expression: efficiency sinc^2(dk * L / 2), in [0, 1]. The series
+    1 - x^2/6 where |x| < 1e-4 covers x -> 0, the peak, where sin(x)/x is 0/0; it is
+    taken from ``where(small, x, 0)``, so a far point cannot overflow it."""
     x = np.asarray(dk_rad_per_m, dtype=float) * (length_mm * 1e-3) / 2.0
-    out = sinc(x) ** 2
-    return float(out) if np.ndim(out) == 0 else out
+    small = np.abs(x) < 1e-4
+    s = np.where(small, x, 0.0)
+    np.subtract(1.0, s * s / 6.0, out=s)  # in place: s stays an array for a 0-d x
+    np.divide(np.sin(x), x, out=s, where=~small)
+    return float(s) ** 2 if s.ndim == 0 else s ** 2
 
 
 def group_index_mismatch(converted_um: float, pump_um: float,
@@ -199,12 +198,10 @@ def phase_mismatch_vs_converted(nu_c_thz, signal: SpectralPoint, device: DeviceC
     The pump follows from energy conservation at each point.
     """
     nu_c = np.asarray(nu_c_thz, dtype=float)
-    nu_p = signal.frequency_thz - nu_c
-    if np.any(nu_p <= 0):
+    if np.any(signal.frequency_thz - nu_c <= 0):
         raise DomainError("converted frequency exceeds the signal frequency")
-    extremes = [nu_p.min(), nu_p.max(), nu_c.min(), nu_c.max()] if nu_c.size else []
-    _require_validity(device.material, np.append(C_UM_THZ / np.array(extremes),
-                                                 signal.wavelength_um), device.temperature_c)
+    _require_fit(device.material, device.temperature_c,
+                 _triple_um(signal.frequency_thz, nu_c, signal.wavelength_um))
     return grating_mismatch(device.material, device.temperature_c,
                             device.poling_period_um, signal.frequency_thz, nu_c,
                             signal.wavelength_um)

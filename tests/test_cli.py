@@ -29,7 +29,9 @@ def _reject_constant(name):
 
 
 def summary_of(proc):
+    # a successful command writes nothing to stderr, not even a numpy warning
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
     line = proc.stdout.strip().splitlines()[-1]
     return json.loads(line, parse_constant=_reject_constant)
 
@@ -49,6 +51,13 @@ def test_index_out_of_validity_exits_2(tmp_path, run_cli):
     proc = run_cli(["index", "300"], tmp_path)
     assert proc.returncode == 2
     assert "outside" in proc.stderr and "0.400" in proc.stderr
+    # the table is one column per kernel: of several wavelengths outside the
+    # window the error names the lowest if it is below, else the highest
+    for argv, named in ((["6000", "300"], "0.3000"), (["780", "6000", "5500"], "6.0000")):
+        proc = run_cli(["index", *argv], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == (f"error: wavelength {named} um outside jundt1997 validity "
+                               "[0.400, 5.000] um\n")
 
 
 def test_index_without_arguments_exits_2(tmp_path, run_cli):
@@ -214,6 +223,12 @@ _SCAN = ["pm-scan", "--signal", "780", "--target", "1540"]
                  None, id="sweep-target-6000"),
     pytest.param(["plan", "--grid-ports", "8000"], None, id="grid-ports-8000"),
     pytest.param(["plan", "--grid-ports", "1000000000"], None, id="grid-ports-1e9"),
+    # every port must lie in the fit; 5397 ports reach 5.0007 um
+    pytest.param(["plan", "--grid-ports", "5500"], None, id="grid-ports-past-fit"),
+    pytest.param(["plan", "--grid-ports", "7000", "--format", "json"], None,
+                 id="grid-ports-past-fit-json"),
+    # ports that would coincide
+    pytest.param(["plan", "--grid-spacing-ghz", "1e-300"], None, id="grid-spacing-tiny"),
 ])
 def test_non_finite_values_exit_2(argv, named, tmp_path, run_cli):
     # a bad grid step names its step parameter (the coarse step's non-finite
@@ -224,6 +239,20 @@ def test_non_finite_values_exit_2(argv, named, tmp_path, run_cli):
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stdout == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_plan_up_to_the_fit(tmp_path, run_cli):
+    # 5396 ports end at 5.0000 um, inside the fit; one more does not
+    summary = summary_of(run_cli(["plan", "--grid-ports", "5396"], tmp_path))
+    assert summary["ports"] == 5396
+    assert len(read_schema_csv(tmp_path / "pump_plan.csv")) == 5396
+
+
+def test_huge_length_is_quiet(tmp_path, run_cli):
+    # a far point of the sinc^2 kernel no longer overflows its series branch
+    summary = summary_of(run_cli(["tuning-range", "--signal", "780", "--target", "1540",
+                                  "--length", "1e300"], tmp_path))
+    assert summary["width_nm"] == 0.0
 
 
 def test_tuning_range_empty_is_exit_zero(tmp_path, run_cli):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qfchub import (DomainError, SpectralPoint, ValidityError, get_material,
-                    group_index, index_derivative, load_material_file,
-                    refractive_index)
+from qfchub import (DomainError, EfficiencyCurveParams, SpectralPoint, ValidityError,
+                    efficiency_model, get_material, group_index, index_derivative,
+                    load_material_file, pm_efficiency, refractive_index)
 from qfchub.constants import C_NM_THZ
 from qfchub.dispersion import SellmeierModel, _dn2_dlam, _n_squared
 
@@ -118,6 +118,36 @@ def test_index_functions_reject_impossible_inputs(jundt, lam, temperature):
             for allow in (True, False):
                 with pytest.raises(DomainError, match="must be finite"):
                     f(jundt, x, temperature, allow_extrapolation=allow)
+
+
+@pytest.mark.parametrize("value", [1.54, np.float64(1.54), np.array(1.54)],
+                         ids=["python-float", "numpy-scalar", "0-d-array"])
+def test_kernels_return_a_float_for_any_scalar(jundt, value):
+    # one scalar rule, np.ndim(x) == 0, for every kernel that takes a float or an array
+    params = EfficiencyCurveParams(0.44, 0.013)
+    for result in (refractive_index(jundt, value, 48.0), index_derivative(jundt, value, 48.0),
+                   group_index(jundt, value, 48.0), pm_efficiency(value, 40.0),
+                   efficiency_model(value, params)):
+        assert type(result) is float
+    assert type(refractive_index(jundt, np.array([value]), 48.0)) is np.ndarray
+
+
+@settings(max_examples=200, deadline=None)
+@given(lams=st.lists(st.floats(0.4, 5.0), min_size=1, max_size=16),
+       temperature=st.floats(21.5, 250.0), extrapolate=st.booleans(),
+       outside=st.lists(st.floats(0.25, 8.0), max_size=4),
+       temperature_shift=st.floats(-200.0, 200.0))
+def test_array_kernels_equal_scalar_calls_bitwise(jundt, lams, temperature, extrapolate,
+                                                  outside, temperature_shift):
+    # an index table is evaluated as one column per kernel: each value must be the
+    # bits of the scalar call, inside the fit and, extrapolating, beyond it
+    if extrapolate:
+        lams, temperature = lams + outside, temperature + temperature_shift
+        assume(all(_n_squared(jundt, lam, temperature) > 1.0 for lam in lams))
+    for f in (refractive_index, index_derivative, group_index):
+        column = f(jundt, np.array(lams), temperature, allow_extrapolation=extrapolate)
+        assert column.tolist() == [f(jundt, lam, temperature, allow_extrapolation=extrapolate)
+                                   for lam in lams]
 
 
 def test_validity_error_names_bound(jundt):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfchub import (DeviceConfig, DomainError, DwdmGrid, EfficiencyCurve, LaserSpec,
-                    RangeError, efficiency_curve_columns, make_device, plan_pumps,
-                    port_frequency)
+                    RangeError, ValidityError, efficiency_curve_columns, make_device,
+                    plan_pumps, port_frequency)
 from qfchub.constants import C_NM_THZ, C_UM_THZ
 from qfchub import qpm
 from qfchub.qpm import grid_efficiency
@@ -68,6 +68,39 @@ def test_grid_accepts_up_to_the_grid_bound():
 def test_grid_rejects_past_the_grid_bound(anchor_thz, spacing_ghz, ports, message):
     with pytest.raises(DomainError, match=message):
         DwdmGrid(anchor_thz, spacing_ghz, ports)
+
+
+@settings(max_examples=300, deadline=None)
+@given(anchor_thz=st.one_of(st.floats(1e-3, 1e4), st.floats(100.0, 300.0),
+                            st.sampled_from([128.0, 256.0])),
+       ulps=st.one_of(st.floats(0.25, 4.0), st.sampled_from([0.5, 1.0, 2.0])),
+       nudge=st.integers(-2, 2), ports=st.integers(2, 64))
+def test_accepted_grids_have_distinct_ports(jundt, anchor_thz, ulps, nudge, ports):
+    # steps near one ulp of the anchor: every grid the rule accepts descends
+    # strictly, port by port and in the plan's columns; the rest are refused
+    spacing_ghz = ulps * math.ulp(anchor_thz) * 1000.0
+    spacing_ghz += nudge * math.ulp(spacing_ghz)
+    try:
+        grid = DwdmGrid(anchor_thz, spacing_ghz, ports)
+    except DomainError as exc:
+        assert str(exc).startswith(f"grid spacing of {spacing_ghz:g} GHz is below")
+        assert spacing_ghz / 1000.0 < math.ulp(anchor_thz)
+        return
+    nu_c = [port_frequency(grid, p) for p in range(1, ports + 1)]
+    assert all(a > b for a, b in zip(nu_c, nu_c[1:]))
+    if 100.0 <= anchor_thz <= 300.0:
+        plan = plan_pumps(grid, SIGNAL_THZ, LaserSpec(), 40.0, 48.0, jundt)
+        assert plan.nu_c_thz.tolist() == nu_c
+
+
+def test_grid_spacing_below_the_anchor_resolution_is_refused():
+    # at half an ulp of the anchor the second port rounds onto the first or the third
+    half = math.ulp(194.85) / 2.0
+    assert len({194.85 - k * half for k in range(3)}) < 3
+    for spacing_ghz in (half * 1000.0, 1e-300):
+        with pytest.raises(DomainError, match=f"grid spacing of {spacing_ghz:g} GHz"):
+            DwdmGrid(194.85, spacing_ghz, 16)
+    assert DwdmGrid(194.85, 1e-300, 1).port_count == 1  # one port has no neighbour
 
 
 def test_plan_port7_reference_operating_point(jundt):
@@ -151,6 +184,18 @@ def test_plan_columns_match_per_port_reference(jundt, ports, spacing_ghz, anchor
 def test_plan_rejects_low_signal(jundt):
     with pytest.raises(DomainError):
         plan_pumps(DwdmGrid(), 194.800, LaserSpec(), 40.0, 48.0, jundt)
+
+
+def test_plan_rejects_ports_past_the_fit(jundt):
+    # the window is an interval, so the first and last ports decide for all
+    assert plan_pumps(DwdmGrid(port_count=5396), SIGNAL_THZ, LaserSpec(), 40.0, 48.0,
+                      jundt).lambda_c_nm.max() < 5000.0
+    with pytest.raises(ValidityError, match=r"^wavelength 5\.0007 um outside jundt1997 "
+                                            r"validity \[0\.400, 5\.000\] um$"):
+        plan_pumps(DwdmGrid(port_count=5397), SIGNAL_THZ, LaserSpec(), 40.0, 48.0, jundt)
+    # a pump past the fit at the first port fails the same way
+    with pytest.raises(ValidityError, match="outside jundt1997 validity"):
+        plan_pumps(DwdmGrid(), 250.0, LaserSpec(), 40.0, 48.0, jundt)
 
 
 def test_relative_efficiency_curve_normalization_and_symmetry(jundt):

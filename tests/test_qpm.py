@@ -1,12 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfchub import (DeviceConfig, DomainError, SpectralPoint, group_index,
+from qfchub import (DeviceConfig, DomainError, SpectralPoint, ValidityError, group_index,
                     group_index_mismatch, make_device, phase_mismatch_vs_converted,
-                    pm_efficiency, pump_for, refractive_index, sinc,
-                    solve_poling_period, wavenumber_mismatch)
+                    pm_efficiency, pump_for, refractive_index, solve_poling_period,
+                    wavenumber_mismatch)
 from qfchub import qpm
 from qfchub.constants import C_NM_THZ, C_UM_THZ
 from qfchub.qpm import (_MAX_GRID_POINTS, _grid_steps, _in_fit, _triple_um,
@@ -236,12 +238,63 @@ def test_pm_efficiency_even_and_bounded(rng):
     assert np.allclose(eff, pm_efficiency(-dk, 40.0), atol=1e-15)
 
 
-def test_sinc_series_branch_continuity():
-    assert sinc(0.0) == 1.0
+def test_pm_efficiency_series_branch_continuity():
+    # L = 2 mm, so x = dk * L / 2 = dk * 1e-3
+    assert pm_efficiency(0.0, 2.0) == 1.0
     for x in (1e-9, 1e-6, 9.9e-5):
-        assert sinc(x) == pytest.approx(1.0 - x * x / 6.0, abs=1e-15)
-    # branch boundary is seamless
-    assert sinc(1.0001e-4) == pytest.approx(sinc(0.9999e-4), abs=1e-12)
+        assert pm_efficiency(x * 1e3, 2.0) == pytest.approx((1.0 - x * x / 6.0) ** 2,
+                                                            abs=1e-15)
+    # across the branch boundary sinc^2(x) ~ 1 - x^2/3 falls with slope 2x/3, so
+    # two points differ by at most that slope times their distance, plus a few
+    # roundings of values near 1: no step where the series hands over
+    dk = 0.1 + np.spacing(0.1) * np.arange(-64, 65)
+    x = dk * (2.0 * 1e-3) / 2.0
+    assert (x < 1e-4).any() and (x >= 1e-4).any()
+    eff = pm_efficiency(dk, 2.0)
+    slope = 2.0 * x.max() / 3.0
+    assert np.all(np.abs(np.diff(eff)) <= slope * np.diff(x) + 4 * np.finfo(float).eps)
+    assert pm_efficiency(0.09999, 2.0) == pytest.approx(pm_efficiency(0.10001, 2.0),
+                                                        abs=slope * 2e-8 + 1e-15)
+
+
+def _sinc_then_square(dk, length_mm):
+    """The efficiency as a separate sinc and a square, written out: sinc with its
+    series branch computed at every point, a float for a 0-d input, then ** 2."""
+    x = np.asarray(dk, dtype=float) * (length_mm * 1e-3) / 2.0
+    with np.errstate(all="ignore"):
+        small = np.abs(x) < 1e-4
+        safe = np.where(small, 1.0, x)
+        out = np.where(small, 1.0 - x * x / 6.0, np.sin(safe) / safe)
+    sinc = float(out) if out.ndim == 0 else out
+    out = sinc ** 2
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _near(value):
+    """``value`` and up to 4 ulps either side of it."""
+    return st.integers(-4, 4).map(lambda k: float(value + k * np.spacing(value)))
+
+
+_DK = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, float("nan"), 5e-324, -5e-324]),
+    _near(0.1), _near(-0.1),  # x = dk * 1e-3 near the series boundary
+    st.floats(-2.2e-308, 2.2e-308),  # subnormals and the smallest normals
+    st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_DK, min_size=1, max_size=12), shape=st.sampled_from(
+    ["scalar", "0-d", "1-d", "2-d"]))
+def test_pm_efficiency_is_bitwise_sinc_then_square(values, shape):
+    # with L = 2 mm; a far point or NaN must not warn (the series once overflowed)
+    dk = {"scalar": values[0], "0-d": np.array(values[0]), "1-d": np.array(values),
+          "2-d": np.array(values * 2).reshape(2, -1)}[shape]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pm_efficiency(dk, 2.0)
+    want = _sinc_then_square(dk, 2.0)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_group_index_mismatch_identity(jundt):
@@ -293,6 +346,36 @@ def test_cross_module_group_slope_consistency(jundt):
     slope = float(dk[0] - dk[1]) / (2.0 * h) * C_UM_THZ / (2.0 * np.pi * 1e6)
     diff = group_index(jundt, lam_c, 48.0) - group_index(jundt, lam_p, 48.0)
     assert diff == pytest.approx(slope, rel=1e-4)
+
+
+@pytest.mark.parametrize("case, error, message", [
+    ("in-window", None, None),
+    ("converted-past-5um", ValidityError,
+     "wavelength 5.5000 um outside jundt1997 validity [0.400, 5.000] um"),
+    ("pump-past-5um", ValidityError,
+     "wavelength 5.9958 um outside jundt1997 validity [0.400, 5.000] um"),
+    ("empty", None, None),
+    ("converted-above-signal", DomainError, "converted frequency exceeds the signal frequency"),
+])
+def test_mismatch_vs_converted_checks_through_the_rule(jundt, case, error, message):
+    # every wave of the triple is checked, as _triple_um lays it out, by the one rule
+    device = make_device(780.0, 1540.0, 40.0, 48.0, jundt)
+    signal = _point(780.0)
+    nu_c = {"in-window": 194.0 + 0.5 * np.arange(-3, 4),
+            "converted-past-5um": np.array([194.0, C_UM_THZ / 5.5]),
+            "pump-past-5um": np.array([194.0, signal.frequency_thz - 50.0]),
+            "empty": np.array([]),
+            "converted-above-signal": np.array([194.0, 400.0])}[case]
+    if error is not None:
+        with pytest.raises(error) as info:
+            phase_mismatch_vs_converted(nu_c, signal, device)
+        assert type(info.value) is error and str(info.value) == message
+        return
+    dk = phase_mismatch_vs_converted(nu_c, signal, device)
+    assert np.array_equal(dk, grating_mismatch(jundt, 48.0, device.poling_period_um,
+                                               signal.frequency_thz, nu_c,
+                                               signal.wavelength_um))
+    assert dk.shape == nu_c.shape
 
 
 @settings(max_examples=60, deadline=None)
