@@ -16,10 +16,9 @@ from .errors import (ConfigError, ConvergenceError, DegenerateError, DomainError
                      QfcHubError, RangeError, SingularityError, ValidityError)
 from .polarization import (EfficiencyCurveParams, EfficiencyFit,
                            PolarizationState, ProcessMatrix, PumpSplit,
-                           QfcChannelModel, apply_channel, chi_payload,
-                           efficiency_model, fit_efficiency, kraus_to_chi,
-                           process_fidelity, pump_balance, reconstruct_chi,
-                           simulate_tomography)
+                           QfcChannelModel, apply_channel, efficiency_model,
+                           fit_efficiency, kraus_to_chi, process_fidelity,
+                           pump_balance, reconstruct_chi, simulate_tomography)
 from .qpm import (DeviceConfig, group_index_mismatch, make_device,
                   phase_mismatch_vs_converted, pm_efficiency, pump_for,
                   solve_poling_period, wavenumber_mismatch)
@@ -47,9 +46,9 @@ __all__ = [
     "RangeError", "SingularityError", "ValidityError",
     # polarization
     "EfficiencyCurveParams", "EfficiencyFit", "PolarizationState", "ProcessMatrix",
-    "PumpSplit", "QfcChannelModel", "apply_channel", "chi_payload",
-    "efficiency_model", "fit_efficiency", "kraus_to_chi", "process_fidelity",
-    "pump_balance", "reconstruct_chi", "simulate_tomography",
+    "PumpSplit", "QfcChannelModel", "apply_channel", "efficiency_model",
+    "fit_efficiency", "kraus_to_chi", "process_fidelity", "pump_balance",
+    "reconstruct_chi", "simulate_tomography",
     # qpm
     "DeviceConfig", "group_index_mismatch", "make_device",
     "phase_mismatch_vs_converted", "pm_efficiency", "pump_for",

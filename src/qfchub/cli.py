@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,16 +21,16 @@ import numpy as np
 from .config import ENV_CONFIG_PATH, RunConfig, apply_overrides, load_config
 from .dispersion import get_material, group_index, index_derivative, refractive_index
 from .dwdm import EfficiencyCurve, PumpPlan, efficiency_curve_columns, plan_pumps
-from .emit import csv_rows, read_two_column_csv, write_csv, write_json
+from .emit import csv_rows, read_two_column_csv, write_csv, write_json, write_records
 from .errors import (ConfigError, ConvergenceError, DegenerateError, DomainError,
                      RangeError, SingularityError, ValidityError)
 from .constants import C_NM_THZ
-from .polarization import (PolarizationState, QfcChannelModel, apply_channel,
-                           chi_payload, fit_efficiency, kraus_to_chi,
+from .polarization import (PAULI_LABELS, PolarizationState, ProcessMatrix,
+                           QfcChannelModel, apply_channel, fit_efficiency, kraus_to_chi,
                            process_fidelity, reconstruct_chi, simulate_tomography)
 from .qpm import DeviceConfig, make_device
-from .tuning import (HubSweepPoint, hub_sweep, pm_spectrum_columns, sweet_spot_report,
-                     tuning_range, tuning_result_payload)
+from .tuning import (HubSweepPoint, TuningResult, hub_sweep, pm_spectrum_columns,
+                     sweet_spot_report, tuning_range)
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
@@ -39,16 +39,52 @@ _USAGE_ERRORS = (ValidityError, DomainError, RangeError, ConfigError)
 _NUMERIC_ERRORS = (DegenerateError, SingularityError, ConvergenceError,
                    FloatingPointError, ZeroDivisionError)
 
-# The CSV layouts, (header, row format) as emit.write_csv takes them
+
+def _rounded(header: tuple[str, ...], *digits: int | None):
+    """A row's fields keyed by ``header``, each rounded to its digits (None: as it is)."""
+    return lambda *row: {key: value if places is None else round(value, places)
+                         for key, value, places in zip(header, row, digits)}
+
+
+def _spectrum_record(nu_c, lambda_c, lambda_p, efficiency, extrapolated) -> dict:
+    # JSON has no NaN: null is an efficiency undefined where n^2 < 0
+    efficiency = None if math.isnan(efficiency) else efficiency
+    return dict(zip(SPECTRUM_CSV[0], (nu_c, lambda_c, lambda_p, efficiency, extrapolated)))
+
+
+# The layouts of the files: a CSV layout is (header, row format) as emit.write_csv
+# takes it, and a JSON one the record of a row as emit.write_records takes it.
+# round() is correctly rounded, so a field of 8 digits holds what "{:.8f}" prints.
 INDEX_CSV = (("wavelength_nm", "n", "dn_dlambda_per_um", "group_index"),
              "{:.4f},{:.8f},{:.8f},{:.8f}")
+INDEX_JSON = _rounded(INDEX_CSV[0], 4, 8, 8, 8)
 SPECTRUM_CSV = (("nu_c_THz", "lambda_c_nm", "lambda_p_nm", "efficiency", "extrapolated"),
                 "{:.6f},{:.4f},{:.4f},{:.8f},{}")
+SPECTRUM_JSON = _spectrum_record
 SWEEP_CSV = (("signal_nm", "lo_nm", "hi_nm", "width_nm", "width_THz", "channels",
               "limiting_constraint"), "{:.4f},{:.4f},{:.4f},{:.4f},{:.6f},{},{}")
 PLAN_CSV = (("port", "nu_c_THz", "lambda_c_nm", "nu_p_THz", "lambda_p_nm",
              "in_laser_range", "rel_eff"), "{},{:.3f},{:.2f},{:.3f},{:.2f},{},{:.6f}")
+PLAN_JSON = _rounded(PLAN_CSV[0], None, 6, 2, 6, 2, None, 6)
 CURVE_CSV = (("nu_p_THz", "rel_eff", "extrapolated"), "{:.6f},{:.8f},{}")
+
+
+def tuning_result_payload(result: TuningResult, threshold: float) -> dict:
+    """A tuning result, with the threshold convention noted."""
+    lo, hi = result.converted_interval_nm
+    return {"converted_interval_nm": [round(lo, 4), round(hi, 4)],
+            "width_nm": round(result.width_nm, 4),
+            "width_THz": round(result.width_thz, 6),
+            "channels": result.channel_count,
+            "limiting_constraint": result.limiting_constraint,
+            "threshold": threshold,
+            "threshold_reference": "fraction of peak efficiency within the scan window"}
+
+
+def chi_payload(process: ProcessMatrix) -> dict:
+    """A process matrix as row-major [real, imag] pairs, basis documented."""
+    return {"basis": list(PAULI_LABELS), "layout": "row-major",
+            "chi": np.stack((process.chi.real, process.chi.imag), axis=-1).tolist()}
 
 
 # Each destination is the RunConfig field the flag sets (_resolve_config reads
@@ -195,38 +231,32 @@ def cmd_index(config: RunConfig, args: argparse.Namespace) -> dict:
     columns = [args.wavelengths_nm,
                *(f(model, um, config.temperature_c, config.allow_extrapolation).tolist()
                  for f in (refractive_index, index_derivative, group_index))]
-    count = len(columns[0])
-    header, fmt = INDEX_CSV
-    if config.output and config.output_format == "csv":
-        return {"rows": count, "output": str(write_csv(config.output, INDEX_CSV, *columns))}
-    if config.output:  # round() is correctly rounded: the values of the CSV fields
-        payload = [dict(zip(header, (round(nm, 4), *(round(v, 8) for v in values))))
-                   for nm, *values in zip(*columns)]
-        return {"rows": count, "output": str(write_json(config.output, payload))}
-    print("\n".join([",".join(header), *csv_rows(fmt, *columns)]))
-    return {"rows": count}
+    summary = {"rows": len(columns[0])}
+    if not config.output:
+        print("\n".join([",".join(INDEX_CSV[0]), *csv_rows(INDEX_CSV[1], *columns)]))
+    elif config.output_format == "json":
+        summary["output"] = str(write_records(config.output, INDEX_JSON, *columns))
+    else:
+        summary["output"] = str(write_csv(config.output, INDEX_CSV, *columns))
+    return summary
 
 
 def cmd_pm_scan(config: RunConfig, args: argparse.Namespace) -> dict:
     model = get_material(config.material, config.material_file)
     device = make_device(args.signal, args.target, config.length_mm,
-                         config.temperature_c, model,
-                         config.allow_extrapolation)
+                         config.temperature_c, model, config.allow_extrapolation)
     spectrum = pm_spectrum_columns(args.signal, args.target, device,
                                    args.window_thz, args.step_ghz)
-    ext = config.output_format
-    out = Path(config.output or f"pm_scan.{ext}")
-    if ext == "json":
-        columns = [c.tolist() for c in spectrum]
-        # JSON has no NaN: null is an efficiency undefined where n^2 < 0
-        columns[3] = [None if math.isnan(e) else e for e in columns[3]]
-        payload = [dict(zip(SPECTRUM_CSV[0], row)) for row in zip(*columns)]
-        write_json(out, payload)
-    else:
-        write_csv(out, SPECTRUM_CSV, *spectrum)
     # the first highest efficiency; a NaN point (n^2 < 0 when extrapolating) is
     # never the peak, and the center is always a finite point
     peak = int(np.nanargmax(spectrum.efficiency))
+    if not spectrum.efficiency[peak] > 0:
+        raise DomainError("efficiency is zero or undefined over the whole range")
+    out = Path(config.output or f"pm_scan.{config.output_format}")
+    if config.output_format == "json":
+        write_records(out, SPECTRUM_JSON, *spectrum)
+    else:
+        write_csv(out, SPECTRUM_CSV, *spectrum)
     return {"signal_nm": args.signal, "target_nm": args.target,
             "points": spectrum.efficiency.size,
             "peak_lambda_c_nm": round(float(spectrum.lambda_c_nm[peak]), 4),
@@ -257,13 +287,8 @@ def cmd_tuning_range(config: RunConfig, args: argparse.Namespace) -> dict:
 def cmd_sweet_spot(config: RunConfig, args: argparse.Namespace) -> dict:
     model = get_material(config.material, config.material_file)
     report = sweet_spot_report(args.signal, args.target, config.temperature_c, model)
-    return {"signal_nm": report.signal_nm,
-            "converted_nm": report.converted_nm,
-            "pump_nm": round(report.pump_nm, 4),
-            "group_index_mismatch": report.group_index_mismatch,
-            "midpoint_nm": round(report.midpoint_nm, 4),
-            "second_harmonic_nm": report.second_harmonic_nm,
-            "is_second_harmonic_midpoint": report.is_second_harmonic_midpoint}
+    return {**asdict(report), "pump_nm": round(report.pump_nm, 4),
+            "midpoint_nm": round(report.midpoint_nm, 4)}
 
 
 def _sweep_columns(points: list[HubSweepPoint]) -> list[tuple]:
@@ -277,16 +302,11 @@ def cmd_hub_sweep(config: RunConfig, args: argparse.Namespace) -> dict:
     model = get_material(config.material, config.material_file)
     constraints = config.tuning_constraints()
     points = hub_sweep((args.start, args.stop), args.step, args.target,
-                       config.length_mm, config.temperature_c, model,
-                       constraints)
-    ext = config.output_format
-    out = Path(config.output or f"hub_sweep.{ext}")
-    if ext == "json":
-        payload = [{"signal_nm": p.signal_nm,
-                    **tuning_result_payload(p.tuning,
-                                            constraints.efficiency_threshold)}
-                   for p in points]
-        write_json(out, payload)
+                       config.length_mm, config.temperature_c, model, constraints)
+    out = Path(config.output or f"hub_sweep.{config.output_format}")
+    if config.output_format == "json":
+        write_records(out, lambda p: {"signal_nm": p.signal_nm, **tuning_result_payload(
+            p.tuning, constraints.efficiency_threshold)}, points)
     else:
         write_csv(out, SWEEP_CSV, *_sweep_columns(points))
     widest = max(points, key=lambda p: p.tuning.width_nm)
@@ -303,8 +323,7 @@ def _pump_plan(config: RunConfig, model, center_frequency_thz: float | None,
                       center_frequency_thz=center_frequency_thz)
     if curve_step_ghz is None:
         return plan, None
-    device = DeviceConfig(plan.poling_period_um, config.length_mm,
-                          config.temperature_c, model)
+    device = DeviceConfig(plan.poling_period_um, config.length_mm, config.temperature_c, model)
     pump_range = (C_NM_THZ / config.laser_max_nm, C_NM_THZ / config.laser_min_nm)
     return plan, efficiency_curve_columns(device, config.signal_frequency_thz,
                                           pump_range, curve_step_ghz)
@@ -314,22 +333,17 @@ def cmd_plan(config: RunConfig, args: argparse.Namespace) -> dict:
     model = get_material(config.material, config.material_file)
     plan, curve = _pump_plan(config, model, args.center_frequency_thz,
                              args.curve_step_ghz if args.curve else None)
-    ext = config.output_format
-    out = Path(config.output or f"pump_plan.{ext}")
-    if ext == "json":
-        payload = {
+    out = Path(config.output or f"pump_plan.{config.output_format}")
+    ports = range(1, plan.nu_c_thz.size + 1)
+    if config.output_format == "json":
+        write_json(out, {
             "signal_frequency_THz": plan.signal_frequency_thz,
             "poling_period_um": plan.poling_period_um,
             "center_frequency_THz": plan.center_frequency_thz,
-            "ports": [dict(zip(PLAN_CSV[0], (
-                port, round(nu_c, 6), round(lam_c, 2), round(nu_p, 6), round(lam_p, 2),
-                in_range, round(eff, 6))))
-                for port, (nu_c, lam_c, nu_p, lam_p, in_range, eff)
-                in enumerate(zip(*(c.tolist() for c in plan[3:])), start=1)],
-        }
-        write_json(out, payload)
+            "ports": list(map(PLAN_JSON, ports, *(c.tolist() for c in plan[3:]))),
+        })
     else:
-        write_csv(out, PLAN_CSV, range(1, plan.nu_c_thz.size + 1), *plan[3:])
+        write_csv(out, PLAN_CSV, ports, *plan[3:])
     pumps = plan.lambda_p_nm.tolist()
     summary = {"ports": len(pumps),
                "poling_period_um": round(plan.poling_period_um, 6),
@@ -347,8 +361,7 @@ def cmd_plan(config: RunConfig, args: argparse.Namespace) -> dict:
 
 def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> dict:
     model = QfcChannelModel(args.eta_cw, args.eta_ccw, args.phase, args.mix)
-    state = PolarizationState.from_label(args.input)
-    out_state, probability = apply_channel(state, model)
+    out_state, probability = apply_channel(PolarizationState.from_label(args.input), model)
     payload = {"input": args.input.upper(),
                "success_probability": probability,
                "output_bloch": [round(v, 12) for v in out_state.bloch_vector()],
@@ -366,14 +379,12 @@ def cmd_tomography(config: RunConfig, args: argparse.Namespace) -> dict:
     inputs = {label: PolarizationState.from_label(label) for label in outputs}
     chi = reconstruct_chi(inputs, outputs)
     fidelity = process_fidelity(chi)
-    payload = {
+    out = write_json(config.output or "tomography.json", {
         "process_fidelity": fidelity,
         "success_probabilities": {k: outputs[k][1] for k in sorted(outputs)},
         "chi_reconstructed": chi_payload(chi),
         "chi_closed_form": chi_payload(kraus_to_chi(model)),
-    }
-    out = Path(config.output or "tomography.json")
-    write_json(out, payload)
+    })
     return {"process_fidelity": round(fidelity, 9), "output": str(out)}
 
 
@@ -407,18 +418,16 @@ def cmd_reproduce_paper(config: RunConfig, args: argparse.Namespace) -> dict:
                  (493.0, 40.0, 1.0, 0.5, "pm_scan_493_L40.csv"),
                  (934.0, 40.0, 20.0, 5.0, "pm_scan_934_L40.csv"))]
 
-    sweep_constraints = replace(config.tuning_constraints(),
-                                constraint_mode="min_pump_converted_separation",
-                                constraint_value_nm=20.0)
+    sweep_constraints = replace(config.tuning_constraints(), constraint_value_nm=20.0,
+                                constraint_mode="min_pump_converted_separation")
     sweeps = [(name, _sweep_columns(hub_sweep((400.0, 1000.0), args.sweep_step, target,
                                               config.length_mm, config.temperature_c,
                                               model, sweep_constraints)))
               for target, name in ((1540.0, "sweep_cband.csv"),
                                    (1310.0, "sweep_oband.csv"))]
 
-    cutoff_constraints = replace(sweep_constraints,
-                                 constraint_mode="max_converted_wavelength",
-                                 constraint_value_nm=1550.0)
+    cutoff_constraints = replace(sweep_constraints, constraint_value_nm=1550.0,
+                                 constraint_mode="max_converted_wavelength")
     ranges = [(name, tuning_range(780.0, 1540.0, length, config.temperature_c,
                                   model, cutoff_constraints))
               for length, name in ((40.0, "tuning_range_L40.json"),

@@ -118,7 +118,8 @@ def _dn2_dlam(model: SellmeierModel, lam, temperature_c: float):
     lam = np.asarray(lam, dtype=float)
     lam2 = lam ** 2
     _, poles, d = _poles(model, temperature_c)
-    return -2.0 * lam * (reduce(np.add, (b / (lam2 - c) ** 2 for b, c in poles)) + d)
+    # np.square: a numpy scalar's ** 2 is pow(), which can miss an array's square by an ulp
+    return -2.0 * lam * (reduce(np.add, (b / np.square(lam2 - c) for b, c in poles)) + d)
 
 
 def _index(model: SellmeierModel, wavelength_um, temperature_c: float,

@@ -3,7 +3,7 @@
 CSV files carry a versioned ``# schema=N`` comment line ahead of the header
 so downstream plot scripts break loudly when the layout changes. Every row
 is one pre-formatted line from ``csv_rows``, which keeps byte-identical
-output across runs. ``write_csv`` formats and writes the
+output across runs. ``write_csv`` and ``write_records`` format and write the
 rows ``_CHUNK_ROWS`` at a time, so a file's text is never held whole.
 """
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .errors import DomainError
 
 CSV_SCHEMA = 1
 _BOOL_TEXT = ("false", "true")
-_CHUNK_ROWS = 65_536
+_CHUNK_ROWS = 8_192
 
 
 def csv_rows(fmt: str, *columns) -> list[str]:
@@ -60,7 +60,22 @@ def write_csv(path: str | Path, layout: tuple[tuple[str, ...], str], *columns) -
     return path
 
 
-def write_json(path: str | Path, payload) -> Path:
+def write_records(path: str | Path, record, *columns) -> Path:
+    """``json.dumps(records, indent=2)`` and a newline, record i being ``record`` of
+    row i of the columns, as ``tolist()`` gives it; each chunk of ``_CHUNK_ROWS``
+    records is dumped as one list, written without its brackets, after a comma."""
+    path = Path(path)
+    with _created(path) as stream:
+        stream.write("[")
+        for start in range(0, len(columns[0]), _CHUNK_ROWS):
+            rows = (np.asarray(c[start:start + _CHUNK_ROWS]).tolist() for c in columns)
+            text = json.dumps(list(map(record, *rows)), indent=2)
+            stream.write(("," if start else "") + text[1:-2])
+        stream.write("\n]\n" if len(columns[0]) else "]\n")
+    return path
+
+
+def write_json(path: str | Path, payload: dict) -> Path:
     path, text = Path(path), json.dumps(payload, indent=2) + "\n"
     with _created(path) as stream:
         stream.write(text)

@@ -456,13 +456,3 @@ def pump_balance(params_ccw: EfficiencyCurveParams, params_cw: EfficiencyCurvePa
     eta_cw = efficiency_model(p_cw, params_cw)
     return PumpSplit(p_ccw, p_cw, eta_ccw, eta_cw,
                      abs(eta_ccw - eta_cw) <= _EQUALIZED_TOL)
-
-
-def chi_payload(process: ProcessMatrix) -> dict:
-    """JSON-ready serialization: row-major [real, imag] pairs, basis documented."""
-    return {
-        "basis": list(PAULI_LABELS),
-        "layout": "row-major",
-        "chi": [[[float(z.real), float(z.imag)] for z in row]
-                for row in np.asarray(process.chi)],
-    }

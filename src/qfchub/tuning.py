@@ -355,17 +355,3 @@ def sweet_spot_report(signal_nm: float, target_center_nm: float,
         second_harmonic_nm=second_harmonic,
         is_second_harmonic_midpoint=flag,
     )
-
-
-def tuning_result_payload(result: TuningResult, threshold: float) -> dict:
-    """JSON-ready view of a tuning result, with the threshold convention noted."""
-    return {
-        "converted_interval_nm": [round(result.converted_interval_nm[0], 4),
-                                  round(result.converted_interval_nm[1], 4)],
-        "width_nm": round(result.width_nm, 4),
-        "width_THz": round(result.width_thz, 6),
-        "channels": result.channel_count,
-        "limiting_constraint": result.limiting_constraint,
-        "threshold": threshold,
-        "threshold_reference": "fraction of peak efficiency within the scan window",
-    }

@@ -12,8 +12,9 @@ import pytest
 
 import qfchub
 from qfchub import (ConfigError, DwdmGrid, EfficiencyCurveParams, LaserSpec,
-                    TuningConstraints, efficiency_model)
-from qfchub.cli import _resolve_config, build_parser
+                    QfcChannelModel, TuningConstraints, efficiency_model, emit,
+                    kraus_to_chi)
+from qfchub.cli import _resolve_config, build_parser, chi_payload, main
 from qfchub.config import ENV_CONFIG_PATH, RunConfig, apply_overrides, load_config
 
 
@@ -25,15 +26,24 @@ def read_schema_csv(path):
 
 
 def _reject_constant(name):
-    raise ValueError(f"summary line holds {name}, which is not JSON")
+    raise ValueError(f"output holds {name}, which is not JSON")
+
+
+def strict_json(text):
+    """``text`` parsed as JSON, failing on the NaN and Infinity tokens json.dumps
+    writes for non-finite floats."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+def read_json(path):
+    return strict_json(path.read_text())
 
 
 def summary_of(proc):
     # a successful command writes nothing to stderr, not even a numpy warning
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-    line = proc.stdout.strip().splitlines()[-1]
-    return json.loads(line, parse_constant=_reject_constant)
+    return strict_json(proc.stdout.strip().splitlines()[-1])
 
 
 def test_index_table(tmp_path, run_cli):
@@ -75,7 +85,7 @@ def test_index_json_without_output_exits_2(tmp_path, run_cli):
     summary = summary_of(run_cli(["index", "780", "--format", "json",
                                   "--output", "i.json"], tmp_path))
     assert summary["rows"] == 1
-    assert list(json.loads((tmp_path / "i.json").read_text())[0]) == [
+    assert list(read_json(tmp_path / "i.json")[0]) == [
         "wavelength_nm", "n", "dn_dlambda_per_um", "group_index"]
 
 
@@ -137,8 +147,7 @@ def test_pm_scan_json_writes_null_for_nan(tmp_path, run_cli):
     argv = ["pm-scan", "--signal", "780", "--target", "1540", "--window-thz", "190",
             "--step-ghz", "1000", "--allow-extrapolation"]
     summary = summary_of(run_cli([*argv, "--format", "json"], tmp_path))
-    records = json.loads((tmp_path / summary["output"]).read_text(),
-                         parse_constant=_reject_constant)
+    records = read_json(tmp_path / summary["output"])
     rows = read_schema_csv(tmp_path / summary_of(run_cli(argv, tmp_path))["output"])
     assert ([r["efficiency"] is None for r in records]
             == [r["efficiency"] == "nan" for r in rows])
@@ -229,6 +238,10 @@ _SCAN = ["pm-scan", "--signal", "780", "--target", "1540"]
                  id="grid-ports-past-fit-json"),
     # ports that would coincide
     pytest.param(["plan", "--grid-spacing-ghz", "1e-300"], None, id="grid-spacing-tiny"),
+    # sinc^2 is 0 at every point, the center too: a spectrum with no peak
+    pytest.param([*_SCAN, "--length", "1e308"], None, id="scan-efficiency-zero"),
+    pytest.param([*_SCAN, "--length", "1e308", "--format", "json"], None,
+                 id="scan-efficiency-zero-json"),
 ])
 def test_non_finite_values_exit_2(argv, named, tmp_path, run_cli):
     # a bad grid step names its step parameter (the coarse step's non-finite
@@ -281,7 +294,7 @@ def test_plan_outputs(tmp_path, run_cli):
 def test_plan_json_format(tmp_path, run_cli):
     proc = run_cli(["plan", "--format", "json", "--output", "plan.json"], tmp_path)
     summary_of(proc)
-    payload = json.loads((tmp_path / "plan.json").read_text())
+    payload = read_json(tmp_path / "plan.json")
     assert len(payload["ports"]) == 16
     assert payload["ports"][0]["nu_c_THz"] == pytest.approx(194.850)
 
@@ -306,7 +319,7 @@ def test_tomography_output(tmp_path, run_cli):
                    tmp_path)
     summary = summary_of(proc)
     assert summary["process_fidelity"] == pytest.approx(0.9994, abs=1e-3)
-    payload = json.loads((tmp_path / "tomography.json").read_text())
+    payload = read_json(tmp_path / "tomography.json")
     assert payload["chi_reconstructed"]["basis"] == ["I", "X", "Y", "Z"]
     rec = payload["chi_reconstructed"]["chi"]
     closed = payload["chi_closed_form"]["chi"]
@@ -428,6 +441,34 @@ def test_cli_files_match_pinned_digests(argv, digests, tmp_path, run_cli):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+_PINNED_JSON = [(argv, digests) for argv, digests in PINNED_OUTPUTS if "json" in argv]
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("argv, digests", _PINNED_JSON,
+                         ids=[argv[-1] for argv, _ in _PINNED_JSON])
+def test_json_files_match_pinned_digests_in_any_chunk(argv, digests, chunk, tmp_path,
+                                                      monkeypatch, capsys):
+    # the records writer, in process, in chunks of 1 and 7 rows: the same bytes
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(emit, "_CHUNK_ROWS", chunk)
+    assert main(argv) == 0, capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(digests)
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_chi_payload_layout():
+    chi = kraus_to_chi(QfcChannelModel(0.40, 0.44, 0.3, 0.05))
+    payload = chi_payload(chi)
+    assert payload["basis"] == ["I", "X", "Y", "Z"]
+    assert payload["layout"] == "row-major"
+    pairs = np.array(payload["chi"])
+    assert pairs.shape == (4, 4, 2)
+    assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], chi.chi)
+
+
 def test_hub_sweep_file_and_repeatability(tmp_path, run_cli):
     args = ["hub-sweep", "--start", "770", "--stop", "790", "--step", "1",
             "--target", "1540", "--separation", "20", "--output", "sweep.csv"]
@@ -445,7 +486,7 @@ def test_hub_sweep_json_format(tmp_path, run_cli):
             "--target", "1540", "--separation", "20", "--format", "json",
             "--output", "sweep.json"]
     summary_of(run_cli(args, tmp_path))
-    payload = json.loads((tmp_path / "sweep.json").read_text())
+    payload = read_json(tmp_path / "sweep.json")
     assert [p["signal_nm"] for p in payload] == [780.0, 782.0, 784.0]
     assert all(p["threshold"] == 0.9 for p in payload)
 

@@ -137,6 +137,9 @@ def test_kernels_return_a_float_for_any_scalar(jundt, value):
        temperature=st.floats(21.5, 250.0), extrapolate=st.booleans(),
        outside=st.lists(st.floats(0.25, 8.0), max_size=4),
        temperature_shift=st.floats(-200.0, 200.0))
+# where a numpy scalar's ** 2, which is pow(), missed the correctly rounded square
+@example(lams=[1.3244938800410964], temperature=21.5, extrapolate=False, outside=[],
+         temperature_shift=0.0)
 def test_array_kernels_equal_scalar_calls_bitwise(jundt, lams, temperature, extrapolate,
                                                   outside, temperature_shift):
     # an index table is evaluated as one column per kernel: each value must be the
