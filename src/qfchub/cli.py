@@ -21,7 +21,7 @@ import numpy as np
 from .config import ENV_CONFIG_PATH, RunConfig, apply_overrides, load_config
 from .dispersion import get_material, group_index, index_derivative, refractive_index
 from .dwdm import EfficiencyCurve, PumpPlan, efficiency_curve_columns, plan_pumps
-from .emit import csv_rows, read_two_column_csv, write_csv, write_json, write_records
+from .emit import csv_chunks, read_two_column_csv, write_csv, write_json, write_records
 from .errors import (ConfigError, ConvergenceError, DegenerateError, DomainError,
                      RangeError, SingularityError, ValidityError)
 from .constants import C_NM_THZ
@@ -229,11 +229,12 @@ def cmd_index(config: RunConfig, args: argparse.Namespace) -> dict:
     model = get_material(config.material, config.material_file)
     um = np.array(args.wavelengths_nm) / 1000.0
     columns = [args.wavelengths_nm,
-               *(f(model, um, config.temperature_c, config.allow_extrapolation).tolist()
+               *(f(model, um, config.temperature_c, config.allow_extrapolation)
                  for f in (refractive_index, index_derivative, group_index))]
     summary = {"rows": len(columns[0])}
     if not config.output:
-        print("\n".join([",".join(INDEX_CSV[0]), *csv_rows(INDEX_CSV[1], *columns)]))
+        sys.stdout.write(",".join(INDEX_CSV[0]) + "\n")
+        sys.stdout.writelines(csv_chunks(INDEX_CSV[1], *columns))
     elif config.output_format == "json":
         summary["output"] = str(write_records(config.output, INDEX_JSON, *columns))
     else:

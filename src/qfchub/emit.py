@@ -1,14 +1,23 @@
 """Deterministic CSV/JSON file emitters.
 
 CSV files carry a versioned ``# schema=N`` comment line ahead of the header
-so downstream plot scripts break loudly when the layout changes. Every row
-is one pre-formatted line from ``csv_rows``, which keeps byte-identical
-output across runs. ``write_csv`` and ``write_records`` format and write the
-rows ``_CHUNK_ROWS`` at a time, so a file's text is never held whole.
+so downstream plot scripts break loudly when the layout changes.
+``write_csv`` and ``write_records`` format and write the rows ``_CHUNK_ROWS``
+at a time, so a file's text is never held whole.
+
+CSV text is what ``fmt.format`` gives row by row, made a column at a time
+(``csv_chunks``). A ``{:.Nf}`` field writes the digits of ``rint(y)``,
+y = |x|·10^N in float64. That product is one rounding, within y·2⁻⁵² of the
+exact |x|·10^N, so ``rint(y)`` is the correctly rounded result ``format``
+prints unless y lies within y·2⁻⁵¹ of a half-integer, or y ≥ 2⁵², or x is
+NaN or ±inf. Only those elements are formatted by ``format(x, ".Nf")``.
 """
 from __future__ import annotations
 
 import json
+import re
+import string
+from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -17,23 +26,116 @@ import numpy as np
 from .errors import DomainError
 
 CSV_SCHEMA = 1
-_BOOL_TEXT = ("false", "true")
 _CHUNK_ROWS = 8_192
 
+# A chunk's text is an (rows, bytes) uint8 block with its NUL bytes dropped, so
+# every field is right-aligned text padded with NUL.
+_BOOL_TEXT = np.array([b"false", b"true"], "S8").view(np.uint64)
+# 10^N is exact in float64 and in int64 for N ≤ 18
+_FIXED = re.compile(r"\.(\d|1[0-8])f")
 
-def csv_rows(fmt: str, *columns) -> list[str]:
-    """One CSV line per row: ``fmt.format`` over row i of every column.
 
-    Columns are arrays or lists of equal length, converted with ``tolist()``
-    so each value formats as a Python scalar; a boolean column is written
-    as true/false. ``fmt`` holds the separators, e.g. ``"{:.6f},{:.4f},{}"``.
+def _fields(fmt: str) -> tuple[list[str], list[int | None]]:
+    """The literal texts of a row format, one more than its fields, and the
+    places of each field: N for ``{:.Nf}`` (N ≤ 18), None for ``{}``."""
+    literals, places = [], []
+    for literal, name, spec, conversion in string.Formatter().parse(fmt):
+        literals.append(literal)
+        if name is None:
+            return literals, places
+        fixed = _FIXED.fullmatch(spec)
+        if name or conversion or spec and not fixed:
+            raise ValueError(f"{fmt!r} has a field other than {{}} or {{:.Nf}} with N <= 18")
+        places.append(int(fixed[1]) if fixed else None)
+    return literals + [""], places
+
+
+def _digits(m: np.ndarray, shown: int = 1) -> np.ndarray:
+    """The non-negative integers ``m`` in decimal as an (n, width) uint8 block:
+    the last ``shown`` digits zero-padded, NUL for the leading zeros before them."""
+    width = max(len(str(int(m.max()))), shown)
+    text = np.empty((m.size, width), np.uint8)
+    rest = m
+    for k in reversed(range(width)):
+        q = rest // 10  # np.divmod is slower
+        text[:, k] = rest - q * 10 + ord("0")
+        rest = q
+    for j in range(width - shown):
+        text[m < 10 ** (width - 1 - j), j] = 0
+    return text
+
+
+def _marks(flags: np.ndarray, char: str) -> np.ndarray:
+    """An (n, 1) block holding ``char`` where ``flags`` is set and NUL elsewhere."""
+    return np.where(flags, np.uint8(ord(char)), np.uint8(0))[:, None]
+
+
+def _fixed_blocks(column, places: int) -> list[np.ndarray]:
+    """The blocks of ``format(x, f".{places}f")`` for each x of the column."""
+    x = np.asarray(column, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are not exact
+        y = np.abs(x) * 10.0 ** places
+        r = np.rint(y)
+        # |y - rint(y)| < 1/2 - y·2^-51 is |frac(y) - 1/2| > y·2^-51
+        exact = (y < 2.0 ** 52) & (np.abs(y - r) < 0.5 - y * 2.0 ** -51)
+    text = _digits(np.where(exact, r, 0.0).astype(np.int64), places + 1)
+    point = text.shape[1] - places
+    blocks = [_marks(np.signbit(x) & exact, "-"), text[:, :point]]
+    if places:
+        blocks += [_marks(exact, "."), text[:, point:]]
+    undecided = np.flatnonzero(~exact)
+    if undecided.size:
+        texts = [format(v, f".{places}f").encode() for v in x[undecided].tolist()]
+        wide = np.zeros((x.size, max(map(len, texts))), np.uint8)
+        for row, line in zip(undecided.tolist(), texts):
+            wide[row, -len(line):] = np.frombuffer(line, np.uint8)
+        for block in blocks:
+            block[undecided] = 0
+        blocks.append(wide)
+    return blocks
+
+
+def _plain_blocks(column) -> list[np.ndarray]:
+    """The blocks of ``format(v)`` for each v of a bool (written true/false),
+    integer or str column."""
+    v = np.asarray(column)
+    if v.dtype == bool:
+        return [_BOOL_TEXT[v.view(np.uint8)].view(np.uint8).reshape(v.size, 8)]
+    if v.dtype.kind in "iu":
+        return [_marks(v < 0, "-"), _digits(np.abs(v).astype(np.uint64))]
+    if v.dtype.kind == "U":
+        text = np.char.encode(v, "utf-8")
+        return [text.view(np.uint8).reshape(v.size, text.itemsize)]
+    raise ValueError(f"a {{}} CSV field takes bool, integer or str values, not {v.dtype}")
+
+
+def _constant(text: str, rows: int) -> np.ndarray:
+    data = np.frombuffer(text.encode(), np.uint8)
+    return np.broadcast_to(data, (rows, data.size))
+
+
+def csv_chunks(fmt: str, *columns) -> Iterator[str]:
+    """The lines of ``fmt.format`` over each row of the columns, each ending in
+    a newline, joined ``_CHUNK_ROWS`` lines at a time.
+
+    ``fmt`` holds the separators and one ``{:.Nf}`` or ``{}`` field per column,
+    e.g. ``"{:.6f},{:.4f},{}"``; a bool column is written as true/false.
+    Columns are arrays, lists or ranges of equal length.
     """
-    values = []
-    for column in map(np.asarray, columns):
-        items = column.tolist()
-        values.append(list(map(_BOOL_TEXT.__getitem__, items))
-                      if column.dtype == bool else items)
-    return list(map(fmt.format, *values)) if values else []
+    literals, places = _fields(fmt)
+    if len(columns) != len(places):
+        raise ValueError(f"{len(columns)} columns for the {len(places)} fields of {fmt!r}")
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        chunk = [c[start:start + _CHUNK_ROWS] for c in columns]
+        rows = len(chunk[0])
+        blocks = []
+        for literal, column, decimals in zip(literals, chunk, places):
+            blocks.append(_constant(literal, rows))
+            blocks += (_plain_blocks(column) if decimals is None
+                       else _fixed_blocks(column, decimals))
+        blocks.append(_constant(literals[-1] + "\n", rows))
+        text = np.concatenate(blocks, axis=1)
+        yield text.tobytes().translate(None, b"\0").decode()
 
 
 @contextmanager
@@ -49,14 +151,12 @@ def _created(path: Path):
 
 def write_csv(path: str | Path, layout: tuple[tuple[str, ...], str], *columns) -> Path:
     """The schema line, the header of ``layout = (header, fmt)``, then the rows
-    of the columns, formatted by ``csv_rows`` and written ``_CHUNK_ROWS`` at a time."""
+    of the columns, formatted by ``csv_chunks`` and written a chunk at a time."""
     header, fmt = layout
     path = Path(path)
     with _created(path) as stream:
         stream.write(f"# schema={CSV_SCHEMA}\n{','.join(header)}\n")
-        for start in range(0, len(columns[0]), _CHUNK_ROWS):
-            chunk = csv_rows(fmt, *(c[start:start + _CHUNK_ROWS] for c in columns))
-            stream.write("\n".join(chunk) + "\n")
+        stream.writelines(csv_chunks(fmt, *columns))
     return path
 
 

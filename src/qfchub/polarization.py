@@ -298,7 +298,7 @@ def efficiency_model(power_mw, params: EfficiencyCurveParams):
     p = np.asarray(power_mw, dtype=float)
     if np.any(p < 0):
         raise DomainError("pump power must be non-negative")
-    out = params.eta_max * np.sin(np.sqrt(params.eta_nor_per_mw * p)) ** 2
+    out = params.eta_max * np.square(np.sin(np.sqrt(params.eta_nor_per_mw * p)))
     return float(out) if np.ndim(power_mw) == 0 else out
 
 

@@ -176,7 +176,8 @@ def pm_efficiency(dk_rad_per_m, length_mm: float):
     s = np.where(small, x, 0.0)
     np.subtract(1.0, s * s / 6.0, out=s)  # in place: s stays an array for a 0-d x
     np.divide(np.sin(x), x, out=s, where=~small)
-    return float(s) ** 2 if s.ndim == 0 else s ** 2
+    np.square(s, out=s)  # not float ** 2, which is pow() and can be an ulp off
+    return float(s) if s.ndim == 0 else s
 
 
 def group_index_mismatch(converted_um: float, pump_um: float,

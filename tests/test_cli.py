@@ -57,6 +57,20 @@ def test_index_table(tmp_path, run_cli):
     assert n_780 > n_1540 > 2.0
 
 
+def test_index_stdout_is_the_pinned_file_without_its_schema_line(tmp_path, run_cli):
+    # the table is the bytes of the pinned idx.csv after its schema line, then
+    # the summary line
+    argv = ["index", "780", "1540", "1580"]
+    digest = next(d for a, d in PINNED_OUTPUTS if a == [*argv, "--output", "idx.csv"])
+    env = {k: v for k, v in os.environ.items() if k != ENV_CONFIG_PATH}
+    proc = run_cli(argv, tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    *table, summary = proc.stdout.splitlines(keepends=True)
+    text = "# schema=1\n" + "".join(table)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest["idx.csv"], text
+    assert json.loads(summary)["rows"] == 3
+
+
 def test_index_out_of_validity_exits_2(tmp_path, run_cli):
     proc = run_cli(["index", "300"], tmp_path)
     assert proc.returncode == 2
@@ -441,15 +455,14 @@ def test_cli_files_match_pinned_digests(argv, digests, tmp_path, run_cli):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
-_PINNED_JSON = [(argv, digests) for argv, digests in PINNED_OUTPUTS if "json" in argv]
+def _pinned_cases(kind):
+    cases = [(argv, digests) for argv, digests in PINNED_OUTPUTS
+             if ("json" in argv) == (kind == "json")]
+    return pytest.mark.parametrize("argv, digests", cases, ids=[a[-1] for a, _ in cases])
 
 
-@pytest.mark.parametrize("chunk", [1, 7])
-@pytest.mark.parametrize("argv, digests", _PINNED_JSON,
-                         ids=[argv[-1] for argv, _ in _PINNED_JSON])
-def test_json_files_match_pinned_digests_in_any_chunk(argv, digests, chunk, tmp_path,
-                                                      monkeypatch, capsys):
-    # the records writer, in process, in chunks of 1 and 7 rows: the same bytes
+def _main_in_chunks(argv, digests, chunk, tmp_path, monkeypatch, capsys):
+    # a command in process, its writers working ``chunk`` rows at a time
     monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(emit, "_CHUNK_ROWS", chunk)
@@ -457,6 +470,23 @@ def test_json_files_match_pinned_digests_in_any_chunk(argv, digests, chunk, tmp_
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(digests)
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@_pinned_cases("json")
+def test_json_files_match_pinned_digests_in_any_chunk(argv, digests, chunk, tmp_path,
+                                                      monkeypatch, capsys):
+    # the records writer in chunks of 1 and 7 rows: the same bytes
+    _main_in_chunks(argv, digests, chunk, tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@_pinned_cases("csv")
+def test_csv_files_match_pinned_digests_in_any_chunk(argv, digests, chunk, tmp_path,
+                                                     monkeypatch, capsys):
+    # the column kernel in chunks of 1 and 7 rows, where the width of every
+    # field changes from chunk to chunk: the same bytes
+    _main_in_chunks(argv, digests, chunk, tmp_path, monkeypatch, capsys)
 
 
 def test_chi_payload_layout():

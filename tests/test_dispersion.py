@@ -153,6 +153,21 @@ def test_array_kernels_equal_scalar_calls_bitwise(jundt, lams, temperature, extr
                                    for lam in lams]
 
 
+@settings(max_examples=200, deadline=None)
+@given(mismatches=st.lists(st.floats(-3000.0, 3000.0), min_size=1, max_size=16),
+       powers=st.lists(st.floats(0.0, 500.0), min_size=1, max_size=16))
+# where a float's ** 2, which is pow(), missed the correctly rounded square
+@example(mismatches=[2010.6100215763208], powers=[0.0])
+@example(mismatches=[0.0], powers=[154.03822729798077])
+def test_squaring_kernels_equal_scalar_calls_bitwise(mismatches, powers):
+    # the sinc^2 and saturation kernels square an array and a scalar alike
+    params = EfficiencyCurveParams(0.44, 0.013)
+    assert pm_efficiency(np.array(mismatches), 40.0).tolist() == [
+        pm_efficiency(dk, 40.0) for dk in mismatches]
+    assert efficiency_model(np.array(powers), params).tolist() == [
+        efficiency_model(p, params) for p in powers]
+
+
 def test_validity_error_names_bound(jundt):
     with pytest.raises(ValidityError, match=r"0\.400"):
         refractive_index(jundt, 0.35, 48.0)

@@ -3,10 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qfchub import emit, make_device, pm_spectrum_columns
 from qfchub.cli import SPECTRUM_CSV, SPECTRUM_JSON
-from qfchub.emit import write_csv, write_records
+from qfchub.emit import csv_chunks, write_csv, write_records
 
 _LAYOUT = (("flag", "count", "name", "value"), "{},{},{},{:.3f}")
 
@@ -30,6 +32,59 @@ def test_write_csv_chunks_give_the_same_bytes(chunk, rows, tmp_path, monkeypatch
     path = write_csv(tmp_path / "out" / "t.csv", _LAYOUT, *columns)
     assert path == tmp_path / "out" / "t.csv"
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@st.composite
+def _fixed_fields(draw):
+    # any double, weighted toward what the kernel must hand to format(): exact
+    # binary ties of x * 10^N (odd multiples of 2^-(N+1)), decimal ties that are
+    # not exact in binary, and values whose scaled product reaches 2^52
+    places = draw(st.integers(0, 18))
+    value = (st.floats()
+             | st.integers(-2 ** 50, 2 ** 50).map(lambda a: (2 * a + 1) / 2 ** (places + 1))
+             | st.integers(0, 10 ** 12).map(lambda k: (k + 0.5) / 10 ** places)
+             | st.floats(2.0 ** 52 / 10 ** places / 2, 2.0 ** 53 / 10 ** places * 2)
+             | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                np.nan, np.inf, -np.inf, 2.0 ** 52, 2.0 ** 52 - 0.5]))
+    return places, draw(st.lists(value | value.map(lambda v: -v), min_size=1, max_size=24))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_fixed_fields())
+@example((2, [0.125, 0.375]))
+@example((2, [2.675]))
+@example((6, [-1e-9]))
+@example((4, [999.99995]))
+@example((2, [1e300]))
+def test_fixed_fields_are_format(case):
+    # every {:.Nf} text is what format(v, ".Nf") gives for the same double
+    places, values = case
+    text = "".join(csv_chunks(f"{{:.{places}f}};", np.array(values)))
+    assert text == "".join(format(v, f".{places}f") + ";\n" for v in values)
+
+
+_NAMES = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"),
+                 max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(-2 ** 63, 2 ** 63 - 1), _NAMES,
+                          st.floats(-1e6, 1e6)), min_size=1, max_size=12))
+def test_plain_fields_are_format(rows):
+    # bool (as true/false), int, str and float fields in one layout
+    flags, counts, names, values = map(list, zip(*rows))
+    fmt = "<{}|{}|{}|{:.3f}>"
+    text = "".join(csv_chunks(fmt, np.array(flags), np.array(counts), np.array(names), values))
+    assert text == "".join(fmt.format(("false", "true")[f], c, n, v) + "\n"
+                           for f, c, n, v in rows)
+
+
+@pytest.mark.parametrize("fmt, column", [
+    ("{:.3e}", [1.0]), ("{:>5}", [1]), ("{0}", [1]), ("{!r}", ["a"]), ("{:.19f}", [1.0]),
+    ("{:f}", [1.0]), ("{}", [1.5]), ("{},{}", [1])])
+def test_csv_chunks_reject_what_the_kernel_cannot_write(fmt, column):
+    with pytest.raises(ValueError):
+        list(csv_chunks(fmt, column))
 
 
 def test_write_csv_never_holds_the_file_text(jundt, tmp_path, monkeypatch):
