@@ -11,7 +11,7 @@ from .dispersion import (DEFAULT_MATERIAL, SellmeierModel, SpectralPoint,
                          builtin_materials, get_material, group_index,
                          index_derivative, load_material_file, refractive_index)
 from .dwdm import (DwdmGrid, EfficiencyCurve, LaserSpec, PumpPlan,
-                   efficiency_curve_columns, plan_pumps, port_frequency)
+                   efficiency_curve_columns, plan_pumps, port_frequency, pump_band)
 from .errors import (ConfigError, ConvergenceError, DegenerateError, DomainError,
                      QfcHubError, RangeError, SingularityError, ValidityError)
 from .polarization import (EfficiencyCurveParams, EfficiencyFit,
@@ -40,7 +40,7 @@ __all__ = [
     "refractive_index",
     # dwdm
     "DwdmGrid", "EfficiencyCurve", "LaserSpec", "PumpPlan",
-    "efficiency_curve_columns", "plan_pumps", "port_frequency",
+    "efficiency_curve_columns", "plan_pumps", "port_frequency", "pump_band",
     # errors
     "ConfigError", "ConvergenceError", "DegenerateError", "DomainError", "QfcHubError",
     "RangeError", "SingularityError", "ValidityError",

@@ -20,7 +20,8 @@ import numpy as np
 
 from .config import ENV_CONFIG_PATH, RunConfig, apply_overrides, load_config
 from .dispersion import get_material, group_index, index_derivative, refractive_index
-from .dwdm import EfficiencyCurve, PumpPlan, efficiency_curve_columns, plan_pumps
+from .dwdm import (EfficiencyCurve, PumpPlan, efficiency_curve_columns, plan_pumps,
+                   pump_band)
 from .emit import csv_chunks, read_two_column_csv, write_csv, write_json, write_records
 from .errors import (ConfigError, ConvergenceError, DegenerateError, DomainError,
                      RangeError, SingularityError, ValidityError)
@@ -354,9 +355,11 @@ def cmd_plan(config: RunConfig, args: argparse.Namespace) -> dict:
                "output": str(out)}
     if curve is not None:
         curve_out = write_csv(out.with_name(out.stem + "_curve.csv"), CURVE_CSV, *curve)
-        band = curve.band()
+        lo, hi, limits = pump_band(plan, config.laser(), config.length_mm,
+                                   config.temperature_c, model)
         summary["curve_output"] = str(curve_out)
-        summary["band_90_THz"] = [round(band[0], 4), round(band[1], 4)]
+        summary["band_90_THz"] = [round(lo, 4), round(hi, 4)]
+        summary["band_limits"] = list(limits)
     return summary
 
 

@@ -88,11 +88,21 @@ def _require_validity(model: SellmeierModel, wavelength_um, temperature_c: float
     (lo, hi), (tlo, thi) = model.wavelength_um, model.temperature_c
     if np.all(model.in_validity(w, tlo)):
         raise ValidityError(
-            f"temperature {temperature_c:.2f} C outside {model.name} validity "
-            f"[{tlo:.1f}, {thi:.1f}] C")
+            f"temperature {_outside(temperature_c, '.2f', tlo, thi)} C outside {model.name} "
+            f"validity [{tlo:.1f}, {thi:.1f}] C")
     raise ValidityError(
-        f"wavelength {w[0] if w[0] < lo else w[1]:.4f} um outside {model.name} "
-        f"validity [{lo:.3f}, {hi:.3f}] um")
+        f"wavelength {_outside(w[0] if w[0] < lo else w[1], '.4f', lo, hi)} um outside "
+        f"{model.name} validity [{lo:.3f}, {hi:.3f}] um")
+
+
+def _outside(x: float, spec: str, lo: float, hi: float) -> str:
+    """A value outside [lo, hi] in the fixed format ``spec``, or as its shortest
+    round-trip repr where that format would show a value in the window, a bound
+    included, or more digits than a double holds."""
+    text = format(x, spec)
+    if lo <= float(text) <= hi or sum(c.isdigit() for c in text) > 17:
+        return repr(float(x))
+    return text
 
 
 def _poles(model: SellmeierModel, temperature_c: float):

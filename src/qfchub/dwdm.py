@@ -4,7 +4,8 @@ Port frequencies descend with ascending port index from an anchor frequency.
 For a fixed signal frequency the planner assigns one pump per port via
 energy conservation, checks it against the tunable-laser range, and predicts
 the relative conversion efficiency with the poling period solved once at the
-plan's center channel.
+plan's center channel. The plan's pump band is the tuning walk of
+``tuning_range`` on that device, bounded by the laser range.
 """
 from __future__ import annotations
 
@@ -18,7 +19,9 @@ from .constants import C_NM_THZ
 from .dispersion import SellmeierModel, SpectralPoint
 from .errors import DomainError, RangeError
 from .qpm import (_MAX_GRID_POINTS, DeviceConfig, _grid_steps, _require_fit, _triple_um,
-                  grid_efficiency, solve_poling_period)
+                  _validity_bounds_nu_c, grating_mismatch, grid_efficiency, pm_efficiency,
+                  solve_poling_period)
+from .tuning import _LIMITS, LimitTag, TuningConstraints, _band
 
 
 @dataclass(frozen=True)
@@ -118,24 +121,47 @@ def plan_pumps(grid: DwdmGrid, signal_frequency_thz: float, laser: LaserSpec,
                     lam_p, in_range, grid_efficiency(device, signal_frequency_thz, nu_c)[0])
 
 
+def pump_band(plan: PumpPlan, laser: LaserSpec, length_mm: float, temperature_c: float,
+              material: SellmeierModel, threshold: float = 0.9
+              ) -> tuple[float, float, tuple[LimitTag, LimitTag]]:
+    """Contiguous pump-frequency band around the plan's center where the efficiency
+    stays at or above the threshold, and what ended each side, low pump side first.
+
+    The length, temperature and material are the plan's. Its period is solved at
+    the center, so the threshold is a fraction of the phase-matching maximum.
+    The band is ``tuning_range``'s walk on the plan's device, at its default
+    coarse step, bounded by the laser range (``laser_range``) and the fit's
+    window (``scan_edge``); a side the threshold ends is ``threshold``. A center
+    whose pump lies outside the laser range gives an empty band at that pump.
+    """
+    device = DeviceConfig(plan.poling_period_um, length_mm, temperature_c, material)
+    constraints = TuningConstraints(efficiency_threshold=threshold)
+    nu_s = plan.signal_frequency_thz
+    # rows 0 and 1 walk down and up in converted frequency, so up and down in pump
+    laser_bound = nu_s - C_NM_THZ / np.array([laser.min_wavelength_nm,
+                                              laser.max_wavelength_nm])
+    fit_bound = np.array(_validity_bounds_nu_c(nu_s, material))
+    tighter = np.array([-1.0, 1.0]) * (laser_bound - fit_bound) < 0
+    bound = np.where(tighter, laser_bound, fit_bound)
+    tag = np.where(tighter, _LIMITS.index("laser_range"), _LIMITS.index("scan_edge"))
+
+    def eff(rows, nu_c):
+        return pm_efficiency(grating_mismatch(material, temperature_c,
+                                              device.poling_period_um, nu_s, nu_c),
+                             device.length_mm)
+
+    edge, tag, _ = _band(eff, plan.center_frequency_thz, bound, tag,
+                         constraints.coarse_step_ghz, constraints.efficiency_threshold)
+    return (float(nu_s - edge[1]), float(nu_s - edge[0]),
+            (_LIMITS[tag[1]], _LIMITS[tag[0]]))
+
+
 class EfficiencyCurve(NamedTuple):
     """A relative efficiency curve as columns, one array entry per pump frequency."""
 
     nu_p_thz: np.ndarray
     relative_efficiency: np.ndarray
     extrapolated: np.ndarray
-
-    def band(self, threshold: float = 0.9) -> tuple[float, float]:
-        """Contiguous pump-frequency band around the peak with efficiency >= threshold:
-        the outermost frequencies of that run on each side of the peak."""
-        rel = self.relative_efficiency
-        peak = int(np.nanargmax(rel))
-        failing = np.flatnonzero(~(rel >= threshold))  # NaN fails
-        below = failing[:np.searchsorted(failing, peak)]
-        above = failing[np.searchsorted(failing, peak, side="right"):]
-        lo = below[-1] + 1 if below.size else 0
-        hi = above[0] - 1 if above.size else rel.size - 1
-        return float(self.nu_p_thz[lo]), float(self.nu_p_thz[hi])
 
 
 def efficiency_curve_columns(device: DeviceConfig, signal_frequency_thz: float,

@@ -293,12 +293,17 @@ class EfficiencyCurveParams:
             raise DomainError("efficiency parameters must be finite and positive")
 
 
+def _saturation(power_mw, eta_max, eta_nor):
+    """eta_max * sin^2(sqrt(eta_nor * P)), unchecked: the one saturation formula."""
+    return eta_max * np.square(np.sin(np.sqrt(eta_nor * power_mw)))
+
+
 def efficiency_model(power_mw, params: EfficiencyCurveParams):
     """Conversion efficiency eta_max * sin^2(sqrt(eta_nor * P)) for P in mW."""
     p = np.asarray(power_mw, dtype=float)
     if np.any(p < 0):
         raise DomainError("pump power must be non-negative")
-    out = params.eta_max * np.square(np.sin(np.sqrt(params.eta_nor_per_mw * p)))
+    out = _saturation(p, params.eta_max, params.eta_nor_per_mw)
     return float(out) if np.ndim(power_mw) == 0 else out
 
 
@@ -312,15 +317,14 @@ def _projected_fit(p: np.ndarray, e: np.ndarray, eta_nor: float):
     """Model shape s at eta_nor and the eta_max in [0, 1] that fits e best.
 
     The model eta_max * s is linear in eta_max, so its least-squares value
-    is s.e / s.s, clipped to the bounds. Returns (x, s, eta_max, r, r.r)
-    with x = sqrt(eta_nor * P) and residual r = eta_max * s - e.
+    is s.e / s.s, clipped to the bounds. Returns (s, s.s, eta_max, r, r.r)
+    with residual r = eta_max * s - e.
     """
-    x = np.sqrt(eta_nor * p)
-    s = np.sin(x) ** 2
+    s = _saturation(p, 1.0, eta_nor)
     norm = float(s @ s)
     eta_max = min(max(float(s @ e) / norm, 0.0), 1.0) if norm > 0.0 else 0.0
     r = eta_max * s - e
-    return x, s, eta_max, r, float(r @ r)
+    return s, norm, eta_max, r, float(r @ r)
 
 
 def fit_efficiency(power_mw, eta) -> EfficiencyFit:
@@ -349,15 +353,16 @@ def fit_efficiency(power_mw, eta) -> EfficiencyFit:
 
     p_at_max = float(p[int(np.argmax(e))])
     eta_nor = (np.pi / 2.0) ** 2 / p_at_max if p_at_max > 0 else 1.0 / float(np.max(p))
-    x, s, eta_max, r, cost = _projected_fit(p, e, eta_nor)
+    s, a11, eta_max, r, cost = _projected_fit(p, e, eta_nor)
     if eta_max == 0.0:
         raise DegenerateError("efficiencies do not follow the saturation curve: the best "
                               "eta_max at the peak's eta_nor is 0; nothing to fit")
     damping = _FIT_DAMPING
     for _ in range(_FIT_MAX_STEPS):
         # normal equations J^T J, J^T r of J = (s, eta_max * ds/deta_nor)
+        x = np.sqrt(eta_nor * p)
         ds = np.sin(2.0 * x) * x / (2.0 * eta_nor)
-        a11, a12, a22 = float(s @ s), eta_max * float(s @ ds), eta_max ** 2 * float(ds @ ds)
+        a12, a22 = eta_max * float(s @ ds), eta_max ** 2 * float(ds @ ds)
         g1, g2 = float(s @ r), eta_max * float(ds @ r)
         while True:
             d11, d22 = a11 * (1.0 + damping), a22 * (1.0 + damping)
@@ -377,7 +382,7 @@ def fit_efficiency(power_mw, eta) -> EfficiencyFit:
             if trial_fit is not None and trial_fit[-1] <= cost:
                 reduction = cost - trial_fit[-1]
                 eta_nor = trial
-                x, s, eta_max, r, cost = trial_fit
+                s, a11, eta_max, r, cost = trial_fit
                 # gain-ratio rule: damp more where the model overpromised
                 # (Gauss-Newton overshoots where the residuals are large)
                 if reduction < 0.25 * predicted:
@@ -427,9 +432,8 @@ def pump_balance(params_ccw: EfficiencyCurveParams, params_cw: EfficiencyCurvePa
     max_cw, nor_cw = params_cw.eta_max, params_cw.eta_nor_per_mw
 
     def gap(ratio):
-        # efficiency_model's arithmetic, without its per-call checks
-        return (max_ccw * np.sin(np.sqrt(nor_ccw * (ratio * total_power_mw))) ** 2
-                - max_cw * np.sin(np.sqrt(nor_cw * ((1.0 - ratio) * total_power_mw))) ** 2)
+        return (_saturation(ratio * total_power_mw, max_ccw, nor_ccw)
+                - _saturation((1.0 - ratio) * total_power_mw, max_cw, nor_cw))
 
     # sin^2(sqrt(eta_nor * P)) is monotone on pieces of pi/2 in sqrt(eta_nor * P)
     pieces = np.sqrt(max(nor_ccw, nor_cw) * total_power_mw) / (0.5 * np.pi)

@@ -24,10 +24,12 @@ from .qpm import (_KERNEL_POINTS, DeviceConfig, _grid_steps, _in_fit, _triple_um
 
 ConstraintMode = Literal["max_converted_wavelength", "min_pump_converted_separation"]
 
-LimitTag = Literal["threshold", "cutoff", "separation", "scan_edge"]
+LimitTag = Literal["threshold", "cutoff", "separation", "scan_edge", "laser_range"]
 # What ends an interval, in rising priority: a signal reports the later of
-# its two sides' tags
-_LIMITS: tuple[LimitTag, ...] = ("threshold", "scan_edge", "separation", "cutoff")
+# its two sides' tags. A plan's pump band (``dwdm.pump_band``) reports both
+# sides, and only it meets the laser range.
+_LIMITS: tuple[LimitTag, ...] = ("threshold", "scan_edge", "separation", "cutoff",
+                                 "laser_range")
 
 _BLOCK = 256  # coarse steps per block of the outward walk
 _PREFIXES = (8, 32, 128, _BLOCK)  # a block is evaluated in these growing prefixes
@@ -184,6 +186,25 @@ def _walk(eff, start: float, bound, direction, coarse_thz: float, threshold: flo
     return np.where(hit, good, bound), hit
 
 
+def _band(eff, center: float, bound, tag, coarse_step_ghz: float, threshold: float):
+    """Contiguous bands at or above the threshold around one center, each row pair
+    walked out to its bounds: rows 0..n-1 go down in frequency, n..2n-1 up, and
+    ``tag`` holds each side's ``_LIMITS`` code for the bound it is given.
+
+    A bound past the center on either side leaves the pair no interval: both its
+    bounds move to the center. Returns each row's edge, the tags with the
+    threshold's code on every side the threshold ended, and which pairs are empty.
+    ``bound`` and ``tag`` are updated in place.
+    """
+    n = bound.size // 2
+    direction = np.repeat([-1.0, 1.0], n)
+    empty = (direction * (bound - center) < 0).reshape(2, n).any(axis=0)
+    bound[np.tile(empty, 2)] = center
+    edge, hit = _walk(eff, center, bound, direction, coarse_step_ghz / 1000.0, threshold)
+    tag[hit] = _LIMITS.index("threshold")
+    return edge, tag, empty
+
+
 def _solve(signal_nm, target_nm: float, length_mm: float, temperature_c: float,
            material: SellmeierModel, constraints: TuningConstraints) -> list[TuningResult]:
     """Tuning intervals of many signals around one target, all solved together.
@@ -235,18 +256,14 @@ def _solve(signal_nm, target_nm: float, length_mm: float, temperature_c: float,
         tighten(C_NM_THZ / value, "cutoff", direction < 0)
     else:
         tighten(_separation_bound(nu_s, nu_c0, value), "separation", toward_degeneracy)
-    # a bound past the center on either side leaves the signal no interval
-    empty = (direction * (bound - nu_c0) < 0).reshape(2, n).any(axis=0)
-    bound[np.tile(empty, 2)] = nu_c0
 
     def eff(rows, nu_c):
         return pm_efficiency(grating_mismatch(material, temperature_c, period[rows, None],
                                               nu_s[rows, None], nu_c, lam_s[rows, None]),
                              length_mm)
 
-    edge, hit = _walk(eff, nu_c0, bound, direction, constraints.coarse_step_ghz / 1000.0,
-                      constraints.efficiency_threshold)
-    tag[hit] = _LIMITS.index("threshold")
+    edge, tag, empty = _band(eff, nu_c0, bound, tag, constraints.coarse_step_ghz,
+                             constraints.efficiency_threshold)
 
     # An empty signal keeps the target as both ends and zero widths; a live one
     # reports the higher-priority limit of its two sides.

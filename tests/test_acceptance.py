@@ -12,14 +12,12 @@ import numpy as np
 import pytest
 from scipy.signal import find_peaks
 
-from qfchub import (DeviceConfig, DwdmGrid, EfficiencyCurveParams, LaserSpec,
-                    PolarizationState, QfcChannelModel, SpectralPoint,
-                    TuningConstraints, efficiency_curve_columns, efficiency_model,
+from qfchub import (DwdmGrid, EfficiencyCurveParams, LaserSpec, PolarizationState,
+                    QfcChannelModel, SpectralPoint, TuningConstraints, efficiency_model,
                     fit_efficiency, group_index_mismatch, hub_sweep,
                     kraus_to_chi, make_device, phase_mismatch_vs_converted,
-                    plan_pumps, port_frequency, process_fidelity, pump_for,
+                    plan_pumps, port_frequency, process_fidelity, pump_band, pump_for,
                     reconstruct_chi, simulate_tomography, tuning_range)
-from qfchub.constants import C_NM_THZ
 
 TEMPERATURE_C = 48.0
 CUTOFF = TuningConstraints(constraint_mode="max_converted_wavelength",
@@ -150,17 +148,12 @@ def test_criterion_6_sweet_spot_property(jundt):
 
 def test_criterion_7_relative_efficiency_band(jundt):
     plan = plan_pumps(DwdmGrid(), 384.200, LaserSpec(), 40.0, TEMPERATURE_C, jundt)
-    device = DeviceConfig(plan.poling_period_um, 40.0, TEMPERATURE_C, jundt)
-    laser = LaserSpec()
-    curve = efficiency_curve_columns(
-        device, 384.200,
-        (C_NM_THZ / laser.max_wavelength_nm, C_NM_THZ / laser.min_wavelength_nm),
-        step_ghz=1.0)
-    lo, hi = curve.band(threshold=0.9)
+    lo, hi, limits = pump_band(plan, LaserSpec(), 40.0, TEMPERATURE_C, jundt, threshold=0.9)
     width = hi - lo
     ok = abs(width - 2.0) <= 0.5 and lo <= 188.9 and hi >= 190.5
     report("criterion 7 (0.9 pump band)", ok,
-           f"band = [{lo:.3f}, {hi:.3f}] THz, width = {width:.3f} THz")
+           f"band = [{lo:.3f}, {hi:.3f}] THz, width = {width:.3f} THz, "
+           f"ended by {limits[0]} / {limits[1]}")
 
 
 def test_criterion_8_dwdm_plan(jundt):

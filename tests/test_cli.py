@@ -216,21 +216,21 @@ _SCAN = ["pm-scan", "--signal", "780", "--target", "1540"]
                  None, id="sweep-stop-inf"),
     pytest.param(["hub-sweep", "--start", "700", "--stop", "710", "--target", "nan"],
                  None, id="sweep-target-nan"),
-    pytest.param(["reproduce-paper", "--sweep-step", "nan"], "signal_step_nm",
+    pytest.param(["reproduce-paper", "--sweep-step", "nan"], "signal_step_nm: ",
                  id="sweep-step-nan"),
     pytest.param([*_SCAN, "--window-thz", "nan"], None, id="window-nan"),
-    pytest.param([*_SCAN, "--step-ghz", "inf"], "step_ghz", id="scan-step-inf"),
-    pytest.param(["plan", "--curve", "--curve-step-ghz", "nan"], "step_ghz",
+    pytest.param([*_SCAN, "--step-ghz", "inf"], "step_ghz: ", id="scan-step-inf"),
+    pytest.param(["plan", "--curve", "--curve-step-ghz", "nan"], "step_ghz: ",
                  id="curve-step-nan"),
-    pytest.param([*_SWEEP, "--step", "1e-300"], "signal_step_nm", id="sweep-step-tiny"),
-    pytest.param(["reproduce-paper", "--sweep-step", "1e-300"], "signal_step_nm",
+    pytest.param([*_SWEEP, "--step", "1e-300"], "signal_step_nm: ", id="sweep-step-tiny"),
+    pytest.param(["reproduce-paper", "--sweep-step", "1e-300"], "signal_step_nm: ",
                  id="paper-sweep-step-tiny"),
-    pytest.param([*_SCAN, "--step-ghz", "1e-12"], "step_ghz", id="scan-step-tiny"),
-    pytest.param(["plan", "--curve", "--curve-step-ghz", "1e-12"], "step_ghz",
+    pytest.param([*_SCAN, "--step-ghz", "1e-12"], "step_ghz: ", id="scan-step-tiny"),
+    pytest.param(["plan", "--curve", "--curve-step-ghz", "1e-12"], "step_ghz: ",
                  id="curve-step-tiny"),
-    pytest.param([*_TUNING, "--coarse-step-ghz", "1e-300"], "coarse_step_ghz",
+    pytest.param([*_TUNING, "--coarse-step-ghz", "1e-300"], "coarse_step_ghz: ",
                  id="coarse-step-tiny"),
-    pytest.param([*_SWEEP, "--coarse-step-ghz", "0.01"], "coarse_step_ghz",
+    pytest.param([*_SWEEP, "--coarse-step-ghz", "0.01"], "coarse_step_ghz: ",
                  id="coarse-step-past-grid-bound"),
     pytest.param([*_TUNING, "--format", "json"], None, id="tuning-range-json-without-output"),
     pytest.param(["index", "-780", "--allow-extrapolation"], None, id="index-negative"),
@@ -256,13 +256,23 @@ _SCAN = ["pm-scan", "--signal", "780", "--target", "1540"]
     pytest.param([*_SCAN, "--length", "1e308"], None, id="scan-efficiency-zero"),
     pytest.param([*_SCAN, "--length", "1e308", "--format", "json"], None,
                  id="scan-efficiency-zero-json"),
+    # a value outside the fit never reads as the bound, inside the window, or at length
+    pytest.param(["index", "399.99999"], "wavelength 0.39999999 um outside jundt1997 "
+                 "validity [0.400, 5.000] um\n", id="index-just-below-fit"),
+    pytest.param(["sweet-spot", "--signal", "780", "--target", "1540", "--temperature",
+                  "21.4999"], "temperature 21.4999 C outside jundt1997 validity "
+                 "[21.5, 250.0] C\n", id="temperature-just-below-fit"),
+    pytest.param(["sweet-spot", "--signal", "780", "--target", "1540", "--temperature",
+                  "1e308"], "temperature 1e+308 C outside jundt1997 validity "
+                 "[21.5, 250.0] C\n", id="temperature-1e308"),
 ])
 def test_non_finite_values_exit_2(argv, named, tmp_path, run_cli):
     # a bad grid step names its step parameter (the coarse step's non-finite
-    # values are rejected before the grid rule, by TuningConstraints)
+    # values are rejected before the grid rule, by TuningConstraints); ``named``
+    # is what follows "error: "
     proc = run_cli(argv, tmp_path)
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith(f"error: {named}: " if named else "error: ")
+    assert proc.stderr.startswith(f"error: {named or ''}")
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stdout == ""
     assert list(tmp_path.iterdir()) == []
@@ -302,7 +312,25 @@ def test_plan_outputs(tmp_path, run_cli):
     assert port7["lambda_p_nm"] == "1582.02"
     band = summary["band_90_THz"]
     assert band[0] < 188.9 and band[1] > 190.5
+    # the threshold ends the low pump side, the laser's 1572.063 nm the high one
+    assert summary["band_limits"] == ["threshold", "laser_range"]
     assert (tmp_path / "pump_plan_curve.csv").exists()
+
+
+def test_plan_band_does_not_depend_on_the_curve_step(tmp_path, run_cli):
+    # the band is the tuning walk's, not a reading of the display curve's grid
+    bands = [summary_of(run_cli(["plan", "--curve", "--curve-step-ghz", step], tmp_path))
+             for step in ("1", "500")]
+    assert [b["band_90_THz"] for b in bands] == [[188.3901, 190.7]] * 2
+    assert bands[0]["band_limits"] == bands[1]["band_limits"]
+
+
+def test_plan_band_empty_outside_the_laser_range(tmp_path, run_cli):
+    # a center at 191.0 THz puts its pump at 193.2 THz, past the laser range:
+    # no band, and both sides say why
+    summary = summary_of(run_cli(["plan", "--curve", "--center-freq", "191.0"], tmp_path))
+    assert summary["band_90_THz"] == [193.2, 193.2]
+    assert summary["band_limits"] == ["laser_range", "laser_range"]
 
 
 def test_plan_json_format(tmp_path, run_cli):

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfchub import (DeviceConfig, DomainError, DwdmGrid, EfficiencyCurve, LaserSpec,
-                    RangeError, ValidityError, efficiency_curve_columns, make_device,
-                    plan_pumps, port_frequency)
-from qfchub.constants import C_NM_THZ, C_UM_THZ
+from qfchub import (DeviceConfig, DomainError, DwdmGrid, LaserSpec, RangeError,
+                    ValidityError, efficiency_curve_columns, make_device, plan_pumps,
+                    port_frequency, pump_band)
+from qfchub.constants import C_NM_THZ, C_UM_THZ, REFINE_GHZ
 from qfchub import qpm
 from qfchub.qpm import grid_efficiency
 
@@ -213,13 +213,54 @@ def test_relative_efficiency_curve_normalization_and_symmetry(jundt):
 
 def test_high_efficiency_band_over_laser_range(jundt):
     plan = plan_pumps(DwdmGrid(), SIGNAL_THZ, LaserSpec(), 40.0, 48.0, jundt)
-    device = DeviceConfig(plan.poling_period_um, 40.0, 48.0, jundt)
-    laser = LaserSpec()
-    lo = C_NM_THZ / laser.max_wavelength_nm
-    hi = C_NM_THZ / laser.min_wavelength_nm
-    band = efficiency_curve_columns(device, SIGNAL_THZ, (lo, hi), step_ghz=1.0).band(0.9)
+    band = pump_band(plan, LaserSpec(), 40.0, 48.0, jundt, 0.9)
     assert band[0] < 188.9 and band[1] > 190.5
     assert 1.5 <= band[1] - band[0] <= 2.5
+
+
+def _scanned_band(plan, laser, length_mm, jundt):
+    """The 90 % band as a 0.1 GHz curve over the laser range reads it: the
+    outermost grid points of the passing run around the center's pump."""
+    device = DeviceConfig(plan.poling_period_um, length_mm, 48.0, jundt)
+    nus, rel, _ = efficiency_curve_columns(
+        device, SIGNAL_THZ, (C_NM_THZ / laser.max_wavelength_nm,
+                             C_NM_THZ / laser.min_wavelength_nm), step_ghz=0.1)
+    center = int(np.argmin(np.abs(nus - (SIGNAL_THZ - plan.center_frequency_thz))))
+    failing = np.flatnonzero(~(rel >= 0.9))
+    below, above = failing[failing < center], failing[failing > center]
+    lo = below[-1] + 1 if below.size else 0
+    hi = above[0] - 1 if above.size else nus.size - 1
+    return nus[lo], nus[hi]
+
+
+@pytest.mark.parametrize("center_thz, length_mm, limits", [
+    (None, 40.0, ("threshold", "laser_range")),
+    (None, 80.0, ("threshold", "threshold")),
+    (196.0, 40.0, ("threshold", "threshold")),
+    (195.5, 60.0, ("threshold", "threshold")),
+    (197.0, 20.0, ("laser_range", "threshold")),
+])
+def test_pump_band_equals_a_fine_scan(center_thz, length_mm, limits, jundt):
+    # each edge of the walk lies within its refinement of the fine scan's edge
+    laser = LaserSpec()
+    plan = plan_pumps(DwdmGrid(), SIGNAL_THZ, laser, length_mm, 48.0, jundt,
+                      center_frequency_thz=center_thz)
+    lo, hi, got = pump_band(plan, laser, length_mm, 48.0, jundt)
+    assert got == limits
+    scan_lo, scan_hi = _scanned_band(plan, laser, length_mm, jundt)
+    assert abs(lo - scan_lo) <= REFINE_GHZ / 1000.0
+    assert abs(hi - scan_hi) <= REFINE_GHZ / 1000.0
+
+
+def test_pump_band_bounded_by_the_fit(jundt):
+    # a laser reaching past the fit is bounded by the fit's 5 um pump
+    wide = LaserSpec(1000.0, 6000.0)
+    plan = plan_pumps(DwdmGrid(), SIGNAL_THZ, wide, 0.01, 48.0, jundt)
+    lo, hi, limits = pump_band(plan, wide, 0.01, 48.0, jundt)
+    assert limits == ("scan_edge", "laser_range")
+    assert lo == pytest.approx(C_UM_THZ / 5.0) and hi == pytest.approx(C_NM_THZ / 1000.0)
+    with pytest.raises(DomainError, match="threshold"):
+        pump_band(plan, wide, 0.01, 48.0, jundt, threshold=1.0)
 
 
 def test_curve_flags_an_extrapolated_signal(jundt):
@@ -255,32 +296,6 @@ def test_curve_runs_in_bounded_slices(jundt):
         tracemalloc.stop()
     assert curve.nu_p_thz.size == 900_001
     assert peak - kept <= 2 * 8 * curve.nu_p_thz.size + slice_bound
-
-
-def _band_by_walking(nus, rel, threshold):
-    """The band as two loops stepping outward from the peak while rel >= threshold."""
-    peak = int(np.nanargmax(rel))
-    lo = peak
-    while lo > 0 and rel[lo - 1] >= threshold:
-        lo -= 1
-    hi = peak
-    while hi < len(rel) - 1 and rel[hi + 1] >= threshold:
-        hi += 1
-    return float(nus[lo]), float(nus[hi])
-
-
-_REL = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.9, 1.0, float("nan")]))
-
-
-@settings(max_examples=300, deadline=None)
-@given(rel=st.lists(_REL, min_size=1, max_size=60).filter(
-           lambda r: not np.all(np.isnan(r))),
-       threshold=st.one_of(st.floats(0.0, 1.0), st.just(0.9)))
-def test_high_efficiency_band_equals_walking_loops(rel, threshold):
-    nus = 188.0 + 0.001 * np.arange(len(rel))
-    rel = np.array(rel)
-    expected = _band_by_walking(nus, rel, threshold)
-    assert EfficiencyCurve(nus, rel, np.zeros(rel.size, bool)).band(threshold) == expected
 
 
 def test_curve_input_validation(jundt):
