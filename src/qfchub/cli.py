@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import asdict, fields, replace
@@ -20,16 +21,14 @@ import numpy as np
 
 from .config import ENV_CONFIG_PATH, RunConfig, apply_overrides, load_config
 from .dispersion import get_material, group_index, index_derivative, refractive_index
-from .dwdm import (EfficiencyCurve, PumpPlan, efficiency_curve_columns, plan_pumps,
-                   pump_band)
+from .dwdm import PumpPlan, efficiency_curve_columns, plan_pumps, pump_band
 from .emit import csv_chunks, read_two_column_csv, write_csv, write_json, write_records
 from .errors import (ConfigError, ConvergenceError, DegenerateError, DomainError,
                      RangeError, SingularityError, ValidityError)
-from .constants import C_NM_THZ
 from .polarization import (PAULI_LABELS, PolarizationState, ProcessMatrix,
                            QfcChannelModel, apply_channel, fit_efficiency, kraus_to_chi,
                            process_fidelity, reconstruct_chi, simulate_tomography)
-from .qpm import DeviceConfig, make_device
+from .qpm import make_device
 from .tuning import (HubSweepPoint, TuningResult, hub_sweep, pm_spectrum_columns,
                      sweet_spot_report, tuning_range)
 
@@ -131,8 +130,17 @@ def _constraint_options(parser: argparse.ArgumentParser, mode: bool = True) -> N
     g.add_argument("--channel-spacing-ghz", dest="channel_spacing_ghz", type=float)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that reads -5e1, -inf and -nan as values, as it reads -5 and -.5."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qfchub",
         description="Quasi-phase-matched frequency-conversion design toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -317,46 +325,39 @@ def cmd_hub_sweep(config: RunConfig, args: argparse.Namespace) -> dict:
             "max_width_signal_nm": widest.signal_nm, "output": str(out)}
 
 
-def _pump_plan(config: RunConfig, model, center_frequency_thz: float | None,
-               curve_step_ghz: float | None) -> tuple[PumpPlan, EfficiencyCurve | None]:
-    """The configured pump plan and, given a step, its efficiency curve over the laser range."""
-    plan = plan_pumps(config.grid(), config.signal_frequency_thz, config.laser(),
-                      config.length_mm, config.temperature_c, model,
-                      center_frequency_thz=center_frequency_thz)
-    if curve_step_ghz is None:
-        return plan, None
-    device = DeviceConfig(plan.poling_period_um, config.length_mm, config.temperature_c, model)
-    pump_range = (C_NM_THZ / config.laser_max_nm, C_NM_THZ / config.laser_min_nm)
-    return plan, efficiency_curve_columns(device, config.signal_frequency_thz,
-                                          pump_range, curve_step_ghz)
+def _pump_plan(config: RunConfig, model, center_frequency_thz: float | None) -> PumpPlan:
+    """The configured pump plan."""
+    return plan_pumps(config.grid(), config.signal_frequency_thz, config.laser(),
+                      config.length_mm, config.temperature_c, model, center_frequency_thz)
 
 
 def cmd_plan(config: RunConfig, args: argparse.Namespace) -> dict:
     model = get_material(config.material, config.material_file)
-    plan, curve = _pump_plan(config, model, args.center_frequency_thz,
-                             args.curve_step_ghz if args.curve else None)
+    plan = _pump_plan(config, model, args.center_frequency_thz)
+    # the curve and band are computed before the first file is written
+    if args.curve:
+        curve = efficiency_curve_columns(plan, args.curve_step_ghz)
+        lo, hi, limits = pump_band(plan)
     out = Path(config.output or f"pump_plan.{config.output_format}")
     ports = range(1, plan.nu_c_thz.size + 1)
     if config.output_format == "json":
         write_json(out, {
             "signal_frequency_THz": plan.signal_frequency_thz,
-            "poling_period_um": plan.poling_period_um,
+            "poling_period_um": plan.device.poling_period_um,
             "center_frequency_THz": plan.center_frequency_thz,
-            "ports": list(map(PLAN_JSON, ports, *(c.tolist() for c in plan[3:]))),
+            "ports": list(map(PLAN_JSON, ports, *(c.tolist() for c in plan[4:]))),
         })
     else:
-        write_csv(out, PLAN_CSV, ports, *plan[3:])
+        write_csv(out, PLAN_CSV, ports, *plan[4:])
     pumps = plan.lambda_p_nm.tolist()
     summary = {"ports": len(pumps),
-               "poling_period_um": round(plan.poling_period_um, 6),
+               "poling_period_um": round(plan.device.poling_period_um, 6),
                "pump_min_nm": round(min(pumps), 2),
                "pump_max_nm": round(max(pumps), 2),
                "all_in_laser_range": all(plan.in_laser_range.tolist()),
                "output": str(out)}
-    if curve is not None:
+    if args.curve:
         curve_out = write_csv(out.with_name(out.stem + "_curve.csv"), CURVE_CSV, *curve)
-        lo, hi, limits = pump_band(plan, config.laser(), config.length_mm,
-                                   config.temperature_c, model)
         summary["curve_output"] = str(curve_out)
         summary["band_90_THz"] = [round(lo, 4), round(hi, 4)]
         summary["band_limits"] = list(limits)
@@ -437,7 +438,8 @@ def cmd_reproduce_paper(config: RunConfig, args: argparse.Namespace) -> dict:
               for length, name in ((40.0, "tuning_range_L40.json"),
                                    (20.0, "tuning_range_L20.json"))]
 
-    plan, curve = _pump_plan(config, model, None, 1.0)
+    plan = _pump_plan(config, model, None)
+    curve = efficiency_curve_columns(plan)
 
     produced = []
     for device, signal, window, step, name in scans:
@@ -449,7 +451,7 @@ def cmd_reproduce_paper(config: RunConfig, args: argparse.Namespace) -> dict:
         produced.append(write_json(run_dir / name, tuning_result_payload(
             result, cutoff_constraints.efficiency_threshold)))
     produced.append(write_csv(run_dir / "pump_plan.csv", PLAN_CSV,
-                              range(1, plan.nu_c_thz.size + 1), *plan[3:]))
+                              range(1, plan.nu_c_thz.size + 1), *plan[4:]))
     produced.append(write_csv(run_dir / "pump_plan_curve.csv", CURVE_CSV, *curve))
 
     return {"directory": str(run_dir), "files": sorted(map(str, produced))}

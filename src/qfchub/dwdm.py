@@ -19,9 +19,13 @@ from .constants import C_NM_THZ
 from .dispersion import SellmeierModel, SpectralPoint
 from .errors import DomainError, RangeError
 from .qpm import (_MAX_GRID_POINTS, DeviceConfig, _grid_steps, _require_fit, _triple_um,
-                  _validity_bounds_nu_c, grating_mismatch, grid_efficiency, pm_efficiency,
-                  solve_poling_period)
+                  _validity_bounds_nu_c, grid_efficiency, solve_poling_period)
 from .tuning import _LIMITS, LimitTag, TuningConstraints, _band
+
+
+def _whole(n) -> bool:
+    """A port number or count is an int or numpy integer, and not a bool."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
 @dataclass(frozen=True)
@@ -38,7 +42,7 @@ class DwdmGrid:
         if not (0 < self.anchor_frequency_thz < math.inf
                 and 0 < self.spacing_ghz < math.inf):
             raise DomainError("grid anchor and spacing must be finite and positive")
-        if not (isinstance(self.port_count, (int, np.integer)) and self.port_count >= 1):
+        if not (_whole(self.port_count) and self.port_count >= 1):
             raise DomainError("grid needs a whole number of ports, at least one")
         # the count first: a count past the bound may not even convert to float
         if self.port_count - 1 > _MAX_GRID_POINTS:
@@ -67,10 +71,12 @@ class LaserSpec:
 
 
 class PumpPlan(NamedTuple):
-    """A pump plan as columns, one array entry per port: port n is row n - 1."""
+    """A pump plan: its device, solved at the center, its laser, and from ``nu_c_thz``
+    on columns, one array entry per port: port n is row n - 1."""
 
     signal_frequency_thz: float
-    poling_period_um: float
+    device: DeviceConfig
+    laser: LaserSpec
     center_frequency_thz: float
     nu_c_thz: np.ndarray
     lambda_c_nm: np.ndarray
@@ -81,8 +87,8 @@ class PumpPlan(NamedTuple):
 
 
 def port_frequency(grid: DwdmGrid, port: int) -> float:
-    """Center frequency (THz) of a 1-based port index."""
-    if not 1 <= port <= grid.port_count:
+    """Center frequency (THz) of a 1-based port index, a whole number."""
+    if not (_whole(port) and 1 <= port <= grid.port_count):
         raise RangeError(
             f"port {port} outside grid range [1, {grid.port_count}]")
     return grid.anchor_frequency_thz - (port - 1) * grid.spacing_ghz / 1000.0
@@ -117,40 +123,33 @@ def plan_pumps(grid: DwdmGrid, signal_frequency_thz: float, laser: LaserSpec,
     nu_p = signal_frequency_thz - nu_c
     lam_p = C_NM_THZ / nu_p
     in_range = (laser.min_wavelength_nm <= lam_p) & (lam_p <= laser.max_wavelength_nm)
-    return PumpPlan(signal_frequency_thz, period, center, nu_c, C_NM_THZ / nu_c, nu_p,
+    return PumpPlan(signal_frequency_thz, device, laser, center, nu_c, C_NM_THZ / nu_c, nu_p,
                     lam_p, in_range, grid_efficiency(device, signal_frequency_thz, nu_c)[0])
 
 
-def pump_band(plan: PumpPlan, laser: LaserSpec, length_mm: float, temperature_c: float,
-              material: SellmeierModel, threshold: float = 0.9
+def pump_band(plan: PumpPlan, threshold: float = 0.9
               ) -> tuple[float, float, tuple[LimitTag, LimitTag]]:
     """Contiguous pump-frequency band around the plan's center where the efficiency
     stays at or above the threshold, and what ended each side, low pump side first.
 
-    The length, temperature and material are the plan's. Its period is solved at
-    the center, so the threshold is a fraction of the phase-matching maximum.
-    The band is ``tuning_range``'s walk on the plan's device, at its default
-    coarse step, bounded by the laser range (``laser_range``) and the fit's
-    window (``scan_edge``); a side the threshold ends is ``threshold``. A center
-    whose pump lies outside the laser range gives an empty band at that pump.
+    The plan's period is solved at its center, so the threshold is a fraction of
+    the phase-matching maximum. The band is ``tuning_range``'s walk on the plan's
+    device, at its default coarse step, bounded by the plan's laser range
+    (``laser_range``) and the fit's window (``scan_edge``); a side the threshold
+    ends is ``threshold``. A center whose pump lies outside the laser range gives
+    an empty band at that pump.
     """
-    device = DeviceConfig(plan.poling_period_um, length_mm, temperature_c, material)
     constraints = TuningConstraints(efficiency_threshold=threshold)
     nu_s = plan.signal_frequency_thz
     # rows 0 and 1 walk down and up in converted frequency, so up and down in pump
-    laser_bound = nu_s - C_NM_THZ / np.array([laser.min_wavelength_nm,
-                                              laser.max_wavelength_nm])
-    fit_bound = np.array(_validity_bounds_nu_c(nu_s, material))
+    laser_bound = nu_s - C_NM_THZ / np.array([plan.laser.min_wavelength_nm,
+                                              plan.laser.max_wavelength_nm])
+    fit_bound = np.array(_validity_bounds_nu_c(nu_s, plan.device.material))
     tighter = np.array([-1.0, 1.0]) * (laser_bound - fit_bound) < 0
     bound = np.where(tighter, laser_bound, fit_bound)
     tag = np.where(tighter, _LIMITS.index("laser_range"), _LIMITS.index("scan_edge"))
-
-    def eff(rows, nu_c):
-        return pm_efficiency(grating_mismatch(material, temperature_c,
-                                              device.poling_period_um, nu_s, nu_c),
-                             device.length_mm)
-
-    edge, tag, _ = _band(eff, plan.center_frequency_thz, bound, tag,
+    edge, tag, _ = _band(lambda rows, nu_c: grid_efficiency(plan.device, nu_s, nu_c)[0],
+                         plan.center_frequency_thz, bound, tag,
                          constraints.coarse_step_ghz, constraints.efficiency_threshold)
     return (float(nu_s - edge[1]), float(nu_s - edge[0]),
             (_LIMITS[tag[1]], _LIMITS[tag[0]]))
@@ -164,25 +163,22 @@ class EfficiencyCurve(NamedTuple):
     extrapolated: np.ndarray
 
 
-def efficiency_curve_columns(device: DeviceConfig, signal_frequency_thz: float,
-                             pump_range_thz: tuple[float, float],
-                             step_ghz: float = 1.0) -> EfficiencyCurve:
-    """Model conversion efficiency vs pump frequency, normalized to its peak.
-
-    The device period should already be solved for a working point inside the
-    range. Points whose signal, pump or converted wavelength lies outside the
-    material validity window are flagged, not dropped.
+def efficiency_curve_columns(plan: PumpPlan, step_ghz: float = 1.0) -> EfficiencyCurve:
+    """Model conversion efficiency of the plan's device vs pump frequency over its
+    laser range, divided by the curve's peak in that range, which the plan's
+    ``relative_efficiency`` and ``pump_band`` are not: they are relative to the
+    phase-matching maximum at the center, inside the range or not. Points whose
+    signal, pump or converted wavelength lies outside the material validity
+    window are flagged, not dropped.
     """
-    lo, hi = pump_range_thz
-    if not 0 < lo < hi < math.inf:
-        raise DomainError("pump range must be finite, ascending and positive")
+    lo, hi = C_NM_THZ / plan.laser.max_wavelength_nm, C_NM_THZ / plan.laser.min_wavelength_nm
     step = step_ghz / 1000.0
     count = _grid_steps(hi - lo, step, "step_ghz") + 1
     nu_p = lo + step * np.arange(count)
-    nu_c = signal_frequency_thz - nu_p
+    nu_c = plan.signal_frequency_thz - nu_p
     if np.any(nu_c <= 0):
         raise DomainError("pump range reaches the signal frequency")
-    rel, extrapolated = grid_efficiency(device, signal_frequency_thz, nu_c)
+    rel, extrapolated = grid_efficiency(plan.device, plan.signal_frequency_thz, nu_c)
     peak = np.nanmax(rel)
     if not np.isfinite(peak) or peak <= 0:
         raise DomainError("efficiency is zero or undefined over the whole range")

@@ -148,7 +148,7 @@ def test_criterion_6_sweet_spot_property(jundt):
 
 def test_criterion_7_relative_efficiency_band(jundt):
     plan = plan_pumps(DwdmGrid(), 384.200, LaserSpec(), 40.0, TEMPERATURE_C, jundt)
-    lo, hi, limits = pump_band(plan, LaserSpec(), 40.0, TEMPERATURE_C, jundt, threshold=0.9)
+    lo, hi, limits = pump_band(plan, threshold=0.9)
     width = hi - lo
     ok = abs(width - 2.0) <= 0.5 and lo <= 188.9 and hi >= 190.5
     report("criterion 7 (0.9 pump band)", ok,

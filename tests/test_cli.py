@@ -265,6 +265,12 @@ _SCAN = ["pm-scan", "--signal", "780", "--target", "1540"]
     pytest.param(["sweet-spot", "--signal", "780", "--target", "1540", "--temperature",
                   "1e308"], "temperature 1e+308 C outside jundt1997 validity "
                  "[21.5, 250.0] C\n", id="temperature-1e308"),
+    # a negative number in exponent form is a value, as -50 is, not a flag
+    pytest.param(["sweet-spot", "--signal", "780", "--target", "1540", "--temperature",
+                  "-5e1"], "temperature -50.00 C outside jundt1997 validity "
+                 "[21.5, 250.0] C\n", id="temperature-negative-exponent"),
+    pytest.param(["index", "-5e2", "--allow-extrapolation"],
+                 "wavelength -0.5 um must be finite and > 0\n", id="index-negative-exponent"),
 ])
 def test_non_finite_values_exit_2(argv, named, tmp_path, run_cli):
     # a bad grid step names its step parameter (the coarse step's non-finite
@@ -813,6 +819,25 @@ def test_removed_flags_exit_2(command, capsys):
             parser.parse_args(BASE_ARGV[command] + _flag_argv(flag))
         assert exc.value.code == 2, flag
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-50", "-5e1", "-5E+1", "-0.5e2", "-.5e2", "-5.e1",
+                                   "-500e-1", "-inf", "-Infinity", "-nan"])
+def test_negative_float_literals_are_values(value):
+    # argparse alone takes only -5 and -.5 as numbers and reads "-5e1" as a flag
+    parser = build_parser()
+    args = parser.parse_args(BASE_ARGV["sweet-spot"] + ["--temperature", value])
+    assert repr(args.temperature_c) == repr(float(value))
+    args = parser.parse_args(["index", value, "780"])
+    assert repr(args.wavelengths_nm) == repr([float(value), 780.0])
+
+
+@pytest.mark.parametrize("value", ["-e5", "-5e", "-infx", "-1_0"])
+def test_other_dashed_words_stay_flags(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(BASE_ARGV["sweet-spot"] + ["--temperature", value])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 def test_flags_reach_the_run_config(monkeypatch):

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfchub import (DeviceConfig, DomainError, DwdmGrid, LaserSpec, RangeError,
-                    ValidityError, efficiency_curve_columns, make_device, plan_pumps,
-                    port_frequency, pump_band)
+from qfchub import (DomainError, DwdmGrid, LaserSpec, RangeError, ValidityError,
+                    efficiency_curve_columns, plan_pumps, port_frequency, pump_band)
 from qfchub.constants import C_NM_THZ, C_UM_THZ, REFINE_GHZ
 from qfchub import qpm
 from qfchub.qpm import grid_efficiency
@@ -24,10 +23,12 @@ def test_port_frequencies_default_grid():
 
 
 def test_port_frequency_range_errors():
+    # a port is a whole number, as a grid's port count is
     grid = DwdmGrid()
-    for bad in (0, 17, -3):
+    for bad in (0, 17, -3, 1.5, 2.0, np.float64(3.0), True, "3"):
         with pytest.raises(RangeError):
             port_frequency(grid, bad)
+    assert port_frequency(grid, np.int64(9)) == port_frequency(grid, 9)
 
 
 def test_grid_affine_arithmetic():
@@ -46,6 +47,8 @@ def test_grid_validation():
         DwdmGrid(port_count=0)
     with pytest.raises(DomainError):
         DwdmGrid(port_count=2.5)
+    with pytest.raises(DomainError):
+        DwdmGrid(port_count=True)
     with pytest.raises(DomainError):
         LaserSpec(1600.0, 1500.0)
 
@@ -116,7 +119,7 @@ def test_plan_port7_reference_operating_point(jundt):
 
 def test_plan_all_pumps_inside_default_laser(jundt):
     plan = plan_pumps(DwdmGrid(), SIGNAL_THZ, LaserSpec(), 40.0, 48.0, jundt)
-    assert [column.shape for column in plan[3:]] == [(16,)] * 6
+    assert [column.shape for column in plan[4:]] == [(16,)] * 6
     assert plan.in_laser_range.all()
     pumps = plan.lambda_p_nm
     assert max(pumps) - min(pumps) < 36.0  # pump span well inside the laser span
@@ -166,7 +169,7 @@ def test_plan_columns_match_per_port_reference(jundt, ports, spacing_ghz, anchor
              "max": LaserSpec(at - width_nm, at),
              "none": LaserSpec(at + offset_nm, at + offset_nm + width_nm)}[bound]
     plan = plan_pumps(grid, signal_thz, laser, 40.0, 48.0, jundt)
-    device = DeviceConfig(plan.poling_period_um, 40.0, 48.0, jundt)
+    device = plan.device
     assert plan.nu_c_thz.tolist() == nu_c
     assert plan.lambda_c_nm.tolist() == [C_NM_THZ / f for f in nu_c]
     assert plan.nu_p_thz.tolist() == [signal_thz - f for f in nu_c]
@@ -198,13 +201,18 @@ def test_plan_rejects_ports_past_the_fit(jundt):
         plan_pumps(DwdmGrid(), 250.0, LaserSpec(), 40.0, 48.0, jundt)
 
 
-def test_relative_efficiency_curve_normalization_and_symmetry(jundt):
+def _plan_spanning(half_thz, jundt):
+    """The default plan with a laser spanning the center's pump +- ``half_thz``."""
     plan = plan_pumps(DwdmGrid(), SIGNAL_THZ, LaserSpec(), 40.0, 48.0, jundt)
-    device = DeviceConfig(plan.poling_period_um, 40.0, 48.0, jundt)
     center_pump = SIGNAL_THZ - plan.center_frequency_thz
-    nus, rel, _ = efficiency_curve_columns(device, SIGNAL_THZ,
-                                           (center_pump - 1.0, center_pump + 1.0),
-                                           step_ghz=1.0)
+    laser = LaserSpec(C_NM_THZ / (center_pump + half_thz), C_NM_THZ / (center_pump - half_thz))
+    return plan_pumps(DwdmGrid(), SIGNAL_THZ, laser, 40.0, 48.0, jundt)
+
+
+def test_relative_efficiency_curve_normalization_and_symmetry(jundt):
+    plan = _plan_spanning(1.0, jundt)
+    center_pump = SIGNAL_THZ - plan.center_frequency_thz
+    nus, rel, _ = efficiency_curve_columns(plan, step_ghz=1.0)
     assert rel.max() == pytest.approx(1.0, abs=1e-12)
     at = lambda nu: rel[int(np.argmin(np.abs(nus - nu)))]
     assert at(center_pump) == pytest.approx(1.0, abs=1e-6)
@@ -213,18 +221,15 @@ def test_relative_efficiency_curve_normalization_and_symmetry(jundt):
 
 def test_high_efficiency_band_over_laser_range(jundt):
     plan = plan_pumps(DwdmGrid(), SIGNAL_THZ, LaserSpec(), 40.0, 48.0, jundt)
-    band = pump_band(plan, LaserSpec(), 40.0, 48.0, jundt, 0.9)
+    band = pump_band(plan, 0.9)
     assert band[0] < 188.9 and band[1] > 190.5
     assert 1.5 <= band[1] - band[0] <= 2.5
 
 
-def _scanned_band(plan, laser, length_mm, jundt):
+def _scanned_band(plan):
     """The 90 % band as a 0.1 GHz curve over the laser range reads it: the
     outermost grid points of the passing run around the center's pump."""
-    device = DeviceConfig(plan.poling_period_um, length_mm, 48.0, jundt)
-    nus, rel, _ = efficiency_curve_columns(
-        device, SIGNAL_THZ, (C_NM_THZ / laser.max_wavelength_nm,
-                             C_NM_THZ / laser.min_wavelength_nm), step_ghz=0.1)
+    nus, rel, _ = efficiency_curve_columns(plan, step_ghz=0.1)
     center = int(np.argmin(np.abs(nus - (SIGNAL_THZ - plan.center_frequency_thz))))
     failing = np.flatnonzero(~(rel >= 0.9))
     below, above = failing[failing < center], failing[failing > center]
@@ -242,12 +247,11 @@ def _scanned_band(plan, laser, length_mm, jundt):
 ])
 def test_pump_band_equals_a_fine_scan(center_thz, length_mm, limits, jundt):
     # each edge of the walk lies within its refinement of the fine scan's edge
-    laser = LaserSpec()
-    plan = plan_pumps(DwdmGrid(), SIGNAL_THZ, laser, length_mm, 48.0, jundt,
+    plan = plan_pumps(DwdmGrid(), SIGNAL_THZ, LaserSpec(), length_mm, 48.0, jundt,
                       center_frequency_thz=center_thz)
-    lo, hi, got = pump_band(plan, laser, length_mm, 48.0, jundt)
+    lo, hi, got = pump_band(plan)
     assert got == limits
-    scan_lo, scan_hi = _scanned_band(plan, laser, length_mm, jundt)
+    scan_lo, scan_hi = _scanned_band(plan)
     assert abs(lo - scan_lo) <= REFINE_GHZ / 1000.0
     assert abs(hi - scan_hi) <= REFINE_GHZ / 1000.0
 
@@ -256,25 +260,22 @@ def test_pump_band_bounded_by_the_fit(jundt):
     # a laser reaching past the fit is bounded by the fit's 5 um pump
     wide = LaserSpec(1000.0, 6000.0)
     plan = plan_pumps(DwdmGrid(), SIGNAL_THZ, wide, 0.01, 48.0, jundt)
-    lo, hi, limits = pump_band(plan, wide, 0.01, 48.0, jundt)
+    lo, hi, limits = pump_band(plan)
     assert limits == ("scan_edge", "laser_range")
     assert lo == pytest.approx(C_UM_THZ / 5.0) and hi == pytest.approx(C_NM_THZ / 1000.0)
     with pytest.raises(DomainError, match="threshold"):
-        pump_band(plan, wide, 0.01, 48.0, jundt, threshold=1.0)
+        pump_band(plan, threshold=1.0)
 
 
-def test_curve_flags_an_extrapolated_signal(jundt):
-    # a 380 nm signal lies below the 400 nm validity edge of jundt1997, while
-    # every pump (near 504 nm) and converted wave of the curve lies inside it
-    device = make_device(380.0, 1540.0, 40.0, 48.0, jundt, allow_extrapolation=True)
-    signal_thz = C_NM_THZ / 380.0
-    center_pump = signal_thz - C_NM_THZ / 1540.0
-    curve = efficiency_curve_columns(device, signal_thz,
-                                     (center_pump - 1.0, center_pump + 1.0))
-    assert curve.nu_p_thz.size == 2001
-    assert jundt.in_validity(C_UM_THZ / curve.nu_p_thz, 48.0).all()
-    assert jundt.in_validity(C_UM_THZ / (signal_thz - curve.nu_p_thz), 48.0).all()
-    assert curve.extrapolated.all()
+def test_curve_flags_an_extrapolated_pump(jundt):
+    # a 1000-6000 nm laser reaches past the 5 um validity edge of jundt1997,
+    # while the signal and every converted wave of the curve lie inside it
+    plan = plan_pumps(DwdmGrid(), SIGNAL_THZ, LaserSpec(1000.0, 6000.0), 40.0, 48.0, jundt)
+    curve = efficiency_curve_columns(plan)
+    lam_p = C_UM_THZ / curve.nu_p_thz
+    assert jundt.in_validity(C_UM_THZ / (SIGNAL_THZ - curve.nu_p_thz), 48.0).all()
+    assert curve.extrapolated.any() and not curve.extrapolated.all()
+    assert np.array_equal(curve.extrapolated, lam_p > 5.0)
 
 
 def test_curve_runs_in_bounded_slices(jundt):
@@ -283,14 +284,11 @@ def test_curve_runs_in_bounded_slices(jundt):
     # slice (at most 12 live 8-byte arrays of _KERNEL_POINTS, as in the walk);
     # with the flag computed beside the efficiency it needs no wavelength
     # arrays of its own
-    plan = plan_pumps(DwdmGrid(), SIGNAL_THZ, LaserSpec(), 40.0, 48.0, jundt)
-    device = DeviceConfig(plan.poling_period_um, 40.0, 48.0, jundt)
-    center_pump = SIGNAL_THZ - plan.center_frequency_thz
+    plan = _plan_spanning(4.5, jundt)
     slice_bound = 8 * 12 * qpm._KERNEL_POINTS
     tracemalloc.start()
     try:
-        curve = efficiency_curve_columns(device, SIGNAL_THZ,
-                                         (center_pump - 4.5, center_pump + 4.5), 0.01)
+        curve = efficiency_curve_columns(plan, 0.01)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -299,10 +297,24 @@ def test_curve_runs_in_bounded_slices(jundt):
 
 
 def test_curve_input_validation(jundt):
-    device = DeviceConfig(19.19, 40.0, 48.0, jundt)
-    with pytest.raises(DomainError):
-        efficiency_curve_columns(device, SIGNAL_THZ, (190.0, 188.0))
-    with pytest.raises(DomainError):
-        efficiency_curve_columns(device, SIGNAL_THZ, (188.0, 190.0), step_ghz=0.0)
-    with pytest.raises(DomainError):
-        efficiency_curve_columns(device, 100.0, (99.0, 101.0))
+    # a descending laser range is LaserSpec's own check (test_grid_validation)
+    plan = plan_pumps(DwdmGrid(), SIGNAL_THZ, LaserSpec(700.0, 1600.0), 40.0, 48.0, jundt)
+    with pytest.raises(DomainError, match="step_ghz"):
+        efficiency_curve_columns(plan, step_ghz=0.0)
+    # a pump below 780 nm lies above the signal frequency
+    with pytest.raises(DomainError, match="reaches the signal frequency"):
+        efficiency_curve_columns(plan)
+
+
+def test_plan_laser_and_temperature_reach_band_and_curve(jundt):
+    # the band and the curve read the laser and the device the plan was made with
+    wide = plan_pumps(DwdmGrid(), SIGNAL_THZ, LaserSpec(1500.0, 1700.0), 40.0, 48.0, jundt)
+    lo, hi, limits = pump_band(wide)
+    assert (lo, hi) == pytest.approx((188.3901, 195.8099), abs=1e-4)
+    assert limits == ("threshold", "threshold")
+    curve = efficiency_curve_columns(wide)
+    assert curve.nu_p_thz[0] == C_NM_THZ / 1700.0
+    assert C_NM_THZ / 1500.0 - 1e-3 < curve.nu_p_thz[-1] <= C_NM_THZ / 1500.0
+    at_48, at_60 = (pump_band(plan_pumps(DwdmGrid(), SIGNAL_THZ, LaserSpec(), 40.0, t, jundt))
+                    for t in (48.0, 60.0))
+    assert at_60[:2] != at_48[:2]
