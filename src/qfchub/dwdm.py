@@ -15,11 +15,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constants import C_NM_THZ
+from .constants import C_NM_THZ, C_UM_THZ
 from .dispersion import SellmeierModel, SpectralPoint
 from .errors import DomainError, RangeError
 from .qpm import (_MAX_GRID_POINTS, DeviceConfig, _grid_steps, _require_fit, _triple_um,
-                  _validity_bounds_nu_c, grid_efficiency, solve_poling_period)
+                  grid_efficiency, solve_poling_period)
 from .tuning import _LIMITS, LimitTag, TuningConstraints, _band
 
 
@@ -139,20 +139,17 @@ def pump_band(plan: PumpPlan, threshold: float = 0.9
     ends is ``threshold``. A center whose pump lies outside the laser range gives
     an empty band at that pump.
     """
-    constraints = TuningConstraints(efficiency_threshold=threshold)
     nu_s = plan.signal_frequency_thz
-    # rows 0 and 1 walk down and up in converted frequency, so up and down in pump
-    laser_bound = nu_s - C_NM_THZ / np.array([plan.laser.min_wavelength_nm,
-                                              plan.laser.max_wavelength_nm])
-    fit_bound = np.array(_validity_bounds_nu_c(nu_s, plan.device.material))
-    tighter = np.array([-1.0, 1.0]) * (laser_bound - fit_bound) < 0
-    bound = np.where(tighter, laser_bound, fit_bound)
-    tag = np.where(tighter, _LIMITS.index("laser_range"), _LIMITS.index("scan_edge"))
-    edge, tag, _ = _band(lambda rows, nu_c: grid_efficiency(plan.device, nu_s, nu_c)[0],
-                         plan.center_frequency_thz, bound, tag,
-                         constraints.coarse_step_ghz, constraints.efficiency_threshold)
-    return (float(nu_s - edge[1]), float(nu_s - edge[0]),
-            (_LIMITS[tag[1]], _LIMITS[tag[0]]))
+    # row 0 walks down in converted frequency, row 1 up: up and down in pump
+    laser = nu_s - C_NM_THZ / np.array([[plan.laser.min_wavelength_nm],
+                                        [plan.laser.max_wavelength_nm]])
+    device = plan.device
+    edge, tag, _ = _band(device.material, device.temperature_c, device.length_mm,
+                         device.poling_period_um, nu_s, C_UM_THZ / nu_s,
+                         plan.center_frequency_thz, [("laser_range", laser, True)],
+                         TuningConstraints(efficiency_threshold=threshold))
+    return (float(nu_s - edge[1, 0]), float(nu_s - edge[0, 0]),
+            (_LIMITS[tag[1, 0]], _LIMITS[tag[0, 0]]))
 
 
 class EfficiencyCurve(NamedTuple):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, NamedTuple
+from typing import Literal, NamedTuple, get_args
 
 import numpy as np
 
@@ -24,12 +24,13 @@ from .qpm import (_KERNEL_POINTS, DeviceConfig, _grid_steps, _in_fit, _triple_um
 
 ConstraintMode = Literal["max_converted_wavelength", "min_pump_converted_separation"]
 
-LimitTag = Literal["threshold", "cutoff", "separation", "scan_edge", "laser_range"]
 # What ends an interval, in rising priority: a signal reports the later of
 # its two sides' tags. A plan's pump band (``dwdm.pump_band``) reports both
-# sides, and only it meets the laser range.
-_LIMITS: tuple[LimitTag, ...] = ("threshold", "scan_edge", "separation", "cutoff",
-                                 "laser_range")
+# sides, and only it meets the laser range. The last three name the check of
+# ``make_device`` a failed signal's working point fails; its interval is empty.
+LimitTag = Literal["threshold", "scan_edge", "separation", "cutoff", "laser_range",
+                   "no_pump", "outside_fit", "no_qpm"]
+_LIMITS: tuple[LimitTag, ...] = get_args(LimitTag)
 
 _BLOCK = 256  # coarse steps per block of the outward walk
 _PREFIXES = (8, 32, 128, _BLOCK)  # a block is evaluated in these growing prefixes
@@ -186,23 +187,40 @@ def _walk(eff, start: float, bound, direction, coarse_thz: float, threshold: flo
     return np.where(hit, good, bound), hit
 
 
-def _band(eff, center: float, bound, tag, coarse_step_ghz: float, threshold: float):
-    """Contiguous bands at or above the threshold around one center, each row pair
-    walked out to its bounds: rows 0..n-1 go down in frequency, n..2n-1 up, and
-    ``tag`` holds each side's ``_LIMITS`` code for the bound it is given.
+def _band(material: SellmeierModel, temperature_c: float, length_mm: float, period,
+          nu_s, lam_s, center: float, sides, constraints: TuningConstraints):
+    """Contiguous bands at or above the threshold around one center, one per working
+    point (period, signal frequency and wavelength, broadcast to one shape), walked down
+    and up in frequency from the center: row 0 of every (2, n) array goes down, row 1 up.
 
-    A bound past the center on either side leaves the pair no interval: both its
-    bounds move to the center. Returns each row's edge, the tags with the
-    threshold's code on every side the threshold ended, and which pairs are empty.
-    ``bound`` and ``tag`` are updated in place.
+    Every row is bounded by the fit's window, tagged ``scan_edge``. Each side
+    ``(name, bound, rows)`` then moves the bound of the rows it marks where it is
+    strictly tighter, so a tie keeps the earlier tag; ``bound`` and ``rows`` broadcast
+    to (2, n). A bound past the center on either side leaves the pair no interval: both
+    its bounds move to the center. Returns each row's edge, the ``_LIMITS`` codes with
+    the threshold's on every side the threshold ended, and which pairs are empty.
     """
-    n = bound.size // 2
-    direction = np.repeat([-1.0, 1.0], n)
-    empty = (direction * (bound - center) < 0).reshape(2, n).any(axis=0)
-    bound[np.tile(empty, 2)] = center
-    edge, hit = _walk(eff, center, bound, direction, coarse_step_ghz / 1000.0, threshold)
-    tag[hit] = _LIMITS.index("threshold")
-    return edge, tag, empty
+    period, nu_s, lam_s = np.broadcast_arrays(*np.atleast_1d(period, nu_s, lam_s))
+    direction = np.array([[-1.0], [1.0]])
+    bound = np.array(_validity_bounds_nu_c(nu_s, material))
+    tag = np.full(bound.shape, _LIMITS.index("scan_edge"))
+    for name, candidate, rows in sides:
+        m = rows & (direction * candidate < direction * bound)
+        bound[m] = np.broadcast_to(candidate, bound.shape)[m]
+        tag[m] = _LIMITS.index(name)
+    empty = (direction * (bound - center) < 0).any(axis=0)
+    bound[:, empty] = center
+    period, nu_s, lam_s = (np.tile(x, 2) for x in (period, nu_s, lam_s))
+
+    def eff(rows, nu_c):
+        return pm_efficiency(grating_mismatch(material, temperature_c, period[rows, None],
+                                              nu_s[rows, None], nu_c, lam_s[rows, None]),
+                             length_mm)
+
+    edge, hit = _walk(eff, center, bound.ravel(), np.repeat(direction, bound.shape[1]),
+                      constraints.coarse_step_ghz / 1000.0, constraints.efficiency_threshold)
+    tag[hit.reshape(bound.shape)] = _LIMITS.index("threshold")
+    return edge.reshape(bound.shape), tag, empty
 
 
 def _solve(signal_nm, target_nm: float, length_mm: float, temperature_c: float,
@@ -212,10 +230,12 @@ def _solve(signal_nm, target_nm: float, length_mm: float, temperature_c: float,
     What every signal shares is checked once, and a fault raises for the whole
     call: the target, the length, and the target and temperature against the
     fit's validity window. A signal failing its own working-point checks of
-    ``make_device`` gets an empty ``scan_edge`` result and a degenerate center
-    an empty ``separation`` one.
-    Walk rows 0..n-1 go down from the center, n..2n-1 up, so the low converted
-    wavelength comes from the upper frequency edge.
+    ``make_device`` gets an empty result tagged with the first check it fails, in
+    ``make_device``'s order: ``outside_fit`` for a signal that is not a finite,
+    positive wavelength, ``no_pump`` (nu_s <= nu_c0), ``outside_fit`` for a wave
+    outside the fit, ``no_qpm`` (k_s - k_p - k_c <= 0). A degenerate center gets an
+    empty ``separation`` one. ``_band`` walks the rest, bounded by the scan
+    halfwidth, the degeneracy and the constraint.
     """
     signal_nm = np.asarray(signal_nm, dtype=float)
     center = SpectralPoint.from_wavelength_nm(target_nm)
@@ -227,54 +247,40 @@ def _solve(signal_nm, target_nm: float, length_mm: float, temperature_c: float,
         nu_s = C_NM_THZ / signal_nm
         lams = _triple_um(nu_s, nu_c0, signal_nm / 1000.0, center.wavelength_um)
         d0 = wavenumber_mismatch(material, temperature_c, nu_s, nu_c0, lams[0], lams[2])
-        valid = ((signal_nm > 0) & (nu_s > nu_c0) & (d0 > 0)
-                 & _in_fit(material, temperature_c, lams))
-        live = np.nonzero(valid & (nu_c0 != nu_s / 2.0))[0]
-    limit = np.where(valid, _LIMITS.index("separation"), _LIMITS.index("scan_edge"))
+        checks = [((0 < signal_nm) & (signal_nm < math.inf), "outside_fit"),
+                  (nu_s > nu_c0, "no_pump"),
+                  (_in_fit(material, temperature_c, lams), "outside_fit"),
+                  (d0 > 0, "no_qpm"), (nu_c0 != nu_s / 2.0, "separation")]
+    # each signal that cannot be walked gets the code of the first check it fails
+    limit = np.select([~ok for ok, _ in checks], [_LIMITS.index(n) for _, n in checks], -1)
+    live = np.flatnonzero(limit < 0)
 
-    n = live.size
-    nu_s, lam_s, d0 = (np.tile(x[live], 2) for x in (nu_s, lams[0], d0))
-    period = 2.0 * np.pi / d0
-    direction = np.repeat([-1.0, 1.0], n)
-    val_lo, val_hi = _validity_bounds_nu_c(nu_s, material)
+    nu_s, lam_s = nu_s[live], lams[0][live]
     hw = constraints.scan_halfwidth_thz
-    bound = np.where(direction < 0, np.maximum(nu_c0 - hw, val_lo),
-                     np.minimum(nu_c0 + hw, val_hi))
-    tag = np.full(2 * n, _LIMITS.index("scan_edge"))
-
-    def tighten(candidate, name, rows):
-        m = rows & (direction * candidate < direction * bound)
-        bound[m] = np.broadcast_to(candidate, m.shape)[m]
-        tag[m] = _LIMITS.index(name)
-
     # Raman rule: the interval must stay on the center's side of the
     # pump/converted degeneracy.
-    toward_degeneracy = np.where(direction < 0, nu_c0 > nu_s / 2.0, nu_c0 < nu_s / 2.0)
-    tighten(nu_s / 2.0, "separation", toward_degeneracy)
+    toward_degeneracy = np.array([nu_c0 > nu_s / 2.0, nu_c0 < nu_s / 2.0])
     value = constraints.constraint_value_nm
     if constraints.constraint_mode == "max_converted_wavelength":
-        tighten(C_NM_THZ / value, "cutoff", direction < 0)
+        constraint = ("cutoff", C_NM_THZ / value, np.array([[True], [False]]))
     else:
-        tighten(_separation_bound(nu_s, nu_c0, value), "separation", toward_degeneracy)
-
-    def eff(rows, nu_c):
-        return pm_efficiency(grating_mismatch(material, temperature_c, period[rows, None],
-                                              nu_s[rows, None], nu_c, lam_s[rows, None]),
-                             length_mm)
-
-    edge, tag, empty = _band(eff, nu_c0, bound, tag, constraints.coarse_step_ghz,
-                             constraints.efficiency_threshold)
+        constraint = ("separation", _separation_bound(nu_s, nu_c0, value), toward_degeneracy)
+    edge, tag, empty = _band(
+        material, temperature_c, length_mm, 2.0 * np.pi / d0[live], nu_s, lam_s, nu_c0,
+        [("scan_edge", nu_c0 + np.array([[-hw], [hw]]), True),
+         ("separation", nu_s / 2.0, toward_degeneracy), constraint], constraints)
 
     # An empty signal keeps the target as both ends and zero widths; a live one
-    # reports the higher-priority limit of its two sides.
+    # reports the higher-priority limit of its two sides. The low converted
+    # wavelength comes from the upper frequency edge.
     lam_lo = np.full(signal_nm.size, float(target_nm))
     lam_hi = lam_lo.copy()
     width_thz = np.zeros(signal_nm.size)
-    lam_lo[live] = np.where(empty, target_nm, C_NM_THZ / edge[n:])
-    lam_hi[live] = np.where(empty, target_nm, C_NM_THZ / edge[:n])
-    width_thz[live] = edge[n:] - edge[:n]
+    lam_lo[live] = np.where(empty, target_nm, C_NM_THZ / edge[1])
+    lam_hi[live] = np.where(empty, target_nm, C_NM_THZ / edge[0])
+    width_thz[live] = edge[1] - edge[0]
     channels = np.floor(width_thz * 1000.0 / constraints.channel_spacing_ghz)
-    limit[live] = np.maximum(tag[:n], tag[n:])
+    limit[live] = tag.max(axis=0)
     return [TuningResult((lo, hi), width_nm, width, count, _LIMITS[code])
             for lo, hi, width_nm, width, count, code in zip(
                 lam_lo.tolist(), lam_hi.tolist(), (lam_hi - lam_lo).tolist(),
@@ -328,8 +334,9 @@ def hub_sweep(signal_range_nm: tuple[float, float], signal_step_nm: float,
 
     A target, length or temperature that ``tuning_range`` would reject raises
     as it does there, for the whole sweep; a signal whose own working point
-    it would reject is an empty ``scan_edge`` point. ``workers`` is accepted
-    for compatibility and ignored.
+    it would reject is an empty point tagged ``no_pump``, ``outside_fit`` or
+    ``no_qpm``, after what ``tuning_range`` would raise for it (see ``_solve``).
+    ``workers`` is accepted for compatibility and ignored.
     """
     lo, hi = signal_range_nm
     if not -math.inf < lo <= hi < math.inf:

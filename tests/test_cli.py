@@ -443,7 +443,10 @@ def test_unreadable_or_unwritable_file_exits_2(argv, tmp_path, run_cli):
 # the CSV writer was chunked; each command writes the files listed with it. The
 # 300-1100 nm sweeps (degenerate, cutoff-empty, separation-empty and failed
 # working points) were recorded from the solver that still checked the cutoff
-# and the separation at the center.
+# and the separation at the center, and re-recorded when a failed working point
+# got its own code: only the limiting_constraint of those rows changed, from
+# scan_edge to outside_fit (300-399 nm in all three, and 1039-1100 nm in s1310.csv,
+# whose pump passes 5 um there).
 _WIDE_SWEEP = ["hub-sweep", "--start", "300", "--stop", "1100"]
 PINNED_OUTPUTS = [
     (["plan", "--output", "plan.csv"],
@@ -460,11 +463,11 @@ PINNED_OUTPUTS = [
       "--format", "json", "--output", "hs.json"],
      {"hs.json": "57de73137d34cc1dedb4b200e856333e4edc7dc0a92e444169d12899dc3c7dfc"}),
     ([*_WIDE_SWEEP, "--target", "1560", "--cutoff", "1550", "--output", "c1560.csv"],
-     {"c1560.csv": "a5e1704e7795173d35abd66574c8fd20eed18c122ac2a74d76ea10b4e5ce73ca"}),
+     {"c1560.csv": "88c0e80635138b11e1b34eb95522936d9356d51421bbc1c92c3acdfa6cb69746"}),
     ([*_WIDE_SWEEP, "--target", "1310", "--separation", "5", "--output", "s1310.csv"],
-     {"s1310.csv": "b7a7ed66211c277e96c9af35fe6b2ebeca69a2cdff29f0c5579133509383b053"}),
+     {"s1310.csv": "718ba5e8e5dc7d8a660a1dd7acc727384fa86e73e900a533a776f4903f7e155a"}),
     ([*_WIDE_SWEEP, "--target", "1540", "--separation", "20", "--output", "s1540.csv"],
-     {"s1540.csv": "7d0d0e026a6f79f06b97477313165af15b9f72a36c0b9140fc10db0e718336f8"}),
+     {"s1540.csv": "156fcac2b5cc35785c4beb82afcf69b70cacaaeb6cd1189929556214e9c2937c"}),
     (["tuning-range", "--signal", "780", "--target", "1540", "--output", "x.csv"],
      {"x.csv": "72baf5b3c178da8d773ab2fa08769517daf3c9e220c395ca476b898e6c58298c"}),
     (["pm-scan", "--signal", "780", "--target", "1540", "--output", "pm.csv"],
@@ -721,7 +724,28 @@ def test_reproduce_paper_matches_reference_bytes(tmp_path, run_cli):
     assert sorted(p.name for p in directory.iterdir()) == sorted(PAPER_FILES)
     for name in PAPER_FILES:
         reference = gzip.decompress((REFERENCE_DIR / f"{name}.gz").read_bytes())
-        assert (directory / name).read_bytes() == reference, name
+        output = (directory / name).read_bytes()
+        assert output == reference, _first_difference(name, output, reference)
+
+
+def _first_difference(name, output, reference):
+    """Where two files first differ: the file, the line number and both lines, a
+    missing line read as the end of the file; line ends count, as they do for the bytes."""
+    lines = [text.splitlines(keepends=True) for text in (output, reference)]
+    at = next((i for i, pair in enumerate(zip(*lines)) if pair[0] != pair[1]),
+              min(map(len, lines)))
+    got, want = (side[at] if at < len(side) else "end of file" for side in lines)
+    return f"{name}: line {at + 1} is {got!r}, reference has {want!r}"
+
+
+def test_first_difference_names_the_line():
+    # what the byte oracle reports when a file drifts from its reference
+    assert _first_difference("f.csv", b"a\nb\nc\n", b"a\nb\nd\n") == (
+        "f.csv: line 3 is b'c\\n', reference has b'd\\n'")
+    assert _first_difference("f.csv", b"a\n", b"a\nb\n") == (
+        "f.csv: line 2 is 'end of file', reference has b'b\\n'")
+    assert _first_difference("f.csv", b"a\r\n", b"a\n") == (
+        "f.csv: line 1 is b'a\\r\\n', reference has b'a\\n'")
 
 
 # In-process checks of the parser and the config rules: no child processes.

@@ -9,9 +9,10 @@ from qfchub import (DomainError, TuningConstraints, group_index_mismatch, hub_sw
                     make_device, pm_efficiency, pm_spectrum_columns,
                     sweet_spot_report, tuning_range, wavenumber_mismatch)
 from qfchub.qpm import grid_efficiency
-from qfchub import tuning
-from qfchub.dispersion import SpectralPoint
-from qfchub.errors import QfcHubError
+from qfchub import qpm, tuning
+from qfchub.dwdm import DwdmGrid, LaserSpec, plan_pumps, pump_band
+from qfchub.dispersion import SellmeierModel, SpectralPoint
+from qfchub.errors import QfcHubError, ValidityError
 from qfchub.cli import SWEEP_CSV, _sweep_columns
 from qfchub.emit import write_csv
 from qfchub.tuning import TuningResult, _separation_bound, _solve, _walk
@@ -343,12 +344,25 @@ def test_constraint_value_must_be_positive():
             TuningConstraints(constraint_value_nm=value)
 
 
+def _failure_code(error):
+    """The sweep's code for a working point ``tuning_range`` rejects with ``error``."""
+    if isinstance(error, ValidityError) or "must be finite and positive" in str(error):
+        return "outside_fit"
+    if "must exceed converted frequency" in str(error):
+        return "no_pump"
+    if "no first-order QPM solution" in str(error):
+        return "no_qpm"
+    raise error
+
+
 def _alone(signal_nm, target_nm, material, constraints):
-    """tuning_range on one signal; a rejected working point is the sweep's scan_edge."""
+    """tuning_range on one signal; a rejected working point is the sweep's empty row
+    tagged with the code of the error."""
     try:
         return tuning_range(signal_nm, target_nm, 40.0, 48.0, material, constraints)
-    except QfcHubError:
-        return TuningResult((float(target_nm), float(target_nm)), 0.0, 0.0, 0, "scan_edge")
+    except QfcHubError as error:
+        return TuningResult((float(target_nm), float(target_nm)), 0.0, 0.0, 0,
+                            _failure_code(error))
 
 
 @settings(max_examples=25, deadline=None)
@@ -492,8 +506,8 @@ def test_empty_results_match_the_center_rule(jundt, signals, target, cutoff, off
     for signal, result in zip(signals, results):
         try:
             make_device(signal, target, 40.0, 48.0, jundt)
-        except QfcHubError:
-            expected = "scan_edge"
+        except QfcHubError as error:
+            expected = _failure_code(error)
         else:
             expected = _center_rule(signal, target, constraints)
         assert result.is_empty == (expected is not None)
@@ -529,7 +543,7 @@ def test_extrapolated_counts_the_signal(jundt):
 def test_hub_sweep_points_match_single_signal(jundt, separation_20):
     points = hub_sweep((300.0, 1000.0), 7.0, 1310.0, 40.0, 48.0, jundt, separation_20)
     assert {p.tuning.limiting_constraint for p in points} == {
-        "scan_edge", "separation", "threshold"}
+        "outside_fit", "separation", "threshold"}
     for p in points:
         assert p.tuning == _alone(p.signal_nm, 1310.0, jundt, separation_20)
 
@@ -555,9 +569,51 @@ def test_results_are_plain_python_types(jundt, cutoff_1550, separation_20):
     assert tuning_range(770.0, 1540, 40.0, 48.0, jundt, separation_20).is_empty
 
     points = hub_sweep((300, 1000), 50, 1310, 40.0, 48.0, jundt, separation_20)
-    assert any(p.tuning.is_empty and p.tuning.limiting_constraint == "scan_edge"
+    assert any(p.tuning.is_empty and p.tuning.limiting_constraint == "outside_fit"
                for p in points)
     assert any(not p.tuning.is_empty for p in points)
     for p in points:
         assert type(p.signal_nm) is float
         _assert_plain_types(p.tuning)
+
+
+def test_failed_signals_carry_the_code_of_their_error(jundt, separation_20):
+    # one signal per code: below the fit's 400 nm edge, at or past the target's
+    # wavelength, not a wavelength, and in a drawn material whose index rises with
+    # the wavelength, so that k_s - k_p - k_c < 0
+    anomalous = SellmeierModel("anomalous", "lambda_sq_poles", (-1.0, 25.0), (), (), "",
+                               (0.3, 4.0), (20.0, 100.0))
+    for material, signals, codes in (
+            (jundt, [350.0, 1600.0, 1540.0, 3080.0, 0.0, -5.0],
+             ["outside_fit", "no_pump", "no_pump", "no_pump", "outside_fit", "outside_fit"]),
+            (anomalous, [780.0], ["no_qpm"])):
+        results = _solve(signals, 1540.0, 40.0, 48.0, material, separation_20)
+        assert [r.limiting_constraint for r in results] == codes
+        assert results == [_alone(s, 1540.0, material, separation_20) for s in signals]
+
+
+def test_band_solver_work_is_pinned(jundt, separation_20, monkeypatch):
+    # the work of the two 400-1000 nm paper sweeps, and of the default plan's pump
+    # band, which walks the bare kernel: it computes no validity flag to drop
+    plan = plan_pumps(DwdmGrid(), 384.2, LaserSpec(), 40.0, 48.0, jundt)
+    calls = []
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            out = original(*args)
+            calls.append((name, np.size(out)))
+            return out
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (qpm, tuning):
+        count(module, "pm_efficiency")
+        count(module, "_in_fit")
+    for target in (1540.0, 1310.0):
+        hub_sweep((400.0, 1000.0), 1.0, target, 40.0, 48.0, jundt, separation_20)
+    kernel = [size for name, size in calls if name == "pm_efficiency"]
+    assert (len(kernel), sum(kernel)) == (92, 205_028)
+    calls.clear()
+    pump_band(plan)
+    assert [name for name, _ in calls] == ["pm_efficiency"] * 10
