@@ -83,27 +83,15 @@ class PolarizationState:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise DomainError("density matrix must be 2x2")
-        (a, b), (c, d) = m.tolist()
-        # max |m - m^dag| <= tol, entry by entry, so that a NaN fails
-        if not (2.0 * abs(a.imag) <= _HERM_TOL and 2.0 * abs(d.imag) <= _HERM_TOL
-                and abs(b - c.conjugate()) <= _HERM_TOL):
-            raise DomainError("density matrix must be Hermitian")
-        if not abs(a.real + d.real - 1.0) <= 1e-9:
-            raise DomainError("density matrix must have unit trace")
-        # smaller eigenvalue of the Hermitian matrix on the lower triangle,
-        # the part eigvalsh reads
-        half_sum, half_diff = 0.5 * (a.real + d.real), 0.5 * (a.real - d.real)
-        if not half_sum - math.sqrt(half_diff * half_diff + c.real * c.real
-                                    + c.imag * c.imag) >= -_PSD_TOL:
-            raise DomainError("density matrix must be positive semidefinite")
+        _check_state(*m.ravel().tolist())
         object.__setattr__(self, "matrix", m)
 
     @classmethod
     def from_amplitudes(cls, alpha: complex, beta: complex) -> "PolarizationState":
         vec = np.array([alpha, beta], dtype=complex)
         norm = np.linalg.norm(vec)
-        if norm == 0:
-            raise DomainError("amplitudes must not both vanish")
+        if not 0.0 < norm < math.inf:  # NaN too
+            raise DomainError("amplitudes must be finite, not both 0, with a finite norm")
         vec = vec / norm
         return cls(np.outer(vec, vec.conj()))
 
@@ -129,6 +117,20 @@ class PolarizationState:
 
 
 _LABEL_STATES: dict[str, PolarizationState] = {}
+
+
+def _check_state(a: complex, b: complex, c: complex, d: complex) -> None:
+    """Density-matrix rules on [[a, b], [c, d]], entry by entry, so that a NaN fails."""
+    if not (2.0 * abs(a.imag) <= _HERM_TOL and 2.0 * abs(d.imag) <= _HERM_TOL
+            and abs(b - c.conjugate()) <= _HERM_TOL):
+        raise DomainError("density matrix must be Hermitian")
+    if not abs(a.real + d.real - 1.0) <= 1e-9:
+        raise DomainError("density matrix must have unit trace")
+    # smaller eigenvalue of the Hermitian matrix on its lower triangle, which eigvalsh reads
+    half_sum, half_diff = 0.5 * (a.real + d.real), 0.5 * (a.real - d.real)
+    if not half_sum - math.sqrt(half_diff * half_diff + c.real * c.real
+                                + c.imag * c.imag) >= -_PSD_TOL:
+        raise DomainError("density matrix must be positive semidefinite")
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,7 @@ class ProcessMatrix:
 
     @property
     def trace(self) -> float:
-        return float(np.trace(self.chi).real)
+        return float(self.chi.trace().real)
 
 
 def apply_channel(state: PolarizationState,
@@ -179,18 +181,25 @@ def apply_channel(state: PolarizationState,
     [c rho_HV, eta_ccw rho_HH]] with c = sqrt(eta_cw eta_ccw) e^{i phase};
     the four entries and the depolarizing mix are worked out on scalars.
     """
-    (hh, hv), (vh, vv) = state.matrix.tolist()
-    raw_hh, raw_vv = model.eta_cw * vv, model.eta_ccw * hh
-    probability = raw_hh.real + raw_vv.real
-    if probability < 1e-15:
-        raise DegenerateError(
-            "channel output has vanishing success probability for this input")
-    mix = model.depolarizing_mix
-    keep, even = (1.0 - mix) / probability, 0.5 * mix
-    c = keep * cmath.rect(math.sqrt(model.eta_cw * model.eta_ccw), model.phase_rad)
-    out = np.array([[keep * raw_hh + even, c.conjugate() * vh],
-                    [c * hv, keep * raw_vv + even]], dtype=complex)
-    return PolarizationState(out), probability
+    return next(_apply_channel(model, (state,)))
+
+
+def _apply_channel(model: QfcChannelModel, states):
+    """Yield apply_channel of each state, with the model's part of c computed once."""
+    coherence = cmath.rect(math.sqrt(model.eta_cw * model.eta_ccw), model.phase_rad)
+    for state in states:
+        (hh, hv), (vh, vv) = state.matrix.tolist()
+        raw_hh, raw_vv = model.eta_cw * vv, model.eta_ccw * hh
+        prob = raw_hh.real + raw_vv.real
+        if prob < 1e-15:
+            raise DegenerateError("channel success probability vanishes for this input")
+        keep, even = (1.0 - model.depolarizing_mix) / prob, 0.5 * model.depolarizing_mix
+        c = keep * coherence
+        entries = (keep * raw_hh + even, c.conjugate() * vh, c * hv, keep * raw_vv + even)
+        _check_state(*entries)
+        out = object.__new__(PolarizationState)  # checked above, on its entries
+        object.__setattr__(out, "matrix", np.array(entries, dtype=complex).reshape(2, 2))
+        yield out, prob
 
 
 def _pauli_coefficients(model: QfcChannelModel) -> np.ndarray:
@@ -224,8 +233,8 @@ def kraus_to_chi(model: QfcChannelModel) -> ProcessMatrix:
 def simulate_tomography(
         model: QfcChannelModel) -> dict[str, tuple[PolarizationState, float]]:
     """Channel outputs for the four tomography inputs H, V, D, R."""
-    return {label: apply_channel(PolarizationState.from_label(label), model)
-            for label in TOMOGRAPHY_INPUTS}
+    states = [PolarizationState.from_label(label) for label in TOMOGRAPHY_INPUTS]
+    return dict(zip(TOMOGRAPHY_INPUTS, _apply_channel(model, states)))
 
 
 @functools.lru_cache(maxsize=_FRAME_CACHE_SIZE)
@@ -260,24 +269,27 @@ def reconstruct_chi(inputs: Mapping[str, PolarizationState],
     if len(labels) != 4:
         raise DomainError("tomography needs exactly four input states")
     v_in_inverse = _frame_inverse(b"".join(inputs[l].matrix.tobytes() for l in labels))
+    for label in labels:  # a state's trace, so a probability, may be 1e-9 over 1
+        if not 0.0 <= (prob := outputs[label][1]) <= 1.0 + 1e-9:
+            raise DomainError(f"success probability {prob} of {label!r} is not in [0, 1]")
     # V_out: the row-major outputs as columns, like the inputs in V_in, in C order
     stacked = np.array([outputs[l][1] * outputs[l][0].matrix for l in labels])
     superop = stacked.reshape(4, 4).T.copy() @ v_in_inverse
-
     chi = (_PAULI_TRANSFER @ superop.reshape(16)).reshape(4, 4)
     chi = 0.5 * (chi + chi.conj().T)
 
     eigvals, eigvecs = np.linalg.eigh(chi)
-    snapped = np.where((eigvals < 0) & (eigvals >= -_CLIP_TOL), 0.0, eigvals)
-    chi = (eigvecs * snapped) @ eigvecs.conj().T
+    if eigvals[0] < 0.0:  # ascending: with none below 0 there is nothing to snap
+        eigvals = np.where((eigvals < 0) & (eigvals >= -_CLIP_TOL), 0.0, eigvals)
+    chi = (eigvecs * eigvals) @ eigvecs.conj().T
     return ProcessMatrix(chi)
 
 
 def process_fidelity(process: ProcessMatrix) -> float:
     """Overlap with the ideal bit flip: normalized (X, X) element of chi."""
     trace = process.trace
-    if trace <= 1e-15:
-        raise DegenerateError("process matrix has (near-)zero trace")
+    if not 1e-15 < trace < math.inf:  # NaN too
+        raise DegenerateError(f"process matrix has (near-)zero or non-finite trace {trace}")
     return float(process.chi[1, 1].real / trace)
 
 
@@ -301,8 +313,8 @@ def _saturation(power_mw, eta_max, eta_nor):
 def efficiency_model(power_mw, params: EfficiencyCurveParams):
     """Conversion efficiency eta_max * sin^2(sqrt(eta_nor * P)) for P in mW."""
     p = np.asarray(power_mw, dtype=float)
-    if np.any(p < 0):
-        raise DomainError("pump power must be non-negative")
+    if not (np.isfinite(p) & (p >= 0.0)).all():
+        raise DomainError("pump power must be finite and non-negative")
     out = _saturation(p, params.eta_max, params.eta_nor_per_mw)
     return float(out) if np.ndim(power_mw) == 0 else out
 
@@ -321,10 +333,10 @@ def _projected_fit(p: np.ndarray, e: np.ndarray, eta_nor: float):
     with residual r = eta_max * s - e.
     """
     s = _saturation(p, 1.0, eta_nor)
-    norm = float(s @ s)
-    eta_max = min(max(float(s @ e) / norm, 0.0), 1.0) if norm > 0.0 else 0.0
+    norm = float(s.dot(s))
+    eta_max = min(max(float(s.dot(e)) / norm, 0.0), 1.0) if norm > 0.0 else 0.0
     r = eta_max * s - e
-    return s, norm, eta_max, r, float(r @ r)
+    return s, norm, eta_max, r, float(r.dot(r))
 
 
 def fit_efficiency(power_mw, eta) -> EfficiencyFit:
@@ -340,30 +352,33 @@ def fit_efficiency(power_mw, eta) -> EfficiencyFit:
     """
     p = np.asarray(power_mw, dtype=float)
     e = np.asarray(eta, dtype=float)
-    if p.size != e.size or p.size < 3:
+    if p.ndim != 1 or e.ndim != 1:
+        raise DomainError("power and efficiency values must be 1-D sequences")
+    powers, etas = p.tolist(), e.tolist()  # the checks run on Python floats
+    if len(powers) != len(etas) or len(powers) < 3:
         raise DegenerateError("need at least 3 matching (P, eta) points")
-    if not (np.isfinite(p).all() and np.isfinite(e).all()):
+    if not all(map(math.isfinite, powers + etas)):
         raise DomainError("power and efficiency values must be finite")
-    if (p < 0.0).any():
+    if min(powers) < 0.0:
         raise DomainError("pump power must be non-negative")
-    if np.ptp(p) <= 0:
+    if max(powers) - min(powers) <= 0:
         raise DegenerateError("power values must span a non-degenerate range")
-    if np.max(np.abs(e)) == 0:
+    if not any(etas):
         raise DegenerateError("all efficiencies are zero; nothing to fit")
 
-    p_at_max = float(p[int(np.argmax(e))])
-    eta_nor = (np.pi / 2.0) ** 2 / p_at_max if p_at_max > 0 else 1.0 / float(np.max(p))
+    p_at_max = powers[etas.index(max(etas))]  # the first largest, as np.argmax
+    eta_nor = (np.pi / 2.0) ** 2 / p_at_max if p_at_max > 0 else 1.0 / max(powers)
     s, a11, eta_max, r, cost = _projected_fit(p, e, eta_nor)
     if eta_max == 0.0:
         raise DegenerateError("efficiencies do not follow the saturation curve: the best "
                               "eta_max at the peak's eta_nor is 0; nothing to fit")
     damping = _FIT_DAMPING
     for _ in range(_FIT_MAX_STEPS):
-        # normal equations J^T J, J^T r of J = (s, eta_max * ds/deta_nor)
+        # normal equations of J = (s, eta_max * ds/deta_nor); .dot is @ without its dispatch
         x = np.sqrt(eta_nor * p)
         ds = np.sin(2.0 * x) * x / (2.0 * eta_nor)
-        a12, a22 = eta_max * float(s @ ds), eta_max ** 2 * float(ds @ ds)
-        g1, g2 = float(s @ r), eta_max * float(ds @ r)
+        a12, a22 = eta_max * float(s.dot(ds)), eta_max ** 2 * float(ds.dot(ds))
+        g1, g2 = float(s.dot(r)), eta_max * float(ds.dot(r))
         while True:
             d11, d22 = a11 * (1.0 + damping), a22 * (1.0 + damping)
             det = d11 * d22 - a12 * a12 if eta_max < 1.0 else d22

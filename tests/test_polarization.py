@@ -1,3 +1,9 @@
+import cmath
+import importlib.util
+import math
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,8 +16,11 @@ from qfchub import (ConvergenceError, DegenerateError, DomainError,
                     fit_efficiency, kraus_to_chi,
                     process_fidelity, pump_balance, reconstruct_chi,
                     simulate_tomography)
-from qfchub.polarization import (_BALANCE_BISECTIONS, _BALANCE_GRID, _FRAME_CACHE_SIZE,
-                                 PAULI, _frame_inverse)
+from qfchub.polarization import (_BALANCE_BISECTIONS, _BALANCE_GRID, _CLIP_TOL,
+                                 _FIT_DAMPING, _FIT_FTOL, _FIT_MAX_DAMPING, _FIT_MAX_STEPS,
+                                 _FIT_MIN_DAMPING, _FIT_RTOL, _FRAME_CACHE_SIZE,
+                                 _PAULI_TRANSFER, PAULI, TOMOGRAPHY_INPUTS, EfficiencyFit,
+                                 _frame_inverse, _saturation)
 
 BALANCED = QfcChannelModel(eta_cw=0.5, eta_ccw=0.5)
 
@@ -159,6 +168,15 @@ def test_state_validation():
         PolarizationState.from_amplitudes(0.0, 0.0)
     with pytest.raises(DomainError):
         PolarizationState.from_label("Q")
+
+
+def test_from_amplitudes_rejects_non_finite_without_warning():
+    for alpha, beta in ((np.nan, 1.0), (np.inf, 1.0), (1.0, -np.inf),
+                        (complex(0.5, np.nan), 0.5), (1.0, complex(np.inf, 1.0))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite"):
+                PolarizationState.from_amplitudes(alpha, beta)
 
 
 def eigvalsh_rule(m):
@@ -310,6 +328,28 @@ def test_reconstruction_requires_complete_inputs():
         reconstruct_chi({"H": inputs["H"]}, {"H": outputs["H"]})
 
 
+@pytest.mark.parametrize("probability", [np.nan, np.inf, -np.inf, -0.5, 2.0, 1.0 + 1e-6])
+def test_reconstruct_chi_checks_each_probability(probability):
+    # NaN or inf used to end in LinAlgError after RuntimeWarnings, -0.5 in a
+    # "zero trace" error, 2.0 in a fidelity of 0.675
+    outputs = simulate_tomography(QfcChannelModel(0.5, 0.5))
+    inputs = {k: PolarizationState.from_label(k) for k in outputs}
+    outputs["D"] = (outputs["D"][0], probability)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"probability .* of 'D' is not in \[0, 1\]"):
+            reconstruct_chi(inputs, outputs)
+
+
+def test_reconstruct_chi_takes_probabilities_rounded_above_one():
+    # a lossless channel gives 1 + 2^-52 for D: rounding, inside a state's trace tolerance
+    outputs = simulate_tomography(QfcChannelModel(1.0, 1.0))
+    assert outputs["D"][1] == 1.0000000000000002
+    inputs = {k: PolarizationState.from_label(k) for k in outputs}
+    chi = reconstruct_chi(inputs, outputs)
+    assert process_fidelity(chi) == pytest.approx(1.0, abs=1e-12)
+
+
 def reconstruct_chi_kron_loop(inputs, outputs, clip_tolerance=1e-9):
     """reconstruct_chi with chi_mn = tr((P_m (x) P_n^T)^dag S) / 4, one element at a time."""
     labels = sorted(inputs)
@@ -380,6 +420,16 @@ def test_process_fidelity_examples():
         process_fidelity(ProcessMatrix(np.zeros((4, 4))))
 
 
+def test_process_fidelity_rejects_nan_trace_without_warning():
+    for bad in (np.nan, np.inf):
+        chi = kraus_to_chi(BALANCED).chi.copy()
+        chi[0, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateError, match="trace"):
+                process_fidelity(ProcessMatrix(chi))
+
+
 def test_fidelity_closed_form_property(rng):
     for _ in range(100):
         model = random_model(rng)
@@ -413,6 +463,16 @@ def test_efficiency_model_examples():
         efficiency_model(-1.0, params)
 
 
+def test_efficiency_model_rejects_non_finite_power_without_warning():
+    params = EfficiencyCurveParams(0.44, 0.013)
+    for bad in (np.inf, -np.inf, np.nan):
+        for power in (bad, np.float64(bad), np.array(bad), np.array([10.0, bad])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="finite and non-negative"):
+                    efficiency_model(power, params)
+
+
 def test_fit_recovers_noiseless_parameters():
     powers = np.linspace(0.0, 250.0, 26)
     for eta_max, eta_nor in ((0.44, 0.013), (0.40, 0.018)):
@@ -441,6 +501,14 @@ def test_fit_degenerate_inputs():
         fit_efficiency([5.0, 5.0, 5.0], [0.1, 0.1, 0.1])
     with pytest.raises(DegenerateError):
         fit_efficiency([0.0, 10.0, 20.0], [0.0, 0.0, 0.0])
+
+
+def test_fit_takes_only_1d_data():
+    # a 2-D input used to raise a bare IndexError from p[argmax(e)]
+    for powers, etas in (([[1, 2, 3]], [[0.1, 0.2, 0.3]]), ([1, 2, 3], [[0.1, 0.2, 0.3]]),
+                         ([[1, 2, 3]], [0.1, 0.2, 0.3]), (5.0, 0.1)):
+        with pytest.raises(DomainError, match="1-D"):
+            fit_efficiency(powers, etas)
 
 
 def test_fit_rejects_non_finite_or_negative_input():
@@ -643,3 +711,220 @@ def test_pump_balance_zero_total():
                                  EfficiencyCurveParams(0.40, 0.018), 0.0)
     assert (split.p_ccw_mw, split.p_cw_mw, split.eta_ccw, split.eta_cw) == \
         (0.0, 0.0, 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Bit identity: fit_efficiency and the tomography chain against references in
+# whole-array numpy form (np.isfinite, np.ptp and np.argmax checks, `@` dots, one
+# PolarizationState built and checked from each output array). Each float is
+# compared with ==, each array by its bytes.
+
+def apply_channel_reference(state, model):
+    (hh, hv), (vh, vv) = state.matrix.tolist()
+    raw_hh, raw_vv = model.eta_cw * vv, model.eta_ccw * hh
+    probability = raw_hh.real + raw_vv.real
+    if probability < 1e-15:
+        raise DegenerateError(
+            "channel output has vanishing success probability for this input")
+    mix = model.depolarizing_mix
+    keep, even = (1.0 - mix) / probability, 0.5 * mix
+    c = keep * cmath.rect(math.sqrt(model.eta_cw * model.eta_ccw), model.phase_rad)
+    out = np.array([[keep * raw_hh + even, c.conjugate() * vh],
+                    [c * hv, keep * raw_vv + even]], dtype=complex)
+    return PolarizationState(out), probability
+
+
+def simulate_tomography_reference(model):
+    return {label: apply_channel_reference(PolarizationState.from_label(label), model)
+            for label in TOMOGRAPHY_INPUTS}
+
+
+def reconstruct_chi_reference(inputs, outputs):
+    if set(inputs) != set(outputs):
+        raise DomainError("inputs and outputs must carry the same labels")
+    labels = sorted(inputs)
+    if len(labels) != 4:
+        raise DomainError("tomography needs exactly four input states")
+    v_in_inverse = _frame_inverse(b"".join(inputs[l].matrix.tobytes() for l in labels))
+    # V_out: the row-major outputs as columns, like the inputs in V_in, in C order
+    stacked = np.array([outputs[l][1] * outputs[l][0].matrix for l in labels])
+    superop = stacked.reshape(4, 4).T.copy() @ v_in_inverse
+
+    chi = (_PAULI_TRANSFER @ superop.reshape(16)).reshape(4, 4)
+    chi = 0.5 * (chi + chi.conj().T)
+
+    eigvals, eigvecs = np.linalg.eigh(chi)
+    snapped = np.where((eigvals < 0) & (eigvals >= -_CLIP_TOL), 0.0, eigvals)
+    chi = (eigvecs * snapped) @ eigvecs.conj().T
+    return ProcessMatrix(chi)
+
+
+def process_fidelity_reference(process):
+    trace = float(np.trace(process.chi).real)
+    if trace <= 1e-15:
+        raise DegenerateError("process matrix has (near-)zero trace")
+    return float(process.chi[1, 1].real / trace)
+
+
+def _projected_fit_reference(p, e, eta_nor):
+    s = _saturation(p, 1.0, eta_nor)
+    norm = float(s @ s)
+    eta_max = min(max(float(s @ e) / norm, 0.0), 1.0) if norm > 0.0 else 0.0
+    r = eta_max * s - e
+    return s, norm, eta_max, r, float(r @ r)
+
+
+def fit_efficiency_reference(power_mw, eta):
+    p = np.asarray(power_mw, dtype=float)
+    e = np.asarray(eta, dtype=float)
+    if p.size != e.size or p.size < 3:
+        raise DegenerateError("need at least 3 matching (P, eta) points")
+    if not (np.isfinite(p).all() and np.isfinite(e).all()):
+        raise DomainError("power and efficiency values must be finite")
+    if (p < 0.0).any():
+        raise DomainError("pump power must be non-negative")
+    if np.ptp(p) <= 0:
+        raise DegenerateError("power values must span a non-degenerate range")
+    if np.max(np.abs(e)) == 0:
+        raise DegenerateError("all efficiencies are zero; nothing to fit")
+
+    p_at_max = float(p[int(np.argmax(e))])
+    eta_nor = (np.pi / 2.0) ** 2 / p_at_max if p_at_max > 0 else 1.0 / float(np.max(p))
+    s, a11, eta_max, r, cost = _projected_fit_reference(p, e, eta_nor)
+    if eta_max == 0.0:
+        raise DegenerateError("efficiencies do not follow the saturation curve: the best "
+                              "eta_max at the peak's eta_nor is 0; nothing to fit")
+    damping = _FIT_DAMPING
+    for _ in range(_FIT_MAX_STEPS):
+        # normal equations J^T J, J^T r of J = (s, eta_max * ds/deta_nor)
+        x = np.sqrt(eta_nor * p)
+        ds = np.sin(2.0 * x) * x / (2.0 * eta_nor)
+        a12, a22 = eta_max * float(s @ ds), eta_max ** 2 * float(ds @ ds)
+        g1, g2 = float(s @ r), eta_max * float(ds @ r)
+        while True:
+            d11, d22 = a11 * (1.0 + damping), a22 * (1.0 + damping)
+            det = d11 * d22 - a12 * a12 if eta_max < 1.0 else d22
+            if not 0.0 < det < math.inf:
+                raise ConvergenceError("efficiency fit: singular Gauss-Newton step")
+            if eta_max < 1.0:
+                step_max, step = (a12 * g2 - d22 * g1) / det, (a12 * g1 - d11 * g2) / det
+            else:  # eta_max on its upper bound: only eta_nor moves
+                step_max, step = 0.0, -g2 / det
+            # cost reduction the linearized model predicts for the step
+            predicted = -(2.0 * (g1 * step_max + g2 * step) + a11 * step_max ** 2
+                          + 2.0 * a12 * step_max * step + a22 * step ** 2)
+            small_step = abs(step) <= _FIT_RTOL * eta_nor
+            trial = eta_nor + step
+            trial_fit = _projected_fit_reference(p, e, trial) if trial > 0.0 else None
+            if trial_fit is not None and trial_fit[-1] <= cost:
+                reduction = cost - trial_fit[-1]
+                eta_nor = trial
+                s, a11, eta_max, r, cost = trial_fit
+                # gain-ratio rule: damp more where the model overpromised
+                # (Gauss-Newton overshoots where the residuals are large)
+                if reduction < 0.25 * predicted:
+                    damping *= 10.0
+                elif reduction > 0.75 * predicted:
+                    damping = max(0.1 * damping, _FIT_MIN_DAMPING)
+                break
+            if small_step:  # rejected, and too small to matter
+                reduction = 0.0
+                break
+            damping *= 10.0
+            if damping > _FIT_MAX_DAMPING:
+                raise ConvergenceError(
+                    f"efficiency fit did not converge: damping above {_FIT_MAX_DAMPING:g}")
+        # done once a step changes eta_nor, or the cost, by no more than rounding
+        if small_step or reduction <= _FIT_FTOL * (cost + reduction):
+            return EfficiencyFit(EfficiencyCurveParams(eta_max, eta_nor), math.sqrt(cost))
+    raise ConvergenceError(f"efficiency fit did not converge in {_FIT_MAX_STEPS} steps")
+
+
+def outcome(call, *args):
+    """What a call gives, comparable with ==: its value, or its error's type and text."""
+    try:
+        return call(*args)
+    except (DomainError, DegenerateError, ConvergenceError) as exc:
+        return type(exc), str(exc)
+
+
+def tomography_bits(simulate, reconstruct, fidelity, model):
+    """The tomography of a model as bytes and floats: outputs, chi and fidelity."""
+    outputs = simulate(model)
+    inputs = {label: PolarizationState.from_label(label) for label in outputs}
+    chi = reconstruct(inputs, outputs)
+    return ([(label, state.matrix.tobytes(), probability)
+             for label, (state, probability) in outputs.items()],
+            chi.chi.tobytes(), fidelity(chi))
+
+
+def fit_bits(fit):
+    if isinstance(fit, tuple):  # an error
+        return fit
+    return fit.params.eta_max, fit.params.eta_nor_per_mw, fit.residual_norm
+
+
+def assert_tomography_as_reference(model):
+    assert tomography_bits(simulate_tomography, reconstruct_chi, process_fidelity, model) \
+        == tomography_bits(simulate_tomography_reference, reconstruct_chi_reference,
+                           process_fidelity_reference, model)
+
+
+def assert_fit_as_reference(powers, etas):
+    assert fit_bits(outcome(fit_efficiency, powers, etas)) \
+        == fit_bits(outcome(fit_efficiency_reference, powers, etas))
+
+
+@settings(max_examples=600, deadline=None)
+@given(eta_cw=st.floats(0.01, 1.0), eta_ccw=st.floats(0.01, 1.0),
+       phase=st.floats(-10.0, 10.0), mix=st.just(0.0) | st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1), state_mix=st.just(0.0) | st.floats(0.0, 1.0))
+def test_tomography_chain_equals_reference_bitwise(eta_cw, eta_ccw, phase, mix, seed,
+                                                   state_mix):
+    model = QfcChannelModel(eta_cw, eta_ccw, phase, mix)
+    assert_tomography_as_reference(model)
+    # apply_channel on any state, pure or mixed, not only the tomography inputs
+    pure = random_state(np.random.default_rng(seed)).matrix
+    state = PolarizationState((1.0 - state_mix) * pure + 0.5 * state_mix * np.eye(2))
+    out, probability = apply_channel(state, model)
+    expected, expected_probability = apply_channel_reference(state, model)
+    assert out.matrix.tobytes() == expected.matrix.tobytes()
+    assert probability == expected_probability
+
+
+@settings(max_examples=600, deadline=None)
+@given(eta_max=st.floats(0.05, 1.0), eta_nor=st.floats(0.002, 0.05),
+       grid=st.sampled_from(range(len(FIT_GRIDS))), seed=st.integers(0, 2**32 - 1),
+       data=st.sampled_from(("noisy", "off-curve")))
+def test_fit_equals_reference_bitwise(eta_max, eta_nor, grid, seed, data):
+    powers = FIT_GRIDS[grid]
+    rng = np.random.default_rng(seed)
+    if data == "noisy":
+        clean = efficiency_model(powers, EfficiencyCurveParams(eta_max, eta_nor))
+        etas = np.clip(clean * (1.0 + 0.02 * rng.standard_normal(powers.size)), 0.0, None)
+    else:  # data far from any saturation curve, at any scale
+        etas = rng.uniform(0.0, 2.0 * eta_max, powers.size)
+        powers = np.sort(rng.uniform(0.0, float(rng.choice([1.0, 1e2, 1e4])), powers.size))
+    assert_fit_as_reference(powers, etas)
+    assert_fit_as_reference(powers.tolist(), etas.tolist())
+
+
+def channel_design_ops(seed):
+    """The op list of the benchmark's channel-design workload for a seed."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.make_ops("channel-design", seed)
+
+
+def test_channel_design_seed1_equals_reference_bitwise():
+    ops = channel_design_ops(1)
+    kinds = [op["kind"] for op in ops]
+    assert kinds.count("tomography") == kinds.count("fit") == 120
+    for op in ops:
+        if op["kind"] == "tomography":
+            assert_tomography_as_reference(
+                QfcChannelModel(op["eta_cw"], op["eta_ccw"], op["phase"], op["mix"]))
+        elif op["kind"] == "fit":
+            assert_fit_as_reference(op["curve"]["powers"], op["curve"]["etas"])
