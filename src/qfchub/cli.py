@@ -8,6 +8,7 @@ failure, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -243,7 +244,7 @@ def cmd_index(config: RunConfig, args: argparse.Namespace) -> dict:
     summary = {"rows": len(columns[0])}
     if not config.output:
         sys.stdout.write(",".join(INDEX_CSV[0]) + "\n")
-        sys.stdout.writelines(csv_chunks(INDEX_CSV[1], *columns))
+        sys.stdout.writelines(chunk.decode() for chunk in csv_chunks(INDEX_CSV[1], *columns))
     elif config.output_format == "json":
         summary["output"] = str(write_records(config.output, INDEX_JSON, *columns))
     else:
@@ -493,5 +494,17 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def run(argv: list[str] | None = None) -> int:
+    """``main`` for a process that ends when it returns: the ``qfchub`` script,
+    ``python -m qfchub`` and this module run as a script.
+
+    What ``main`` leaves is frozen out of the collector, so the interpreter's
+    collections at exit do not scan objects that are about to be freed.
+    """
+    code = main(argv)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -3,7 +3,9 @@
 CSV files carry a versioned ``# schema=N`` comment line ahead of the header
 so downstream plot scripts break loudly when the layout changes.
 ``write_csv`` and ``write_records`` format and write the rows ``_CHUNK_ROWS``
-at a time, so a file's text is never held whole.
+at a time, so a file's text is never held whole. Every file is written as
+bytes (UTF-8; JSON is ASCII). A CSV chunk is handed over as bytes, no ``str``
+copy is made, and each stage of its text is freed once the next one exists.
 
 CSV text is what ``fmt.format`` gives row by row, made a column at a time
 (``csv_chunks``). A ``{:.Nf}`` field writes the digits of ``rint(y)``,
@@ -114,9 +116,25 @@ def _constant(text: str, rows: int) -> np.ndarray:
     return np.broadcast_to(data, (rows, data.size))
 
 
-def csv_chunks(fmt: str, *columns) -> Iterator[str]:
+def _chunk_text(literals: list[str], places: list[int | None], chunk: list) -> bytes:
+    """The lines of one chunk, each stage freed as soon as the next one exists."""
+    rows = len(chunk[0])
+    blocks = []
+    for literal, column, decimals in zip(literals, chunk, places):
+        blocks.append(_constant(literal, rows))
+        blocks += (_plain_blocks(column) if decimals is None
+                   else _fixed_blocks(column, decimals))
+    blocks.append(_constant(literals[-1] + "\n", rows))
+    text = np.concatenate(blocks, axis=1)
+    del blocks
+    padded = text.tobytes()
+    del text
+    return padded.translate(None, b"\0")
+
+
+def csv_chunks(fmt: str, *columns) -> Iterator[bytes]:
     """The lines of ``fmt.format`` over each row of the columns, each ending in
-    a newline, joined ``_CHUNK_ROWS`` lines at a time.
+    a newline, joined ``_CHUNK_ROWS`` lines at a time and encoded as UTF-8.
 
     ``fmt`` holds the separators and one ``{:.Nf}`` or ``{}`` field per column,
     e.g. ``"{:.6f},{:.4f},{}"``; a bool column is written as true/false.
@@ -126,24 +144,15 @@ def csv_chunks(fmt: str, *columns) -> Iterator[str]:
     if len(columns) != len(places):
         raise ValueError(f"{len(columns)} columns for the {len(places)} fields of {fmt!r}")
     for start in range(0, len(columns[0]), _CHUNK_ROWS):
-        chunk = [c[start:start + _CHUNK_ROWS] for c in columns]
-        rows = len(chunk[0])
-        blocks = []
-        for literal, column, decimals in zip(literals, chunk, places):
-            blocks.append(_constant(literal, rows))
-            blocks += (_plain_blocks(column) if decimals is None
-                       else _fixed_blocks(column, decimals))
-        blocks.append(_constant(literals[-1] + "\n", rows))
-        text = np.concatenate(blocks, axis=1)
-        yield text.tobytes().translate(None, b"\0").decode()
+        yield _chunk_text(literals, places, [c[start:start + _CHUNK_ROWS] for c in columns])
 
 
 @contextmanager
 def _created(path: Path):
-    """``path`` open for writing in a made directory, any OSError a DomainError."""
+    """``path`` open for writing bytes in a made directory, any OSError a DomainError."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", newline="\n") as stream:
+        with path.open("wb") as stream:
             yield stream
     except OSError as exc:
         raise DomainError(f"cannot write {path}: {type(exc).__name__}: {exc}") from None
@@ -155,7 +164,7 @@ def write_csv(path: str | Path, layout: tuple[tuple[str, ...], str], *columns) -
     header, fmt = layout
     path = Path(path)
     with _created(path) as stream:
-        stream.write(f"# schema={CSV_SCHEMA}\n{','.join(header)}\n")
+        stream.write(f"# schema={CSV_SCHEMA}\n{','.join(header)}\n".encode())
         stream.writelines(csv_chunks(fmt, *columns))
     return path
 
@@ -166,19 +175,19 @@ def write_records(path: str | Path, record, *columns) -> Path:
     records is dumped as one list, written without its brackets, after a comma."""
     path = Path(path)
     with _created(path) as stream:
-        stream.write("[")
+        stream.write(b"[")
         for start in range(0, len(columns[0]), _CHUNK_ROWS):
             rows = (np.asarray(c[start:start + _CHUNK_ROWS]).tolist() for c in columns)
             text = json.dumps(list(map(record, *rows)), indent=2)
-            stream.write(("," if start else "") + text[1:-2])
-        stream.write("\n]\n" if len(columns[0]) else "]\n")
+            stream.write((("," if start else "") + text[1:-2]).encode())
+        stream.write(b"\n]\n" if len(columns[0]) else b"]\n")
     return path
 
 
 def write_json(path: str | Path, payload: dict) -> Path:
     path, text = Path(path), json.dumps(payload, indent=2) + "\n"
     with _created(path) as stream:
-        stream.write(text)
+        stream.write(text.encode())
     return path
 
 

@@ -89,10 +89,17 @@ class PolarizationState:
     @classmethod
     def from_amplitudes(cls, alpha: complex, beta: complex) -> "PolarizationState":
         vec = np.array([alpha, beta], dtype=complex)
-        norm = np.linalg.norm(vec)
-        if not 0.0 < norm < math.inf:  # NaN too
-            raise DomainError("amplitudes must be finite, not both 0, with a finite norm")
-        vec = vec / norm
+        with np.errstate(over="ignore", under="ignore"):
+            norm = np.linalg.norm(vec)
+            if not 0.0 < norm < math.inf:  # NaN too
+                # squares that overflow or underflow: divide by the largest part first,
+                # only here, so that every other state keeps its bits
+                scale = np.abs(vec.view(float)).max()
+                if not 0.0 < scale < math.inf:
+                    raise DomainError("amplitudes must be finite and not both 0")
+                vec = vec / scale
+                norm = np.linalg.norm(vec)
+            vec = vec / norm
         return cls(np.outer(vec, vec.conj()))
 
     @classmethod

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import gc
 import gzip
 import hashlib
 import json
@@ -14,7 +15,7 @@ import qfchub
 from qfchub import (ConfigError, DwdmGrid, EfficiencyCurveParams, LaserSpec,
                     QfcChannelModel, TuningConstraints, efficiency_model, emit,
                     kraus_to_chi)
-from qfchub.cli import _resolve_config, build_parser, chi_payload, main
+from qfchub.cli import _resolve_config, build_parser, chi_payload, main, run
 from qfchub.config import ENV_CONFIG_PATH, RunConfig, apply_overrides, load_config
 
 
@@ -360,6 +361,38 @@ def test_simulate_degenerate_exits_3(tmp_path, run_cli):
                     "--input", "V"], tmp_path)
     assert proc.returncode == 3
     assert "numeric error" in proc.stderr
+
+
+_EXIT_CASES = [(["index", "780", "1540"], 0), (["index", "300"], 2),
+               (["simulate", "--eta-cw", "0", "--eta-ccw", "0.5", "--input", "V"], 3)]
+
+
+@pytest.mark.parametrize("argv, code", _EXIT_CASES)
+def test_run_returns_the_code_of_main_and_freezes_the_heap(argv, code, monkeypatch, capsys):
+    # run() is main() for a process about to end: the collector's objects are
+    # frozen, so the interpreter's exit collections have nothing to scan
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    before = gc.get_freeze_count()
+    try:
+        assert run(argv) == code
+        assert gc.get_freeze_count() > before
+    finally:
+        gc.unfreeze()
+
+
+@pytest.mark.parametrize("argv, code", _EXIT_CASES)
+def test_main_never_freezes(argv, code, monkeypatch, capsys):
+    # tests and library callers keep a normal collector
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    before = gc.get_freeze_count()
+    assert main(argv) == code
+    assert gc.get_freeze_count() == before
+
+
+def test_console_script_goes_through_run():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).parent.parent / "pyproject.toml").read_text())
+    assert pyproject["project"]["scripts"] == {"qfchub": "qfchub.cli:run"}
 
 
 def test_tomography_output(tmp_path, run_cli):

@@ -59,7 +59,7 @@ def _fixed_fields(draw):
 def test_fixed_fields_are_format(case):
     # every {:.Nf} text is what format(v, ".Nf") gives for the same double
     places, values = case
-    text = "".join(csv_chunks(f"{{:.{places}f}};", np.array(values)))
+    text = b"".join(csv_chunks(f"{{:.{places}f}};", np.array(values))).decode()
     assert text == "".join(format(v, f".{places}f") + ";\n" for v in values)
 
 
@@ -74,7 +74,8 @@ def test_plain_fields_are_format(rows):
     # bool (as true/false), int, str and float fields in one layout
     flags, counts, names, values = map(list, zip(*rows))
     fmt = "<{}|{}|{}|{:.3f}>"
-    text = "".join(csv_chunks(fmt, np.array(flags), np.array(counts), np.array(names), values))
+    text = b"".join(csv_chunks(fmt, np.array(flags), np.array(counts), np.array(names),
+                               values)).decode()
     assert text == "".join(fmt.format(("false", "true")[f], c, n, v) + "\n"
                            for f, c, n, v in rows)
 
@@ -101,6 +102,22 @@ def test_write_csv_never_holds_the_file_text(jundt, tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak - kept < path.stat().st_size
+
+
+def test_write_csv_holds_a_chunk_once(jundt, tmp_path):
+    # the 8,001-row 934 nm paper spectrum is one chunk at the default size; its
+    # write peaks, above what the call keeps, at less than 3x the file: no more
+    # than two stages of the chunk's text (blocks, padded, final) live at once
+    device = make_device(934.0, 1540.0, 40.0, 48.0, jundt)
+    spectrum = pm_spectrum_columns(934.0, 1540.0, device, 20.0, 5.0)
+    assert spectrum.efficiency.size == 8_001 <= emit._CHUNK_ROWS
+    tracemalloc.start()
+    try:
+        path = write_csv(tmp_path / "spectrum.csv", SPECTRUM_CSV, *spectrum)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - kept < 3 * path.stat().st_size
 
 
 def _record(flag, count, name, value):

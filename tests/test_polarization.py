@@ -19,7 +19,8 @@ from qfchub import (ConvergenceError, DegenerateError, DomainError,
 from qfchub.polarization import (_BALANCE_BISECTIONS, _BALANCE_GRID, _CLIP_TOL,
                                  _FIT_DAMPING, _FIT_FTOL, _FIT_MAX_DAMPING, _FIT_MAX_STEPS,
                                  _FIT_MIN_DAMPING, _FIT_RTOL, _FRAME_CACHE_SIZE,
-                                 _PAULI_TRANSFER, PAULI, TOMOGRAPHY_INPUTS, EfficiencyFit,
+                                 _PAULI_TRANSFER, _STATE_AMPLITUDES, PAULI,
+                                 TOMOGRAPHY_INPUTS, EfficiencyFit,
                                  _frame_inverse, _saturation)
 
 BALANCED = QfcChannelModel(eta_cw=0.5, eta_ccw=0.5)
@@ -177,6 +178,28 @@ def test_from_amplitudes_rejects_non_finite_without_warning():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="finite"):
                 PolarizationState.from_amplitudes(alpha, beta)
+
+
+@pytest.mark.parametrize("amplitudes, reference", [
+    ((1e200, 1e199), (10.0, 1.0)), ((1e-200, 1e-200), "D"), ((1e-170, 0.0), "H"),
+    ((-1e-200j, 1e-200j), "A")])
+def test_from_amplitudes_takes_squares_that_overflow_or_underflow(amplitudes, reference):
+    # finite amplitudes whose |a|^2 + |b|^2 is inf or 0 in float64 still give a state
+    want = (PolarizationState.from_label(reference) if isinstance(reference, str)
+            else PolarizationState.from_amplitudes(*reference))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = PolarizationState.from_amplitudes(*amplitudes)
+    np.testing.assert_allclose(state.matrix, want.matrix, rtol=0, atol=4e-16)
+
+
+def test_from_amplitudes_rescales_only_where_the_norm_fails():
+    # every label state keeps the bits of the plain division by its norm
+    for label in ("H", "V", "D", "A", "R", "L"):
+        vec = np.array(_STATE_AMPLITUDES[label], dtype=complex)
+        vec = vec / np.linalg.norm(vec)
+        assert (PolarizationState.from_label(label).matrix
+                == np.outer(vec, vec.conj())).all(), label
 
 
 def eigvalsh_rule(m):
