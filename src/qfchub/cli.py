@@ -2,8 +2,8 @@
 
 Every subcommand prints a one-line JSON summary on stdout (command, key
 results, elapsed time) and takes only the flags its handler reads. Exit codes:
-0 success (an empty tuning range is still success), 2 usage or validation
-failure, 3 numeric failure.
+0 success (an empty tuning range is still success), 1 stdout closed by its
+reader, 2 usage or validation failure, 3 numeric failure.
 """
 from __future__ import annotations
 
@@ -41,41 +41,45 @@ _NUMERIC_ERRORS = (DegenerateError, SingularityError, ConvergenceError,
                    FloatingPointError, ZeroDivisionError)
 
 
-def _rounded(header: tuple[str, ...], *digits: int | None):
-    """A row's fields keyed by ``header``, each rounded to its digits (None: as it is)."""
-    return lambda *row: {key: value if places is None else round(value, places)
-                         for key, value, places in zip(header, row, digits)}
+# The CSV layouts, one (column name, places) pair per column as emit.write_csv
+# takes them. The JSON records read the same pairs; round() is correctly rounded,
+# so a value rounded to 8 places holds what 8 places print.
+INDEX_CSV = (("wavelength_nm", 4), ("n", 8), ("dn_dlambda_per_um", 8), ("group_index", 8))
+SPECTRUM_CSV = (("nu_c_THz", 6), ("lambda_c_nm", 4), ("lambda_p_nm", 4), ("efficiency", 8),
+                ("extrapolated", None))
+SWEEP_CSV = (("signal_nm", 4), ("lo_nm", 4), ("hi_nm", 4), ("width_nm", 4),
+             ("width_THz", 6), ("channels", None), ("limiting_constraint", None))
+PLAN_CSV = (("port", None), ("nu_c_THz", 3), ("lambda_c_nm", 2), ("nu_p_THz", 3),
+            ("lambda_p_nm", 2), ("in_laser_range", None), ("rel_eff", 6))
+CURVE_CSV = (("nu_p_THz", 6), ("rel_eff", 8), ("extrapolated", None))
+
+
+def _rounded(layout, **places: int):
+    """A row keyed by the layout's names, rounded to ``places[name]`` or the layout's places."""
+    fields = [(name, places.get(name, digits)) for name, digits in layout]
+    return lambda *row: {name: value if digits is None else round(value, digits)
+                         for (name, digits), value in zip(fields, row)}
 
 
 def _spectrum_record(nu_c, lambda_c, lambda_p, efficiency, extrapolated) -> dict:
     # JSON has no NaN: null is an efficiency undefined where n^2 < 0
     efficiency = None if math.isnan(efficiency) else efficiency
-    return dict(zip(SPECTRUM_CSV[0], (nu_c, lambda_c, lambda_p, efficiency, extrapolated)))
+    return {name: value for (name, _), value in zip(
+        SPECTRUM_CSV, (nu_c, lambda_c, lambda_p, efficiency, extrapolated))}
 
 
-# The layouts of the files: a CSV layout is (header, row format) as emit.write_csv
-# takes it, and a JSON one the record of a row as emit.write_records takes it.
-# round() is correctly rounded, so a field of 8 digits holds what "{:.8f}" prints.
-INDEX_CSV = (("wavelength_nm", "n", "dn_dlambda_per_um", "group_index"),
-             "{:.4f},{:.8f},{:.8f},{:.8f}")
-INDEX_JSON = _rounded(INDEX_CSV[0], 4, 8, 8, 8)
-SPECTRUM_CSV = (("nu_c_THz", "lambda_c_nm", "lambda_p_nm", "efficiency", "extrapolated"),
-                "{:.6f},{:.4f},{:.4f},{:.8f},{}")
+INDEX_JSON = _rounded(INDEX_CSV)
 SPECTRUM_JSON = _spectrum_record
-SWEEP_CSV = (("signal_nm", "lo_nm", "hi_nm", "width_nm", "width_THz", "channels",
-              "limiting_constraint"), "{:.4f},{:.4f},{:.4f},{:.4f},{:.6f},{},{}")
-PLAN_CSV = (("port", "nu_c_THz", "lambda_c_nm", "nu_p_THz", "lambda_p_nm",
-             "in_laser_range", "rel_eff"), "{},{:.3f},{:.2f},{:.3f},{:.2f},{},{:.6f}")
-PLAN_JSON = _rounded(PLAN_CSV[0], None, 6, 2, 6, 2, None, 6)
-CURVE_CSV = (("nu_p_THz", "rel_eff", "extrapolated"), "{:.6f},{:.8f},{}")
+PLAN_JSON = _rounded(PLAN_CSV, nu_c_THz=6, nu_p_THz=6)
 
 
 def tuning_result_payload(result: TuningResult, threshold: float) -> dict:
-    """A tuning result, with the threshold convention noted."""
+    """A tuning result, rounded as ``SWEEP_CSV`` is, with the threshold convention noted."""
+    places = dict(SWEEP_CSV)
     lo, hi = result.converted_interval_nm
-    return {"converted_interval_nm": [round(lo, 4), round(hi, 4)],
-            "width_nm": round(result.width_nm, 4),
-            "width_THz": round(result.width_thz, 6),
+    return {"converted_interval_nm": [round(lo, places["lo_nm"]), round(hi, places["hi_nm"])],
+            "width_nm": round(result.width_nm, places["width_nm"]),
+            "width_THz": round(result.width_thz, places["width_THz"]),
             "channels": result.channel_count,
             "limiting_constraint": result.limiting_constraint,
             "threshold": threshold,
@@ -243,8 +247,9 @@ def cmd_index(config: RunConfig, args: argparse.Namespace) -> dict:
                  for f in (refractive_index, index_derivative, group_index))]
     summary = {"rows": len(columns[0])}
     if not config.output:
-        sys.stdout.write(",".join(INDEX_CSV[0]) + "\n")
-        sys.stdout.writelines(chunk.decode() for chunk in csv_chunks(INDEX_CSV[1], *columns))
+        names, places = zip(*INDEX_CSV)
+        sys.stdout.write(",".join(names) + "\n")
+        sys.stdout.writelines(chunk.decode() for chunk in csv_chunks(places, *columns))
     elif config.output_format == "json":
         summary["output"] = str(write_records(config.output, INDEX_JSON, *columns))
     else:
@@ -499,9 +504,16 @@ def run(argv: list[str] | None = None) -> int:
     ``python -m qfchub`` and this module run as a script.
 
     What ``main`` leaves is frozen out of the collector, so the interpreter's
-    collections at exit do not scan objects that are about to be freed.
+    collections at exit do not scan objects that are about to be freed. A closed
+    stdout gives 1: it is pointed at the null device, so the exit flush cannot raise.
     """
-    code = main(argv)
+    try:
+        code = main(argv)
+        if sys.stdout:  # None in a process started with stdout closed
+            sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
     gc.freeze()
     return code
 

@@ -7,8 +7,10 @@ at a time, so a file's text is never held whole. Every file is written as
 bytes (UTF-8; JSON is ASCII). A CSV chunk is handed over as bytes, no ``str``
 copy is made, and each stage of its text is freed once the next one exists.
 
-CSV text is what ``fmt.format`` gives row by row, made a column at a time
-(``csv_chunks``). A ``{:.Nf}`` field writes the digits of ``rint(y)``,
+A CSV layout is one ``(column name, places)`` pair per column. Places N
+(0–18) writes ``format(x, f".{N}f")``; None writes a bool as true/false and an
+integer or str as ``format`` does. The text is made a column at a time
+(``csv_chunks``). A fixed field of N places writes the digits of ``rint(y)``,
 y = |x|·10^N in float64. That product is one rounding, within y·2⁻⁵² of the
 exact |x|·10^N, so ``rint(y)`` is the correctly rounded result ``format``
 prints unless y lies within y·2⁻⁵¹ of a half-integer, or y ≥ 2⁵², or x is
@@ -17,8 +19,6 @@ NaN or ±inf. Only those elements are formatted by ``format(x, ".Nf")``.
 from __future__ import annotations
 
 import json
-import re
-import string
 from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
@@ -33,23 +33,7 @@ _CHUNK_ROWS = 8_192
 # A chunk's text is an (rows, bytes) uint8 block with its NUL bytes dropped, so
 # every field is right-aligned text padded with NUL.
 _BOOL_TEXT = np.array([b"false", b"true"], "S8").view(np.uint64)
-# 10^N is exact in float64 and in int64 for N ≤ 18
-_FIXED = re.compile(r"\.(\d|1[0-8])f")
-
-
-def _fields(fmt: str) -> tuple[list[str], list[int | None]]:
-    """The literal texts of a row format, one more than its fields, and the
-    places of each field: N for ``{:.Nf}`` (N ≤ 18), None for ``{}``."""
-    literals, places = [], []
-    for literal, name, spec, conversion in string.Formatter().parse(fmt):
-        literals.append(literal)
-        if name is None:
-            return literals, places
-        fixed = _FIXED.fullmatch(spec)
-        if name or conversion or spec and not fixed:
-            raise ValueError(f"{fmt!r} has a field other than {{}} or {{:.Nf}} with N <= 18")
-        places.append(int(fixed[1]) if fixed else None)
-    return literals + [""], places
+_MAX_PLACES = 18  # 10^N is exact in float64 and in int64 for N <= 18
 
 
 def _digits(m: np.ndarray, shown: int = 1) -> np.ndarray:
@@ -108,23 +92,22 @@ def _plain_blocks(column) -> list[np.ndarray]:
     if v.dtype.kind == "U":
         text = np.char.encode(v, "utf-8")
         return [text.view(np.uint8).reshape(v.size, text.itemsize)]
-    raise ValueError(f"a {{}} CSV field takes bool, integer or str values, not {v.dtype}")
+    raise ValueError(f"a column without places takes bool, integer or str, not {v.dtype}")
 
 
-def _constant(text: str, rows: int) -> np.ndarray:
-    data = np.frombuffer(text.encode(), np.uint8)
-    return np.broadcast_to(data, (rows, data.size))
+def _constant(text: bytes, rows: int) -> np.ndarray:
+    return np.broadcast_to(np.frombuffer(text, np.uint8), (rows, len(text)))
 
 
-def _chunk_text(literals: list[str], places: list[int | None], chunk: list) -> bytes:
+def _chunk_text(places, chunk: list) -> bytes:
     """The lines of one chunk, each stage freed as soon as the next one exists."""
     rows = len(chunk[0])
     blocks = []
-    for literal, column, decimals in zip(literals, chunk, places):
-        blocks.append(_constant(literal, rows))
+    for column, decimals in zip(chunk, places):
         blocks += (_plain_blocks(column) if decimals is None
                    else _fixed_blocks(column, decimals))
-    blocks.append(_constant(literals[-1] + "\n", rows))
+        blocks.append(_constant(b",", rows))
+    blocks[-1] = _constant(b"\n", rows)
     text = np.concatenate(blocks, axis=1)
     del blocks
     padded = text.tobytes()
@@ -132,19 +115,16 @@ def _chunk_text(literals: list[str], places: list[int | None], chunk: list) -> b
     return padded.translate(None, b"\0")
 
 
-def csv_chunks(fmt: str, *columns) -> Iterator[bytes]:
-    """The lines of ``fmt.format`` over each row of the columns, each ending in
-    a newline, joined ``_CHUNK_ROWS`` lines at a time and encoded as UTF-8.
-
-    ``fmt`` holds the separators and one ``{:.Nf}`` or ``{}`` field per column,
-    e.g. ``"{:.6f},{:.4f},{}"``; a bool column is written as true/false.
-    Columns are arrays, lists or ranges of equal length.
-    """
-    literals, places = _fields(fmt)
+def csv_chunks(places, *columns) -> Iterator[bytes]:
+    """The lines of the columns' rows, a field per entry of ``places``, joined by
+    commas; ``_CHUNK_ROWS`` lines at a time as UTF-8. Columns are arrays, lists
+    or ranges of equal length."""
+    if any(p is not None and p not in range(_MAX_PLACES + 1) for p in places):
+        raise ValueError(f"places {places} are not each None or 0 to {_MAX_PLACES}")
     if len(columns) != len(places):
-        raise ValueError(f"{len(columns)} columns for the {len(places)} fields of {fmt!r}")
+        raise ValueError(f"{len(columns)} columns for the {len(places)} places {places}")
     for start in range(0, len(columns[0]), _CHUNK_ROWS):
-        yield _chunk_text(literals, places, [c[start:start + _CHUNK_ROWS] for c in columns])
+        yield _chunk_text(places, [c[start:start + _CHUNK_ROWS] for c in columns])
 
 
 @contextmanager
@@ -158,14 +138,14 @@ def _created(path: Path):
         raise DomainError(f"cannot write {path}: {type(exc).__name__}: {exc}") from None
 
 
-def write_csv(path: str | Path, layout: tuple[tuple[str, ...], str], *columns) -> Path:
-    """The schema line, the header of ``layout = (header, fmt)``, then the rows
-    of the columns, formatted by ``csv_chunks`` and written a chunk at a time."""
-    header, fmt = layout
+def write_csv(path: str | Path, layout, *columns) -> Path:
+    """The schema line, the names of ``layout``'s (name, places) pairs as the
+    header, then the rows of the columns by ``csv_chunks``, a chunk at a time."""
+    names, places = zip(*layout)
     path = Path(path)
     with _created(path) as stream:
-        stream.write(f"# schema={CSV_SCHEMA}\n{','.join(header)}\n".encode())
-        stream.writelines(csv_chunks(fmt, *columns))
+        stream.write(f"# schema={CSV_SCHEMA}\n{','.join(names)}\n".encode())
+        stream.writelines(csv_chunks(places, *columns))
     return path
 
 

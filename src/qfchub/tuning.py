@@ -17,8 +17,8 @@ import numpy as np
 from .constants import C_NM_THZ, REFINE_GHZ
 from .dispersion import SellmeierModel, SpectralPoint, _require_validity
 from .errors import DomainError
-from .qpm import (_KERNEL_POINTS, DeviceConfig, _grid_steps, _in_fit, _triple_um,
-                  _validity_bounds_nu_c, grating_mismatch, grid_efficiency,
+from .qpm import (_KERNEL_POINTS, DeviceConfig, _grid_steps, _in_fit, _require_fit,
+                  _triple_um, _validity_bounds_nu_c, grating_mismatch, grid_efficiency,
                   group_index_mismatch, make_device, pm_efficiency, pump_for,
                   wavenumber_mismatch)
 
@@ -362,6 +362,8 @@ def sweet_spot_report(signal_nm: float, target_center_nm: float,
     signal = SpectralPoint.from_wavelength_nm(signal_nm)
     center = SpectralPoint.from_wavelength_nm(target_center_nm)
     pump0 = pump_for(signal, center)
+    _require_fit(material, temperature_c, _triple_um(signal.frequency_thz, center.frequency_thz,
+                                                     signal.wavelength_um, center.wavelength_um))
     coefficient = group_index_mismatch(center.wavelength_um, pump0.wavelength_um,
                                        temperature_c, material)
     second_harmonic = 2.0 * signal_nm

@@ -5,6 +5,7 @@ import gzip
 import hashlib
 import json
 import os
+import subprocess
 from dataclasses import replace
 from pathlib import Path
 
@@ -393,6 +394,50 @@ def test_console_script_goes_through_run():
     tomllib = pytest.importorskip("tomllib")
     pyproject = tomllib.loads((Path(__file__).parent.parent / "pyproject.toml").read_text())
     assert pyproject["project"]["scripts"] == {"qfchub": "qfchub.cli:run"}
+
+
+def test_index_reader_leaving_early_exits_1_without_traceback(tmp_path, start_cli):
+    # 9,000 rows overflow the pipe; its reader closes it after the header
+    wavelengths = [f"{400 + 0.1 * i:.1f}" for i in range(9000)]
+    proc = start_cli(["index", *wavelengths], tmp_path, stdout=subprocess.PIPE,
+                     stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"wavelength_nm,n,dn_dlambda_per_um,group_index\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in stderr
+
+
+def test_summary_line_to_a_closed_pipe_exits_1_without_traceback(tmp_path, start_cli):
+    # as `qfchub sweet-spot ... | true`: no reader is left when the line is written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = start_cli(["sweet-spot", "--signal", "780", "--target", "1540"], tmp_path,
+                         stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    stderr = proc.communicate(timeout=120)[1].decode()
+    assert proc.returncode == 1
+    assert "Traceback" not in stderr
+
+
+def test_stdout_closed_from_the_start_still_exits_0(tmp_path, start_cli):
+    # python sets sys.stdout to None, and print() then writes nothing
+    proc = start_cli(["sweet-spot", "--signal", "780", "--target", "1540"], tmp_path,
+                     stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                     preexec_fn=lambda: os.close(1))
+    stdout, stderr = proc.communicate(timeout=120)
+    assert (proc.returncode, stdout, stderr) == (0, b"", b"")
+
+
+def test_sweet_spot_checks_the_working_point_as_tuning_range_does(tmp_path, run_cli):
+    argv = ["--signal", "390", "--target", "1540"]
+    sweet, tuning = (run_cli([command, *argv], tmp_path)
+                     for command in ("sweet-spot", "tuning-range"))
+    assert sweet.returncode == tuning.returncode == 2
+    assert sweet.stderr == tuning.stderr == (
+        "error: wavelength 0.3900 um outside jundt1997 validity [0.400, 5.000] um\n")
 
 
 def test_tomography_output(tmp_path, run_cli):

@@ -10,7 +10,7 @@ from qfchub import emit, make_device, pm_spectrum_columns
 from qfchub.cli import SPECTRUM_CSV, SPECTRUM_JSON
 from qfchub.emit import csv_chunks, write_csv, write_records
 
-_LAYOUT = (("flag", "count", "name", "value"), "{},{},{},{:.3f}")
+_LAYOUT = (("flag", None), ("count", None), ("name", None), ("value", 3))
 
 
 def _columns(rows):
@@ -57,10 +57,10 @@ def _fixed_fields(draw):
 @example((4, [999.99995]))
 @example((2, [1e300]))
 def test_fixed_fields_are_format(case):
-    # every {:.Nf} text is what format(v, ".Nf") gives for the same double
+    # every text of N places is what format(v, f".{N}f") gives for the same double
     places, values = case
-    text = b"".join(csv_chunks(f"{{:.{places}f}};", np.array(values))).decode()
-    assert text == "".join(format(v, f".{places}f") + ";\n" for v in values)
+    text = b"".join(csv_chunks((places,), np.array(values))).decode()
+    assert text == "".join(format(v, f".{places}f") + "\n" for v in values)
 
 
 _NAMES = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"),
@@ -73,19 +73,20 @@ _NAMES = st.text(st.characters(blacklist_categories=("Cs",), blacklist_character
 def test_plain_fields_are_format(rows):
     # bool (as true/false), int, str and float fields in one layout
     flags, counts, names, values = map(list, zip(*rows))
-    fmt = "<{}|{}|{}|{:.3f}>"
-    text = b"".join(csv_chunks(fmt, np.array(flags), np.array(counts), np.array(names),
-                               values)).decode()
-    assert text == "".join(fmt.format(("false", "true")[f], c, n, v) + "\n"
+    text = b"".join(csv_chunks((None, None, None, 3), np.array(flags), np.array(counts),
+                               np.array(names), values)).decode()
+    assert text == "".join("{},{},{},{:.3f}".format(("false", "true")[f], c, n, v) + "\n"
                            for f, c, n, v in rows)
 
 
-@pytest.mark.parametrize("fmt, column", [
-    ("{:.3e}", [1.0]), ("{:>5}", [1]), ("{0}", [1]), ("{!r}", ["a"]), ("{:.19f}", [1.0]),
-    ("{:f}", [1.0]), ("{}", [1.5]), ("{},{}", [1])])
-def test_csv_chunks_reject_what_the_kernel_cannot_write(fmt, column):
+@pytest.mark.parametrize("places, column", [
+    pytest.param((19,), [1.0], id="places-19"),
+    pytest.param((-1,), [1.0], id="places-minus-1"),
+    pytest.param((None,), [1.5], id="float-without-places"),
+    pytest.param((None, None), [1], id="one-column-for-two")])
+def test_csv_chunks_reject_what_the_kernel_cannot_write(places, column):
     with pytest.raises(ValueError):
-        list(csv_chunks(fmt, column))
+        list(csv_chunks(places, column))
 
 
 def test_write_csv_never_holds_the_file_text(jundt, tmp_path, monkeypatch):

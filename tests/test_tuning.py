@@ -246,12 +246,18 @@ def test_sweep_csv_rows_format(jundt, separation_20, tmp_path):
                        separation_20)
     path = write_csv(tmp_path / "sweep.csv", SWEEP_CSV, *_sweep_columns(points))
     lines = path.read_text().splitlines()
-    assert lines[:2] == ["# schema=1", ",".join(SWEEP_CSV[0])]
+    assert lines[:2] == ["# schema=1", ",".join(name for name, _ in SWEEP_CSV)]
     rows = [line.split(",") for line in lines[2:]]
     assert len(rows) == 3
     assert all(len(row) == 7 for row in rows)
     assert rows[0][0] == "780.0000"
     assert rows[0][6] in ("threshold", "cutoff", "separation", "scan_edge")
+
+
+def test_sweet_spot_report_checks_the_working_point(jundt):
+    # the 390 nm signal is below jundt1997's 400 nm edge, as in tuning_range
+    with pytest.raises(ValidityError, match="wavelength 0.3900 um outside jundt1997"):
+        sweet_spot_report(390.0, 1540.0, 48.0, jundt)
 
 
 def test_separation_bound_closed_form(rng):
