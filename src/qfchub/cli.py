@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ENV_CONFIG_PATH, RunConfig, apply_overrides, load_config
-from .dispersion import get_material, group_index, index_derivative, refractive_index
+from .dispersion import group_index, index_derivative, refractive_index
 from .dwdm import PumpPlan, efficiency_curve_columns, plan_pumps, pump_band
 from .emit import csv_chunks, read_two_column_csv, write_csv, write_json, write_records
 from .errors import (ConfigError, ConvergenceError, DegenerateError, DomainError,
@@ -236,20 +236,23 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     elif getattr(args, "separation", None) is not None:
         overrides["constraint_mode"] = "min_pump_converted_separation"
         overrides["constraint_value_nm"] = args.separation
-    return apply_overrides(config, **overrides)
+    config = apply_overrides(config, **overrides)
+    config.model()  # every command checks the material of its final configuration
+    return config
 
 
 def cmd_index(config: RunConfig, args: argparse.Namespace) -> dict:
-    model = get_material(config.material, config.material_file)
+    model = config.model()
     um = np.array(args.wavelengths_nm) / 1000.0
     columns = [args.wavelengths_nm,
                *(f(model, um, config.temperature_c, config.allow_extrapolation)
                  for f in (refractive_index, index_derivative, group_index))]
     summary = {"rows": len(columns[0])}
     if not config.output:
-        names, places = zip(*INDEX_CSV)
-        sys.stdout.write(",".join(names) + "\n")
-        sys.stdout.writelines(chunk.decode() for chunk in csv_chunks(places, *columns))
+        if sys.stdout:  # None in a process started with stdout closed
+            names, places = zip(*INDEX_CSV)
+            sys.stdout.write(",".join(names) + "\n")
+            sys.stdout.writelines(chunk.decode() for chunk in csv_chunks(places, *columns))
     elif config.output_format == "json":
         summary["output"] = str(write_records(config.output, INDEX_JSON, *columns))
     else:
@@ -258,7 +261,7 @@ def cmd_index(config: RunConfig, args: argparse.Namespace) -> dict:
 
 
 def cmd_pm_scan(config: RunConfig, args: argparse.Namespace) -> dict:
-    model = get_material(config.material, config.material_file)
+    model = config.model()
     device = make_device(args.signal, args.target, config.length_mm,
                          config.temperature_c, model, config.allow_extrapolation)
     spectrum = pm_spectrum_columns(args.signal, args.target, device,
@@ -281,7 +284,7 @@ def cmd_pm_scan(config: RunConfig, args: argparse.Namespace) -> dict:
 
 
 def cmd_tuning_range(config: RunConfig, args: argparse.Namespace) -> dict:
-    model = get_material(config.material, config.material_file)
+    model = config.model()
     constraints = config.tuning_constraints()
     result = tuning_range(args.signal, args.target, config.length_mm,
                           config.temperature_c, model, constraints)
@@ -301,7 +304,7 @@ def cmd_tuning_range(config: RunConfig, args: argparse.Namespace) -> dict:
 
 
 def cmd_sweet_spot(config: RunConfig, args: argparse.Namespace) -> dict:
-    model = get_material(config.material, config.material_file)
+    model = config.model()
     report = sweet_spot_report(args.signal, args.target, config.temperature_c, model)
     return {**asdict(report), "pump_nm": round(report.pump_nm, 4),
             "midpoint_nm": round(report.midpoint_nm, 4)}
@@ -315,7 +318,7 @@ def _sweep_columns(points: list[HubSweepPoint]) -> list[tuple]:
 
 
 def cmd_hub_sweep(config: RunConfig, args: argparse.Namespace) -> dict:
-    model = get_material(config.material, config.material_file)
+    model = config.model()
     constraints = config.tuning_constraints()
     points = hub_sweep((args.start, args.stop), args.step, args.target,
                        config.length_mm, config.temperature_c, model, constraints)
@@ -338,7 +341,7 @@ def _pump_plan(config: RunConfig, model, center_frequency_thz: float | None) -> 
 
 
 def cmd_plan(config: RunConfig, args: argparse.Namespace) -> dict:
-    model = get_material(config.material, config.material_file)
+    model = config.model()
     plan = _pump_plan(config, model, args.center_frequency_thz)
     # the curve and band are computed before the first file is written
     if args.curve:
@@ -418,7 +421,7 @@ def cmd_reproduce_paper(config: RunConfig, args: argparse.Namespace) -> dict:
     """Every result is computed before the first file is written, so a run that
     fails leaves no file; the spectra are then computed and written one by one."""
     run_dir = Path(args.out_dir) / "paper-run"
-    model = get_material(config.material, config.material_file)
+    model = config.model()
 
     # phase-matching spectra for the three representative signals, both lengths
     scans = [(make_device(signal, 1540.0, length, config.temperature_c, model),

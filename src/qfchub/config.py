@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .dispersion import DEFAULT_MATERIAL
+from .dispersion import DEFAULT_MATERIAL, SellmeierModel, get_material
 from .dwdm import DwdmGrid, LaserSpec
 from .errors import ConfigError, DomainError
 from .tuning import TuningConstraints
@@ -53,6 +53,9 @@ class RunConfig:
 
     def laser(self) -> LaserSpec:
         return LaserSpec(self.laser_min_nm, self.laser_max_nm)
+
+    def model(self) -> SellmeierModel:
+        return get_material(self.material, self.material_file)
 
     def validate(self) -> "RunConfig":
         """Check each field's type and the fields no builder checks, then build what

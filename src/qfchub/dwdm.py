@@ -176,8 +176,8 @@ def efficiency_curve_columns(plan: PumpPlan, step_ghz: float = 1.0) -> Efficienc
     if np.any(nu_c <= 0):
         raise DomainError("pump range reaches the signal frequency")
     rel, extrapolated = grid_efficiency(plan.device, plan.signal_frequency_thz, nu_c)
-    peak = np.nanmax(rel)
-    if not np.isfinite(peak) or peak <= 0:
+    peak = np.fmax.reduce(rel)  # nanmax, without its warning where every point is NaN
+    if not 0.0 < peak < math.inf:
         raise DomainError("efficiency is zero or undefined over the whole range")
     rel /= peak
     return EfficiencyCurve(nu_p, rel, extrapolated)

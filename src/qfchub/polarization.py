@@ -88,42 +88,28 @@ class PolarizationState:
 
     @classmethod
     def from_amplitudes(cls, alpha: complex, beta: complex) -> "PolarizationState":
-        vec = np.array([alpha, beta], dtype=complex)
-        with np.errstate(over="ignore", under="ignore"):
-            norm = np.linalg.norm(vec)
-            if not 0.0 < norm < math.inf:  # NaN too
-                # squares that overflow or underflow: divide by the largest part first,
-                # only here, so that every other state keeps its bits
-                scale = np.abs(vec.view(float)).max()
-                if not 0.0 < scale < math.inf:
-                    raise DomainError("amplitudes must be finite and not both 0")
-                vec = vec / scale
-                norm = np.linalg.norm(vec)
-            vec = vec / norm
+        parts = np.array([alpha, beta], dtype=complex).view(float)
+        largest = np.abs(parts).max()
+        if not 0.0 < largest < math.inf:  # NaN too
+            raise DomainError("amplitudes must be finite and not both 0")
+        # the power of two that brings the largest part into [0.5, 1) is exact, and
+        # with it no square the norm sums overflows or underflows
+        vec = np.ldexp(parts, -np.frexp(largest)[1]).view(complex)
+        vec = vec / np.linalg.norm(vec)
         return cls(np.outer(vec, vec.conj()))
 
     @classmethod
     def from_label(cls, label: str) -> "PolarizationState":
         """The state of a label, one shared instance per label (read-only matrix)."""
-        key = label.upper()
-        state = _LABEL_STATES.get(key)
-        if state is None:
-            try:
-                alpha, beta = _STATE_AMPLITUDES[key]
-            except KeyError:
-                raise DomainError(
-                    f"unknown state label {label!r}; expected one of "
-                    f"{'/'.join(_STATE_AMPLITUDES)}") from None
-            state = cls.from_amplitudes(alpha, beta)
-            state.matrix.setflags(write=False)
-            _LABEL_STATES[key] = state
-        return state
+        try:
+            return _LABEL_STATES[label.upper()]
+        except KeyError:
+            raise DomainError(
+                f"unknown state label {label!r}; expected one of "
+                f"{'/'.join(_STATE_AMPLITUDES)}") from None
 
     def bloch_vector(self) -> tuple[float, float, float]:
         return tuple(float(np.trace(self.matrix @ p).real) for p in PAULI[1:])
-
-
-_LABEL_STATES: dict[str, PolarizationState] = {}
 
 
 def _check_state(a: complex, b: complex, c: complex, d: complex) -> None:
@@ -138,6 +124,12 @@ def _check_state(a: complex, b: complex, c: complex, d: complex) -> None:
     if not half_sum - math.sqrt(half_diff * half_diff + c.real * c.real
                                 + c.imag * c.imag) >= -_PSD_TOL:
         raise DomainError("density matrix must be positive semidefinite")
+
+
+_LABEL_STATES = {label: PolarizationState.from_amplitudes(*amplitudes)
+                 for label, amplitudes in _STATE_AMPLITUDES.items()}
+for _state in _LABEL_STATES.values():
+    _state.matrix.setflags(write=False)
 
 
 @dataclass(frozen=True)

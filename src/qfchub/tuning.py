@@ -72,10 +72,11 @@ class TuningConstraints:
         if not (0 < self.scan_halfwidth_thz < math.inf
                 and 0 < self.coarse_step_ghz < math.inf):
             raise DomainError("scan halfwidth and coarse step must be finite and positive")
-        # the walk's coarse steps across the halfwidth follow the one grid rule
+        # the walk's coarse steps across the halfwidth, and the channels across
+        # the widest interval, follow the one grid rule
         _grid_steps(self.scan_halfwidth_thz, self.coarse_step_ghz / 1000.0, "coarse_step_ghz")
-        if not 0 < self.channel_spacing_ghz < math.inf:
-            raise DomainError("channel spacing must be finite and positive")
+        _grid_steps(2.0 * self.scan_halfwidth_thz, self.channel_spacing_ghz / 1000.0,
+                    "channel_spacing_ghz")
 
 
 @dataclass(frozen=True)
@@ -125,10 +126,12 @@ class SweetSpotReport:
 def _separation_bound(nu_s, nu_c0, min_sep_nm: float):
     """Root on the center's side of nu_s/2 of |lambda_p - lambda_c| = d, that is of
     d*nu^2 + (2cs - d*nu_s)*nu - s*c*nu_s = 0 with s = +1 when the pump is the
-    longer wavelength and -1 otherwise, in its cancellation-free form."""
-    s = np.where(nu_c0 > nu_s / 2.0, 1.0, -1.0)
-    c, d = C_NM_THZ, min_sep_nm
-    return 2.0 * c * nu_s / (2.0 * c - s * d * nu_s + np.sqrt(4.0 * c * c + (d * nu_s) ** 2))
+    longer wavelength and -1 otherwise, in its cancellation-free form. With
+    x = d*nu_s / 2c, taken as d / (2c / nu_s) so that no d overflows it, the root is
+    nu_s / (1 - s*x + h) for h = hypot(1, x), and for s = +1 h - x is 1 / (h + x)."""
+    x = min_sep_nm / (2.0 * C_NM_THZ / nu_s)
+    h = np.hypot(1.0, x)
+    return nu_s / (1.0 + np.where(nu_c0 > nu_s / 2.0, 1.0 / (h + x), h + x))
 
 
 def _walk(eff, start: float, bound, direction, coarse_thz: float, threshold: float):

@@ -234,6 +234,8 @@ _SCAN = ["pm-scan", "--signal", "780", "--target", "1540"]
                  id="coarse-step-tiny"),
     pytest.param([*_SWEEP, "--coarse-step-ghz", "0.01"], "coarse_step_ghz: ",
                  id="coarse-step-past-grid-bound"),
+    pytest.param([*_TUNING, "--channel-spacing-ghz", "1e-300"], "channel_spacing_ghz: ",
+                 id="channel-spacing-tiny"),
     pytest.param([*_TUNING, "--format", "json"], None, id="tuning-range-json-without-output"),
     pytest.param(["index", "-780", "--allow-extrapolation"], None, id="index-negative"),
     pytest.param(["index", "0", "--allow-extrapolation"], None, id="index-zero"),
@@ -258,6 +260,10 @@ _SCAN = ["pm-scan", "--signal", "780", "--target", "1540"]
     pytest.param([*_SCAN, "--length", "1e308"], None, id="scan-efficiency-zero"),
     pytest.param([*_SCAN, "--length", "1e308", "--format", "json"], None,
                  id="scan-efficiency-zero-json"),
+    # no point of the curve is defined: its error is the only line, with no warning
+    pytest.param(["plan", "--curve", "--laser-min-nm", "1e5", "--laser-max-nm", "1e9"],
+                 "efficiency is zero or undefined over the whole range\n",
+                 id="curve-undefined"),
     # a value outside the fit never reads as the bound, inside the window, or at length
     pytest.param(["index", "399.99999"], "wavelength 0.39999999 um outside jundt1997 "
                  "validity [0.400, 5.000] um\n", id="index-just-below-fit"),
@@ -423,12 +429,12 @@ def test_summary_line_to_a_closed_pipe_exits_1_without_traceback(tmp_path, start
 
 
 def test_stdout_closed_from_the_start_still_exits_0(tmp_path, start_cli):
-    # python sets sys.stdout to None, and print() then writes nothing
-    proc = start_cli(["sweet-spot", "--signal", "780", "--target", "1540"], tmp_path,
-                     stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                     preexec_fn=lambda: os.close(1))
-    stdout, stderr = proc.communicate(timeout=120)
-    assert (proc.returncode, stdout, stderr) == (0, b"", b"")
+    # python sets sys.stdout to None: print() then writes nothing, and index skips its table
+    for argv in (["sweet-spot", "--signal", "780", "--target", "1540"], ["index", "780"]):
+        proc = start_cli(argv, tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                         preexec_fn=lambda: os.close(1))
+        stdout, stderr = proc.communicate(timeout=120)
+        assert (proc.returncode, stdout, stderr) == (0, b"", b""), argv
 
 
 def test_sweet_spot_checks_the_working_point_as_tuning_range_does(tmp_path, run_cli):
@@ -923,6 +929,33 @@ def test_removed_flags_exit_2(command, capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", sorted(BASE_ARGV))
+def test_config_material_is_checked_for_every_command(command, tmp_path, run_cli):
+    # the material of the final configuration is resolved, whether a handler reads it or not
+    (tmp_path / "data.csv").write_text("1,0.1\n2,0.3\n3,0.5\n4,0.6\n")
+    for config in ({"material": "nope"}, {"material_file": "missing.json"}):
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        proc = run_cli([*BASE_ARGV[command], "--config", "c.json"], tmp_path)
+        assert proc.returncode == 2, (config, proc.stderr)
+        assert proc.stderr.startswith("error: ") and "material" in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and proc.stdout == ""
+
+
+def test_config_material_from_a_flag_file_runs(tmp_path, run_cli):
+    # a material the config names and a --material-file flag defines, after the flags
+    (tmp_path / "mats.json").write_text(_material_file("jundt1997"))
+    (tmp_path / "c.json").write_text(json.dumps({"material": "custom"}))
+    argv = ["index", "1540", "--temperature", "22", "--config", "c.json"]
+    assert run_cli(argv, tmp_path).returncode == 2
+    assert summary_of(run_cli([*argv, "--material-file", "mats.json"], tmp_path))["rows"] == 1
+    # and a command without material flags takes both from its config
+    (tmp_path / "c.json").write_text(json.dumps({"material": "custom",
+                                                 "material_file": "mats.json"}))
+    proc = run_cli(["simulate", "--eta-cw", "0.5", "--eta-ccw", "0.5", "--config", "c.json"],
+                   tmp_path)
+    assert summary_of(proc)["input"] == "D"
+
+
 @pytest.mark.parametrize("value", ["-50", "-5e1", "-5E+1", "-0.5e2", "-.5e2", "-5.e1",
                                    "-500e-1", "-inf", "-Infinity", "-nan"])
 def test_negative_float_literals_are_values(value):
@@ -980,7 +1013,7 @@ def test_flags_reach_the_run_config(monkeypatch):
     {"output_format": "xml"}, {"workers": 2}, {"grid_ports": 2.5},
     {"coarse_step_ghz": 0.01}, {"coarse_step_ghz": 1e-300},
     {"length_mm": "40"}, {"efficiency_threshold": "0.9"}, {"grid_ports": True},
-    {"allow_extrapolation": "no"}, {"grid_ports": 8000},
+    {"allow_extrapolation": "no"}, {"grid_ports": 8000}, {"channel_spacing_ghz": 1e-300},
 ])
 def test_bad_config_values_raise_config_error(overrides, tmp_path):
     with pytest.raises(ConfigError):

@@ -182,7 +182,9 @@ def test_from_amplitudes_rejects_non_finite_without_warning():
 
 @pytest.mark.parametrize("amplitudes, reference", [
     ((1e200, 1e199), (10.0, 1.0)), ((1e-200, 1e-200), "D"), ((1e-170, 0.0), "H"),
-    ((-1e-200j, 1e-200j), "A")])
+    ((-1e-200j, 1e-200j), "A"),
+    # subnormal amplitudes, down to the smallest float
+    ((1e-320, 0.0), "H"), ((5e-324, 5e-324), "D"), ((1e-310, 1e-310j), "R")])
 def test_from_amplitudes_takes_squares_that_overflow_or_underflow(amplitudes, reference):
     # finite amplitudes whose |a|^2 + |b|^2 is inf or 0 in float64 still give a state
     want = (PolarizationState.from_label(reference) if isinstance(reference, str)
@@ -193,13 +195,30 @@ def test_from_amplitudes_takes_squares_that_overflow_or_underflow(amplitudes, re
     np.testing.assert_allclose(state.matrix, want.matrix, rtol=0, atol=4e-16)
 
 
-def test_from_amplitudes_rescales_only_where_the_norm_fails():
+def test_label_states_keep_the_bits_of_the_plain_division():
     # every label state keeps the bits of the plain division by its norm
     for label in ("H", "V", "D", "A", "R", "L"):
         vec = np.array(_STATE_AMPLITUDES[label], dtype=complex)
         vec = vec / np.linalg.norm(vec)
         assert (PolarizationState.from_label(label).matrix
                 == np.outer(vec, vec.conj())).all(), label
+
+
+# a real or imaginary part: 0, or of a magnitude whose square is a normal float,
+# and with four of them the squared norm neither overflows nor underflows
+_PART = st.just(0.0) | st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True)
+                                 | st.floats(-1.0, -0.5, exclude_min=True),
+                                 st.integers(-497, 498))
+
+
+@settings(max_examples=500, deadline=None)
+@given(parts=st.tuples(_PART, _PART, _PART, _PART).filter(any))
+def test_from_amplitudes_is_the_plain_division_where_squares_are_normal(parts):
+    # the power-of-two prescale is exact, so the state has the bits of v / |v|
+    vec = np.array([complex(*parts[:2]), complex(*parts[2:])])
+    state = PolarizationState.from_amplitudes(*vec)
+    vec = vec / np.linalg.norm(vec)
+    assert (state.matrix == np.outer(vec, vec.conj())).all()
 
 
 def eigvalsh_rule(m):

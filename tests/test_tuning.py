@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -272,6 +273,18 @@ def test_separation_bound_closed_form(rng):
             assert np.all(side * (root - nu_s / 2.0) > 0)
 
 
+@pytest.mark.parametrize("separation", [1e150, 1e200, 1e300, 1e308])
+def test_huge_separation_is_empty(separation, jundt):
+    # no pump/converted pair lies that far apart: the root of the bound neither
+    # overflows in (d*nu_s)^2 nor cancels to 0 in 2c - d*nu_s + sqrt(...)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = tuning_range(780.0, 1540.0, 40.0, 48.0, jundt,
+                              TuningConstraints(constraint_value_nm=separation))
+    assert result.converted_interval_nm == (1540.0, 1540.0)
+    assert (result.channel_count, result.limiting_constraint) == (0, "separation")
+
+
 def test_walk_nan_fails_at_coarse_step():
     # NaN on [3, 4) THz: the walk up from 0 must stop at the coarse step 3,
     # well inside its bound, not treat the NaN as in band
@@ -533,6 +546,19 @@ def test_coarse_step_follows_the_grid_rule():
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(DomainError, match="coarse step must be finite and positive"):
             TuningConstraints(coarse_step_ghz=bad)
+
+
+def test_channel_spacing_follows_the_grid_rule():
+    # at most 1,000,000 channels across the widest interval, twice the halfwidth:
+    # 0.12 GHz over the default 120 THz is exactly that many, a finer spacing is not
+    assert TuningConstraints(channel_spacing_ghz=0.12).channel_spacing_ghz == 0.12
+    for bad in (0.1199, 1e-300):
+        with pytest.raises(DomainError, match="channel_spacing_ghz: .* exceeds 1000000 steps"):
+            TuningConstraints(channel_spacing_ghz=bad)
+    TuningConstraints(channel_spacing_ghz=0.1199, scan_halfwidth_thz=59.0)
+    for bad in (0.0, -1.0, float("nan"), float("inf"), 5e-324):
+        with pytest.raises(DomainError, match="channel_spacing_ghz: "):
+            TuningConstraints(channel_spacing_ghz=bad)
 
 
 def test_extrapolated_counts_the_signal(jundt):
