@@ -74,7 +74,8 @@ class SellmeierModel:
 def _require_validity(model: SellmeierModel, wavelength_um, temperature_c: float,
                       allow_extrapolation: bool = False) -> None:
     """Wavelengths finite and > 0 um and the temperature finite, a rule extrapolation
-    does not lift; then, unless ``allow_extrapolation``, inside the fit's window."""
+    does not lift; then inside the fit's window or, with ``allow_extrapolation``,
+    where the fit's terms do not overflow."""
     w = np.asarray(wavelength_um, dtype=float)
     # the window is an interval, so the two extremes decide for every point; NaN is both
     w = np.array([w.min(), w.max()] if w.size else [])
@@ -83,7 +84,17 @@ def _require_validity(model: SellmeierModel, wavelength_um, temperature_c: float
             raise DomainError(f"wavelength {x} um must be finite and > 0")
     if not -math.inf < temperature_c < math.inf:
         raise DomainError(f"temperature {temperature_c} C must be finite")
-    if allow_extrapolation or np.all(model.in_validity(w, temperature_c)):
+    if np.all(model.in_validity(w, temperature_c)):
+        return
+    if allow_extrapolation:
+        # the extremes bound L^2 and (L^2 - c_k)^2 over the call, so where the fit's
+        # terms do not overflow there, they overflow at no point between
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                _n_squared(model, w, temperature_c)
+                _dn2_dlam(model, w, temperature_c)
+        except (OverflowError, FloatingPointError):
+            raise _unusable(model) from None
         return
     (lo, hi), (tlo, thi) = model.wavelength_um, model.temperature_c
     if np.all(model.in_validity(w, tlo)):
@@ -95,14 +106,24 @@ def _require_validity(model: SellmeierModel, wavelength_um, temperature_c: float
         f"{model.name} validity [{lo:.3f}, {hi:.3f}] um")
 
 
-def _outside(x: float, spec: str, lo: float, hi: float) -> str:
-    """A value outside [lo, hi] in the fixed format ``spec``, or as its shortest
-    round-trip repr where that format would show a value in the window, a bound
-    included, or more digits than a double holds."""
+def _fixed(x: float, spec: str) -> str:
+    """``x`` in the fixed format ``spec``, or as its shortest round-trip repr where
+    that format reads 0 for a non-zero value or shows more digits than a double holds."""
     text = format(x, spec)
-    if lo <= float(text) <= hi or sum(c.isdigit() for c in text) > 17:
+    if float(text) == 0 != x or sum(c.isdigit() for c in text) > 17:
         return repr(float(x))
     return text
+
+
+def _outside(x: float, spec: str, lo: float, hi: float) -> str:
+    """A value outside [lo, hi] as ``_fixed`` gives it, or as its repr where the
+    fixed format would show a value in the window, a bound included."""
+    text = _fixed(x, spec)
+    return repr(float(x)) if lo <= float(text) <= hi else text
+
+
+def _unusable(model: SellmeierModel) -> DomainError:
+    return DomainError(f"{model.name}: n^2 <= 1 at requested point; fit is unusable here")
 
 
 def _poles(model: SellmeierModel, temperature_c: float):
@@ -138,8 +159,7 @@ def _index(model: SellmeierModel, wavelength_um, temperature_c: float,
     _require_validity(model, wavelength_um, temperature_c, allow_extrapolation)
     n2 = _n_squared(model, wavelength_um, temperature_c)
     if not (n2 > 1.0).all():
-        raise DomainError(
-            f"{model.name}: n^2 <= 1 at requested point; fit is unusable here")
+        raise _unusable(model)
     return np.sqrt(n2)
 
 
@@ -149,9 +169,10 @@ def refractive_index(model: SellmeierModel, wavelength_um, temperature_c: float,
 
     Raises ValidityError outside the model domain unless
     ``allow_extrapolation`` is set (extrapolated values must be flagged by
-    the caller in any emitted output), and DomainError where n^2 <= 1 or for
-    a wavelength not finite and > 0 or a temperature not finite, extrapolating
-    or not; so do ``index_derivative`` and ``group_index``.
+    the caller in any emitted output), and DomainError where n^2 <= 1 or the
+    fit's terms overflow, or for a wavelength not finite and > 0 or a
+    temperature not finite, extrapolating or not; so do ``index_derivative``
+    and ``group_index``.
     """
     n = _index(model, wavelength_um, temperature_c, allow_extrapolation)
     return float(n) if np.ndim(wavelength_um) == 0 else n

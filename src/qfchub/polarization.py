@@ -68,6 +68,10 @@ _FIT_DAMPING = 1e-3  # initial Marquardt damping of fit_efficiency
 _FIT_MIN_DAMPING = 1e-12
 _FIT_MAX_DAMPING = 1e12
 _FIT_MAX_STEPS = 1000
+# Largest |P| (mW) and |eta|, and 1 / the least largest P, that fit_efficiency takes:
+# |ds/deta_nor| <= P bounds the terms of its normal equations by |P| and |eta|, and
+# eta_nor ~ 1/P its steps; an order of 1e154 would overflow them.
+_FIT_SCALE = 1e50
 
 _BALANCE_GRID = 256  # ratio-grid points per monotone piece of sin^2 in pump_balance
 _BALANCE_BISECTIONS = 64  # narrows a grid bracket below one ulp of the ratio
@@ -364,6 +368,10 @@ def fit_efficiency(power_mw, eta) -> EfficiencyFit:
         raise DegenerateError("power values must span a non-degenerate range")
     if not any(etas):
         raise DegenerateError("all efficiencies are zero; nothing to fit")
+    if not (1.0 / _FIT_SCALE <= max(powers) <= _FIT_SCALE
+            and -_FIT_SCALE <= min(etas) and max(etas) <= _FIT_SCALE):
+        raise DomainError(f"the largest power must lie in [{1.0 / _FIT_SCALE:g}, "
+                          f"{_FIT_SCALE:g}] mW and every efficiency within +-{_FIT_SCALE:g}")
 
     p_at_max = powers[etas.index(max(etas))]  # the first largest, as np.argmax
     eta_nor = (np.pi / 2.0) ** 2 / p_at_max if p_at_max > 0 else 1.0 / max(powers)

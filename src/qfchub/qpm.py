@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_UM_THZ, RAD_PER_UM_TO_RAD_PER_M
-from .dispersion import (SellmeierModel, SpectralPoint, _n_squared,
+from .dispersion import (SellmeierModel, SpectralPoint, _fixed, _n_squared,
                          _require_validity, group_index)
 from .errors import DomainError
 
@@ -34,7 +34,7 @@ def _grid_steps(span: float, step: float, label: str, unit: str = "THz") -> int:
         raise DomainError(f"{label}: grid span must be finite and its step finite and positive")
     steps = np.floor(span / step + 1e-9)
     if not steps <= _MAX_GRID_POINTS:
-        raise DomainError(f"{label}: grid of {steps:.3g} steps of {step:g} {unit} over "
+        raise DomainError(f"{label}: grid of {steps:.17g} steps of {step:g} {unit} over "
                           f"{span:g} {unit} exceeds {_MAX_GRID_POINTS} steps")
     return int(steps)
 
@@ -63,8 +63,8 @@ def pump_for(signal: SpectralPoint, converted: SpectralPoint) -> SpectralPoint:
     nu_p = signal.frequency_thz - converted.frequency_thz
     if nu_p <= 0:
         raise DomainError(
-            f"signal frequency {signal.frequency_thz:.3f} THz must exceed "
-            f"converted frequency {converted.frequency_thz:.3f} THz")
+            f"signal frequency {_fixed(signal.frequency_thz, '.3f')} THz must exceed "
+            f"converted frequency {_fixed(converted.frequency_thz, '.3f')} THz")
     return SpectralPoint.from_frequency_thz(nu_p)
 
 

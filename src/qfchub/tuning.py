@@ -38,7 +38,6 @@ _PREFIXES = (8, 32, 128, _BLOCK)  # a block is evaluated in these growing prefix
 # longer sweep keeps its per-signal arrays bounded. A bisection step evaluates
 # 2 * _SIGNAL_BATCH points, within _KERNEL_POINTS.
 _SIGNAL_BATCH = 1024
-_SECOND_HARMONIC_TOL_NM = 0.5  # slack of sweet_spot_report's second-harmonic test
 
 
 @dataclass(frozen=True)
@@ -356,11 +355,11 @@ def hub_sweep(signal_range_nm: tuple[float, float], signal_step_nm: float,
 
 def sweet_spot_report(signal_nm: float, target_center_nm: float,
                       temperature_c: float, material: SellmeierModel) -> SweetSpotReport:
-    """Group-index mismatch at the working point and the second-harmonic test.
+    """Group-index mismatch at the working point, the pump/converted midpoint and 2*signal.
 
-    The flag is set when twice the signal wavelength falls inside
-    [converted, pump] (within ``_SECOND_HARMONIC_TOL_NM``) with the converted
-    side shorter, which is the geometry that keeps the linear mismatch term small.
+    Energy conservation (1/signal = 1/pump + 1/converted) makes twice the signal
+    wavelength the harmonic mean of converted and pump, so it always lies between
+    them; the flag is set when the converted wave is the shorter one.
     """
     signal = SpectralPoint.from_wavelength_nm(signal_nm)
     center = SpectralPoint.from_wavelength_nm(target_center_nm)
@@ -369,18 +368,7 @@ def sweet_spot_report(signal_nm: float, target_center_nm: float,
                                                      signal.wavelength_um, center.wavelength_um))
     coefficient = group_index_mismatch(center.wavelength_um, pump0.wavelength_um,
                                        temperature_c, material)
-    second_harmonic = 2.0 * signal_nm
     pump_nm = pump0.wavelength_nm
-    midpoint = 0.5 * (target_center_nm + pump_nm)
-    flag = (target_center_nm < pump_nm
-            and target_center_nm - _SECOND_HARMONIC_TOL_NM <= second_harmonic
-            <= pump_nm + _SECOND_HARMONIC_TOL_NM)
-    return SweetSpotReport(
-        signal_nm=signal_nm,
-        converted_nm=target_center_nm,
-        pump_nm=pump_nm,
-        group_index_mismatch=coefficient,
-        midpoint_nm=midpoint,
-        second_harmonic_nm=second_harmonic,
-        is_second_harmonic_midpoint=flag,
-    )
+    return SweetSpotReport(signal_nm, target_center_nm, pump_nm, coefficient,
+                           0.5 * (target_center_nm + pump_nm), 2.0 * signal_nm,
+                           target_center_nm < pump_nm)

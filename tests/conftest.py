@@ -17,14 +17,17 @@ def child_env():
     It is ``env`` (default ``os.environ``) with the absolute directory of the
     qfchub this process imported at the front of PYTHONPATH. A relative entry
     such as ``src`` would resolve against the child's cwd and fail to import
-    qfchub, or import another copy of it.
+    qfchub, or import another copy of it. A RuntimeWarning is an error in the
+    child, as in-process tests make it; a PYTHONWARNINGS filter of ``env``
+    comes after that one, so it still wins.
     """
     package_root = str(Path(qfchub.__file__).resolve().parent.parent)
 
     def make(env=None):
         env = dict(os.environ if env is None else env)
-        path = env.get("PYTHONPATH")
+        path, warnings = env.get("PYTHONPATH"), env.get("PYTHONWARNINGS")
         env["PYTHONPATH"] = package_root + (os.pathsep + path if path else "")
+        env["PYTHONWARNINGS"] = "error::RuntimeWarning" + ("," + warnings if warnings else "")
         return env
     return make
 

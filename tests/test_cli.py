@@ -279,6 +279,27 @@ _SCAN = ["pm-scan", "--signal", "780", "--target", "1540"]
                  "[21.5, 250.0] C\n", id="temperature-negative-exponent"),
     pytest.param(["index", "-5e2", "--allow-extrapolation"],
                  "wavelength -0.5 um must be finite and > 0\n", id="index-negative-exponent"),
+    pytest.param(["index", "0.001"], "wavelength 1e-06 um outside jundt1997 validity "
+                 "[0.400, 5.000] um\n", id="index-reads-as-zero"),
+    pytest.param(["sweet-spot", "--signal", "780", "--target", "1e-300"],
+                 "signal frequency 384.349 THz must exceed converted frequency "
+                 "2.99792458e+305 THz\n", id="converted-frequency-1e305"),
+    # the grid's count as it is, not rounded onto the bound
+    pytest.param(["tuning-range", "--signal", "780", "--target", "1540",
+                  "--channel-spacing-ghz", "0.1199"], "channel_spacing_ghz: grid of 1000834 "
+                 "steps of 0.0001199 THz over 120 THz exceeds 1000000 steps\n",
+                 id="channel-spacing-past-bound"),
+    pytest.param(["tuning-range", "--signal", "780", "--target", "1540",
+                  "--coarse-step-ghz", "0.0599"], "coarse_step_ghz: grid of 1001669 ",
+                 id="coarse-step-past-bound"),
+    # so far out that the fit's terms would overflow: the n^2 error, with no warning
+    *(pytest.param([*argv, f"--temperature={t}", "--allow-extrapolation"],
+                   "jundt1997: n^2 <= 1 at requested point; fit is unusable here\n",
+                   id=f"{argv[0]}-temperature-{t}")
+      for argv in (["index", "780"], _SCAN) for t in ("1e100", "1e200")),
+    pytest.param(["index", "1e300", "--allow-extrapolation"],
+                 "jundt1997: n^2 <= 1 at requested point; fit is unusable here\n",
+                 id="index-1e300"),
 ])
 def test_non_finite_values_exit_2(argv, named, tmp_path, run_cli):
     # a bad grid step names its step parameter (the coarse step's non-finite
@@ -495,11 +516,13 @@ def test_fit_non_finite_or_negative_input_exits_2(tmp_path, run_cli):
     for name, row, message in (("nan.csv", "130,nan", "finite"),
                                ("inf.csv", "130,inf", "finite"),
                                ("nan_power.csv", "nan,0.2", "finite"),
-                               ("negative.csv", "-5,0.01", "non-negative")):
+                               ("negative.csv", "-5,0.01", "non-negative"),
+                               ("huge_eta.csv", "130,1e160", "largest power must lie in"),
+                               ("huge_power.csv", "1e300,0.2", "largest power must lie in")):
         (tmp_path / name).write_text("\n".join(["P_mW,eta", *rows, row]) + "\n")
         proc = run_cli(["fit", "--input", name], tmp_path)
         assert proc.returncode == 2, (name, proc.stderr)
-        assert message in proc.stderr and "Traceback" not in proc.stderr, name
+        assert message in proc.stderr and len(proc.stderr.splitlines()) == 1, name
         assert proc.stdout == ""
 
 

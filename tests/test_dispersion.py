@@ -101,12 +101,18 @@ def test_group_index_identity(jundt):
         assert group_index(jundt, lam, 48.0) == pytest.approx(n - lam * d, abs=1e-12)
 
 
-def test_index_functions_reject_n_squared_at_most_one(jundt):
-    # jundt1997 extrapolated to 0.2 um has n^2 <= 1: all three fail the same way
+def test_index_functions_reject_n_squared_at_most_one(jundt, zelmon):
+    # jundt1997 extrapolated to 0.2 um has n^2 <= 1: all three fail the same way;
+    # so do points so far out, in wavelength or temperature, that the fit's terms
+    # would overflow there (at 1e100 C, (a3 + b3*f)**2 raised OverflowError)
     for f in (refractive_index, index_derivative, group_index):
-        for lam in (0.2, np.array([0.2, 1.54])):
+        for model, lam, temperature in (
+                (jundt, 0.2, 48.0), (jundt, np.array([0.2, 1.54]), 48.0),
+                (jundt, 1e300, 48.0), (jundt, np.array([1.54, 1e300]), 48.0),
+                (jundt, 1.54, 1e100), (jundt, 1.54, 1e200), (jundt, 1.54, -1e100),
+                (zelmon, 1e100, 21.0)):
             with pytest.raises(DomainError, match=r"n\^2 <= 1"):
-                f(jundt, lam, 48.0, allow_extrapolation=True)
+                f(model, lam, temperature, allow_extrapolation=True)
 
 
 @pytest.mark.parametrize("lam, temperature", [
@@ -176,6 +182,9 @@ def test_validity_error_names_bound(jundt):
     # a wavelength outside the window is named first
     with pytest.raises(ValidityError, match=r"wavelength 0\.3500"):
         refractive_index(jundt, [1.54, 0.35], 300.0)
+    # a value the fixed format would show as 0 is named by its repr
+    with pytest.raises(ValidityError, match=r"^wavelength 1e-06 um outside"):
+        refractive_index(jundt, 1e-06, 48.0)
 
 
 def test_in_validity_is_elementwise(jundt):

@@ -563,6 +563,18 @@ def test_fit_rejects_non_finite_or_negative_input():
                 fit_efficiency(p, e)
     with pytest.raises(DomainError, match="non-negative"):
         fit_efficiency(powers - 10.0, etas)
+    # past 1e50 (or a largest power below 1e-50 mW) the normal equations could
+    # overflow: from about 1e154 they did, with a RuntimeWarning or an OverflowError
+    top_p, top_eta = powers.max(), etas.max()
+    for p, e in ((powers, etas * 1e160), (powers, etas * (2e50 / top_eta)),
+                 (powers, etas - 2e50), (powers * 1e300, etas),
+                 (powers * (2e50 / top_p), etas), (powers * 1e-160, etas),
+                 (powers * (0.5e-50 / top_p), etas)):
+        with pytest.raises(DomainError, match="largest power must lie in"):
+            fit_efficiency(p, e)
+    for scale in (1e50, 1e-50):  # the bounds themselves are fitted
+        fit_efficiency(powers * (scale / top_p), etas)
+    fit_efficiency(powers, etas * (1e50 / top_eta))
 
 
 def test_fit_without_positive_overlap_is_degenerate():

@@ -80,9 +80,14 @@ def test_grid_steps_rule_and_bound():
         with pytest.raises(DomainError, match="^step_ghz: "):
             _grid_steps(span, step, "step_ghz")
     # the error names the step parameter, the step and the span, in the grid's unit
-    with pytest.raises(DomainError, match=r"^signal_step_nm: grid of 6e\+10 steps of "
+    with pytest.raises(DomainError, match=r"^signal_step_nm: grid of 60000000000 steps of "
                                           r"1e-08 nm over 600 nm exceeds 1000000 steps$"):
         _grid_steps(600.0, 1e-8, "signal_step_nm", "nm")
+    # the count as it is, never rounded onto the bound, however large
+    for span, step, count in ((120.0, 0.0001199, "1000834"), (60.0, 5.99e-05, "1001669"),
+                              (600.0, 1e-300, r"5.9999999999999997e\+302"), (1e10, 1e-310, "inf")):
+        with pytest.raises(DomainError, match=f"^step_ghz: grid of {count} steps "):
+            _grid_steps(span, step, "step_ghz")
 
 
 def test_grid_efficiency_slices_stitch_to_one_call(jundt, monkeypatch):

@@ -236,6 +236,13 @@ def test_sweet_spot_report_examples(jundt):
     off = sweet_spot_report(700.0, 1540.0, 48.0, jundt)
     assert not off.is_second_harmonic_midpoint
 
+    # the flag says only that the converted wave is the shorter one: it is set far
+    # from the balanced configuration too, and unset at degeneracy
+    wide = sweet_spot_report(600.0, 1000.0, 48.0, jundt)
+    assert wide.is_second_harmonic_midpoint
+    assert wide.group_index_mismatch > 30.0 * report.group_index_mismatch
+    assert not sweet_spot_report(770.0, 1540.0, 48.0, jundt).is_second_harmonic_midpoint
+
     # mismatch magnitude grows away from the balanced configuration
     near = group_index_mismatch(1.540, 1.580, 48.0, jundt)
     far = group_index_mismatch(1.540, 1.700, 48.0, jundt)
@@ -253,6 +260,22 @@ def test_sweep_csv_rows_format(jundt, separation_20, tmp_path):
     assert all(len(row) == 7 for row in rows)
     assert rows[0][0] == "780.0000"
     assert rows[0][6] in ("threshold", "cutoff", "separation", "scan_edge")
+
+
+@settings(max_examples=300, deadline=None)
+@given(signal_nm=st.floats(400.0, 2450.0), share=st.floats(0.0, 1.0))
+def test_sweet_spot_flag_is_the_second_harmonic_window(jundt, signal_nm, share):
+    # targets from a pump at 4999 nm to a converted wave at 4999 nm, across the
+    # degeneracy 2 * signal: every working point of the sweep is inside jundt1997
+    low = 4999.0 * signal_nm / (4999.0 - signal_nm)
+    report = sweet_spot_report(signal_nm, low + share * (4999.0 - low), 48.0, jundt)
+    converted, pump, harmonic = report.converted_nm, report.pump_nm, report.second_harmonic_nm
+    # twice the signal is the harmonic mean of converted and pump, so it lies between them
+    lo, hi = min(converted, pump), max(converted, pump)
+    assert lo - 4 * np.spacing(lo) <= harmonic <= hi + 4 * np.spacing(hi)
+    # the reference: the window test the flag once computed, with its 0.5 nm slack
+    assert report.is_second_harmonic_midpoint == (
+        converted < pump and converted - 0.5 <= harmonic <= pump + 0.5)
 
 
 def test_sweet_spot_report_checks_the_working_point(jundt):
