@@ -17,6 +17,7 @@ import sys
 import time
 from dataclasses import asdict, fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,12 +27,14 @@ from .dwdm import PumpPlan, efficiency_curve_columns, plan_pumps, pump_band
 from .emit import csv_chunks, read_two_column_csv, write_csv, write_json, write_records
 from .errors import (ConfigError, ConvergenceError, DegenerateError, DomainError,
                      RangeError, SingularityError, ValidityError)
-from .polarization import (PAULI_LABELS, PolarizationState, ProcessMatrix,
-                           QfcChannelModel, apply_channel, fit_efficiency, kraus_to_chi,
-                           process_fidelity, reconstruct_chi, simulate_tomography)
 from .qpm import make_device
 from .tuning import (HubSweepPoint, TuningResult, hub_sweep, pm_spectrum_columns,
                      sweet_spot_report, tuning_range)
+
+# the polarization layer is imported by the handlers that model the channel,
+# so no other command loads it
+if TYPE_CHECKING:
+    from .polarization import ProcessMatrix
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
@@ -88,6 +91,7 @@ def tuning_result_payload(result: TuningResult, threshold: float) -> dict:
 
 def chi_payload(process: ProcessMatrix) -> dict:
     """A process matrix as row-major [real, imag] pairs, basis documented."""
+    from .polarization import PAULI_LABELS
     return {"basis": list(PAULI_LABELS), "layout": "row-major",
             "chi": np.stack((process.chi.real, process.chi.imag), axis=-1).tolist()}
 
@@ -374,6 +378,7 @@ def cmd_plan(config: RunConfig, args: argparse.Namespace) -> dict:
 
 
 def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> dict:
+    from .polarization import PolarizationState, QfcChannelModel, apply_channel
     model = QfcChannelModel(args.eta_cw, args.eta_ccw, args.phase, args.mix)
     out_state, probability = apply_channel(PolarizationState.from_label(args.input), model)
     payload = {"input": args.input.upper(),
@@ -388,6 +393,8 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> dict:
 
 
 def cmd_tomography(config: RunConfig, args: argparse.Namespace) -> dict:
+    from .polarization import (PolarizationState, QfcChannelModel, kraus_to_chi,
+                               process_fidelity, reconstruct_chi, simulate_tomography)
     model = QfcChannelModel(args.eta_cw, args.eta_ccw, args.phase, args.mix)
     outputs = simulate_tomography(model)
     inputs = {label: PolarizationState.from_label(label) for label in outputs}
@@ -403,6 +410,7 @@ def cmd_tomography(config: RunConfig, args: argparse.Namespace) -> dict:
 
 
 def cmd_fit(config: RunConfig, args: argparse.Namespace) -> dict:
+    from .polarization import fit_efficiency
     powers, etas = read_two_column_csv(args.input)
     if not powers:
         raise DomainError(f"no (P, eta) rows found in {args.input}")

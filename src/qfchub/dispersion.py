@@ -94,7 +94,8 @@ def _require_validity(model: SellmeierModel, wavelength_um, temperature_c: float
                 _n_squared(model, w, temperature_c)
                 _dn2_dlam(model, w, temperature_c)
         except (OverflowError, FloatingPointError):
-            raise _unusable(model) from None
+            raise DomainError(f"{model.name}: fit terms overflow at requested point; "
+                              "fit is unusable here") from None
         return
     (lo, hi), (tlo, thi) = model.wavelength_um, model.temperature_c
     if np.all(model.in_validity(w, tlo)):

@@ -90,7 +90,7 @@ def _plain_blocks(column) -> list[np.ndarray]:
     if v.dtype.kind in "iu":
         return [_marks(v < 0, "-"), _digits(np.abs(v).astype(np.uint64))]
     if v.dtype.kind == "U":
-        text = np.char.encode(v, "utf-8")
+        text = np.array([s.encode() for s in v.tolist()], "S")  # np.char would import numpy.char
         return [text.view(np.uint8).reshape(v.size, text.itemsize)]
     raise ValueError(f"a column without places takes bool, integer or str, not {v.dtype}")
 

@@ -106,7 +106,8 @@ def test_index_json_without_output_exits_2(tmp_path, run_cli):
 
 
 def test_startup_does_not_load_scipy(tmp_path, run_python, run_cli):
-    # only fit_efficiency uses scipy, and it imports it when called
+    # no qfchub code imports scipy: not at start-up, not in the fit command,
+    # not in fit_efficiency
     for module in ("qfchub", "qfchub.cli"):
         proc = run_python(["-c", f"import sys, {module}; "
                                  "print(sorted(m for m in sys.modules if m == 'scipy' "
@@ -129,6 +130,63 @@ def test_startup_does_not_load_scipy(tmp_path, run_python, run_cli):
                              "or m.startswith('scipy.')))"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]", "fit_efficiency"
+
+
+_RUN_COMMANDS = """
+import sys
+from qfchub.cli import main
+
+def loaded():
+    return sorted(m for m in sys.modules if m in ("qfchub.polarization", "numpy.char"))
+
+assert loaded() == [], loaded()
+assert main(["reproduce-paper", "--workers", "2"]) == 0
+assert loaded() == [], loaded()
+assert main(["simulate", "--eta-cw", "0.4", "--eta-ccw", "0.44"]) == 0
+assert main(["tomography", "--eta-cw", "0.4", "--eta-ccw", "0.44"]) == 0
+assert main(["fit", "--input", "fit.csv"]) == 0
+assert loaded() == ["qfchub.polarization"], loaded()
+"""
+
+
+def test_commands_load_only_the_layers_they_run(tmp_path, run_python):
+    # the package and its CLI (which imports it) and the paper's whole run load
+    # neither the polarization layer nor numpy.char (np.char imports it at its
+    # first use); the commands that model the channel import the layer and still run
+    powers = np.linspace(0.0, 250.0, 26)
+    (tmp_path / "fit.csv").write_text("".join(
+        f"{p:.3f},{efficiency_model(p, EfficiencyCurveParams(0.44, 0.013)):.9f}\n"
+        for p in powers))
+    proc = run_python(["-c", _RUN_COMMANDS], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    summaries = [strict_json(line) for line in proc.stdout.splitlines()]
+    assert [s["command"] for s in summaries] == ["reproduce-paper", "simulate",
+                                                 "tomography", "fit"]
+    assert len(summaries[0]["files"]) == 10
+    assert summaries[3]["eta_max"] == pytest.approx(0.44, rel=1e-6)
+
+
+def test_polarization_names_are_bound_at_first_use(tmp_path, run_python):
+    # the first lookup of any of them binds the submodule and all 14 names, so a
+    # later lookup is a plain attribute of the package
+    proc = run_python(["-c", "import qfchub; names = qfchub._POLARIZATION; "
+                             "assert not {'polarization', *names} & set(vars(qfchub)); "
+                             "f = qfchub.pump_balance; "
+                             "assert {'polarization', *names} <= set(vars(qfchub)); "
+                             "assert f is qfchub.polarization.pump_balance; "
+                             "assert all(vars(qfchub)[n] is getattr(qfchub.polarization, n) "
+                             "for n in names)"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert len(qfchub._POLARIZATION) == 14
+    assert set(qfchub._POLARIZATION) <= set(qfchub.__all__)
+    assert {"polarization", *qfchub._POLARIZATION} <= set(vars(qfchub))
+    assert qfchub.pump_balance is qfchub.polarization.pump_balance
+    assert set(qfchub.__all__) <= set(dir(qfchub))
+    for name in ("no_such_name", "PAULI_LABELS", "pump_balanc"):
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(qfchub, name)
+    with pytest.raises(ImportError):
+        exec("from qfchub import no_such_name", {})
 
 
 def test_star_import_binds_exactly_all():
@@ -292,14 +350,18 @@ _SCAN = ["pm-scan", "--signal", "780", "--target", "1540"]
     pytest.param(["tuning-range", "--signal", "780", "--target", "1540",
                   "--coarse-step-ghz", "0.0599"], "coarse_step_ghz: grid of 1001669 ",
                  id="coarse-step-past-bound"),
-    # so far out that the fit's terms would overflow: the n^2 error, with no warning
+    # so far out that the fit's terms would overflow: an error that says so, with
+    # no warning; zelmon1997's n at 1e100 um is 3.679, so it is not the n^2 error
     *(pytest.param([*argv, f"--temperature={t}", "--allow-extrapolation"],
-                   "jundt1997: n^2 <= 1 at requested point; fit is unusable here\n",
+                   "jundt1997: fit terms overflow at requested point; fit is unusable here\n",
                    id=f"{argv[0]}-temperature-{t}")
       for argv in (["index", "780"], _SCAN) for t in ("1e100", "1e200")),
     pytest.param(["index", "1e300", "--allow-extrapolation"],
-                 "jundt1997: n^2 <= 1 at requested point; fit is unusable here\n",
+                 "jundt1997: fit terms overflow at requested point; fit is unusable here\n",
                  id="index-1e300"),
+    pytest.param(["index", "1e100", "--material", "zelmon1997", "--temperature", "21",
+                  "--allow-extrapolation"], "zelmon1997: fit terms overflow at requested "
+                 "point; fit is unusable here\n", id="index-zelmon-1e100"),
 ])
 def test_non_finite_values_exit_2(argv, named, tmp_path, run_cli):
     # a bad grid step names its step parameter (the coarse step's non-finite

@@ -103,15 +103,18 @@ def test_group_index_identity(jundt):
 
 def test_index_functions_reject_n_squared_at_most_one(jundt, zelmon):
     # jundt1997 extrapolated to 0.2 um has n^2 <= 1: all three fail the same way;
-    # so do points so far out, in wavelength or temperature, that the fit's terms
-    # would overflow there (at 1e100 C, (a3 + b3*f)**2 raised OverflowError)
+    # points so far out, in wavelength or temperature, that the fit's terms would
+    # overflow there (at 1e100 C, (a3 + b3*f)**2 raised OverflowError) fail with
+    # an error of their own: zelmon1997's n at 1e100 um is 3.679, not n^2 <= 1
+    cases = [(jundt, lam, 48.0, r"n\^2 <= 1") for lam in (0.2, np.array([0.2, 1.54]))]
+    cases += [(model, lam, temperature, f"{model.name}: fit terms overflow")
+              for model, lam, temperature in (
+                  (jundt, 1e300, 48.0), (jundt, np.array([1.54, 1e300]), 48.0),
+                  (jundt, 1.54, 1e100), (jundt, 1.54, 1e200), (jundt, 1.54, -1e100),
+                  (zelmon, 1e100, 21.0))]
     for f in (refractive_index, index_derivative, group_index):
-        for model, lam, temperature in (
-                (jundt, 0.2, 48.0), (jundt, np.array([0.2, 1.54]), 48.0),
-                (jundt, 1e300, 48.0), (jundt, np.array([1.54, 1e300]), 48.0),
-                (jundt, 1.54, 1e100), (jundt, 1.54, 1e200), (jundt, 1.54, -1e100),
-                (zelmon, 1e100, 21.0)):
-            with pytest.raises(DomainError, match=r"n\^2 <= 1"):
+        for model, lam, temperature, message in cases:
+            with pytest.raises(DomainError, match=message):
                 f(model, lam, temperature, allow_extrapolation=True)
 
 

@@ -70,8 +70,10 @@ _NAMES = st.text(st.characters(blacklist_categories=("Cs",), blacklist_character
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.booleans(), st.integers(-2 ** 63, 2 ** 63 - 1), _NAMES,
                           st.floats(-1e6, 1e6)), min_size=1, max_size=12))
+@example([(True, -1, "µm", 0.5), (False, 0, "東京", 1.0), (False, 7, "", 2.0)])
 def test_plain_fields_are_format(rows):
-    # bool (as true/false), int, str and float fields in one layout
+    # bool (as true/false), int, str and float fields in one layout; a str field
+    # is its UTF-8 bytes, encoded without numpy.char
     flags, counts, names, values = map(list, zip(*rows))
     text = b"".join(csv_chunks((None, None, None, 3), np.array(flags), np.array(counts),
                                np.array(names), values)).decode()
