@@ -27,7 +27,7 @@ from .dwdm import PumpPlan, efficiency_curve_columns, plan_pumps, pump_band
 from .emit import csv_chunks, read_two_column_csv, write_csv, write_json, write_records
 from .errors import (ConfigError, ConvergenceError, DegenerateError, DomainError,
                      RangeError, SingularityError, ValidityError)
-from .qpm import make_device
+from .qpm import _peak_index, make_device
 from .tuning import (HubSweepPoint, TuningResult, hub_sweep, pm_spectrum_columns,
                      sweet_spot_report, tuning_range)
 
@@ -270,11 +270,7 @@ def cmd_pm_scan(config: RunConfig, args: argparse.Namespace) -> dict:
                          config.temperature_c, model, config.allow_extrapolation)
     spectrum = pm_spectrum_columns(args.signal, args.target, device,
                                    args.window_thz, args.step_ghz)
-    # the first highest efficiency; a NaN point (n^2 < 0 when extrapolating) is
-    # never the peak, and the center is always a finite point
-    peak = int(np.nanargmax(spectrum.efficiency))
-    if not spectrum.efficiency[peak] > 0:
-        raise DomainError("efficiency is zero or undefined over the whole range")
+    peak = _peak_index(spectrum.efficiency)
     out = Path(config.output or f"pm_scan.{config.output_format}")
     if config.output_format == "json":
         write_records(out, SPECTRUM_JSON, *spectrum)

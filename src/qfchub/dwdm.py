@@ -18,8 +18,8 @@ import numpy as np
 from .constants import C_NM_THZ, C_UM_THZ
 from .dispersion import SellmeierModel, SpectralPoint
 from .errors import DomainError, RangeError
-from .qpm import (_MAX_GRID_POINTS, DeviceConfig, _grid_steps, _require_fit, _triple_um,
-                  grid_efficiency, solve_poling_period)
+from .qpm import (_MAX_GRID_POINTS, DeviceConfig, _grid_steps, _peak_index, _require_fit,
+                  _triple_um, grid_efficiency, solve_poling_period)
 from .tuning import _LIMITS, LimitTag, TuningConstraints, _band
 
 
@@ -141,8 +141,9 @@ def pump_band(plan: PumpPlan, threshold: float = 0.9
     """
     nu_s = plan.signal_frequency_thz
     # row 0 walks down in converted frequency, row 1 up: up and down in pump
-    laser = nu_s - C_NM_THZ / np.array([[plan.laser.min_wavelength_nm],
-                                        [plan.laser.max_wavelength_nm]])
+    # on Python floats, as the curve does: a bound that overflows is inf, with no warning
+    laser = np.array([[nu_s - C_NM_THZ / plan.laser.min_wavelength_nm],
+                      [nu_s - C_NM_THZ / plan.laser.max_wavelength_nm]])
     device = plan.device
     edge, tag, _ = _band(device.material, device.temperature_c, device.length_mm,
                          device.poling_period_um, nu_s, C_UM_THZ / nu_s,
@@ -168,16 +169,17 @@ def efficiency_curve_columns(plan: PumpPlan, step_ghz: float = 1.0) -> Efficienc
     signal, pump or converted wavelength lies outside the material validity
     window are flagged, not dropped.
     """
+    nu_s = plan.signal_frequency_thz
     lo, hi = C_NM_THZ / plan.laser.max_wavelength_nm, C_NM_THZ / plan.laser.min_wavelength_nm
-    step = step_ghz / 1000.0
-    count = _grid_steps(hi - lo, step, "step_ghz") + 1
-    nu_p = lo + step * np.arange(count)
-    nu_c = plan.signal_frequency_thz - nu_p
-    if np.any(nu_c <= 0):
+    # the range before its grid is sized; the last point, which may lie up to 1e-9 of
+    # a step past hi, is checked again
+    if not nu_s - hi > 0:
         raise DomainError("pump range reaches the signal frequency")
-    rel, extrapolated = grid_efficiency(plan.device, plan.signal_frequency_thz, nu_c)
-    peak = np.fmax.reduce(rel)  # nanmax, without its warning where every point is NaN
-    if not 0.0 < peak < math.inf:
-        raise DomainError("efficiency is zero or undefined over the whole range")
-    rel /= peak
+    step = step_ghz / 1000.0
+    nu_p = lo + step * np.arange(_grid_steps(hi - lo, step, "step_ghz") + 1)
+    nu_c = nu_s - nu_p
+    if not nu_c[-1] > 0:
+        raise DomainError("pump range reaches the signal frequency")
+    rel, extrapolated = grid_efficiency(plan.device, nu_s, nu_c)
+    rel /= rel[_peak_index(rel)]
     return EfficiencyCurve(nu_p, rel, extrapolated)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, DegenerateError, DomainError,
                      SingularityError)
+from .qpm import _grid_steps
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
 PAULI = (
@@ -314,10 +315,15 @@ def _saturation(power_mw, eta_max, eta_nor):
 
 
 def efficiency_model(power_mw, params: EfficiencyCurveParams):
-    """Conversion efficiency eta_max * sin^2(sqrt(eta_nor * P)) for P in mW."""
+    """Conversion efficiency eta_max * sin^2(sqrt(eta_nor * P)) for P in mW, where
+    eta_nor * P is finite: the product grows with P, so the largest power decides."""
     p = np.asarray(power_mw, dtype=float)
-    if not (np.isfinite(p) & (p >= 0.0)).all():
+    top = float(p.max(initial=0.0))  # NaN where a power is NaN
+    if not ((p >= 0.0).all() and top < math.inf):
         raise DomainError("pump power must be finite and non-negative")
+    if not float(params.eta_nor_per_mw) * top < math.inf:
+        raise DomainError(f"eta_nor * P overflows at {top:g} mW with eta_nor "
+                          f"{params.eta_nor_per_mw:g} /mW")
     out = _saturation(p, params.eta_max, params.eta_nor_per_mw)
     return float(out) if np.ndim(power_mw) == 0 else out
 
@@ -348,7 +354,9 @@ def fit_efficiency(power_mw, eta) -> EfficiencyFit:
     Levenberg-Marquardt-damped Gauss-Newton on (eta_max, eta_nor) with
     eta_max in [0, 1] projected in closed form after every step, started
     from the peak of the data: eta_nor = (pi/2)^2 / P at the largest
-    efficiency. It stops when a step changes eta_nor by at most
+    efficiency, or 1 / max P where that P is 0 or so near it that eta_nor * max P
+    overflows. A step or predicted reduction that is not finite is a
+    ``ConvergenceError``. It stops when a step changes eta_nor by at most
     ``_FIT_RTOL`` relative, or lowers the cost by at most ``_FIT_FTOL``
     relative: with large residuals Gauss-Newton converges slowly, and its
     last steps move eta_nor within a valley that rounding makes flat.
@@ -374,7 +382,9 @@ def fit_efficiency(power_mw, eta) -> EfficiencyFit:
                           f"{_FIT_SCALE:g}] mW and every efficiency within +-{_FIT_SCALE:g}")
 
     p_at_max = powers[etas.index(max(etas))]  # the first largest, as np.argmax
-    eta_nor = (np.pi / 2.0) ** 2 / p_at_max if p_at_max > 0 else 1.0 / max(powers)
+    eta_nor = (np.pi / 2.0) ** 2 / p_at_max if p_at_max > 0 else math.inf
+    if not eta_nor * max(powers) < math.inf:  # a peak at 0 mW, or so near it that
+        eta_nor = 1.0 / max(powers)           # eta_nor * P overflows
     s, a11, eta_max, r, cost = _projected_fit(p, e, eta_nor)
     if eta_max == 0.0:
         raise DegenerateError("efficiencies do not follow the saturation curve: the best "
@@ -395,9 +405,15 @@ def fit_efficiency(power_mw, eta) -> EfficiencyFit:
                 step_max, step = (a12 * g2 - d22 * g1) / det, (a12 * g1 - d11 * g2) / det
             else:  # eta_max on its upper bound: only eta_nor moves
                 step_max, step = 0.0, -g2 / det
-            # cost reduction the linearized model predicts for the step
-            predicted = -(2.0 * (g1 * step_max + g2 * step) + a11 * step_max ** 2
-                          + 2.0 * a12 * step_max * step + a22 * step ** 2)
+            # cost reduction the linearized model predicts for the step; it is not
+            # finite where a step is not, and a float's ** raises where it overflows
+            try:
+                predicted = -(2.0 * (g1 * step_max + g2 * step) + a11 * step_max ** 2
+                              + 2.0 * a12 * step_max * step + a22 * step ** 2)
+            except OverflowError:
+                predicted = math.inf
+            if not math.isfinite(predicted):
+                raise ConvergenceError("efficiency fit: Gauss-Newton step is not finite")
             small_step = abs(step) <= _FIT_RTOL * eta_nor
             trial = eta_nor + step
             trial_fit = _projected_fit(p, e, trial) if trial > 0.0 else None
@@ -443,7 +459,8 @@ def pump_balance(params_ccw: EfficiencyCurveParams, params_cw: EfficiencyCurvePa
     ratio grid that resolves the sin^2 oscillations is bisected, all together;
     a grid point where the gap is exactly 0 is a root as well. The equalizing
     split that converts best is returned. ``equalized`` is False when its gap
-    exceeds ``_EQUALIZED_TOL``.
+    exceeds ``_EQUALIZED_TOL``. The grid takes ``_BALANCE_GRID`` steps per piece, and
+    one that would take more steps than every grid may is a ``DomainError``.
     """
     if not 0 <= total_power_mw < np.inf:
         raise DomainError("total power must be finite and non-negative")
@@ -457,9 +474,13 @@ def pump_balance(params_ccw: EfficiencyCurveParams, params_cw: EfficiencyCurvePa
         return (_saturation(ratio * total_power_mw, max_ccw, nor_ccw)
                 - _saturation((1.0 - ratio) * total_power_mw, max_cw, nor_cw))
 
-    # sin^2(sqrt(eta_nor * P)) is monotone on pieces of pi/2 in sqrt(eta_nor * P)
-    pieces = np.sqrt(max(nor_ccw, nor_cw) * total_power_mw) / (0.5 * np.pi)
-    grid = np.linspace(0.0, 1.0, _BALANCE_GRID * (1 + int(pieces)) + 1)
+    # sin^2(sqrt(eta_nor * P)) is monotone on pieces of pi/2 in sqrt(eta_nor * P);
+    # the grid takes _BALANCE_GRID steps per piece, under the bound of every grid; the
+    # product is taken on Python floats, which overflow to inf without a warning
+    pieces = np.sqrt(float(max(nor_ccw, nor_cw)) * float(total_power_mw)) / (0.5 * np.pi)
+    steps = _grid_steps(1.0 + np.floor(pieces), 1.0 / _BALANCE_GRID,
+                        "pump_balance ratio grid", "sin^2 pieces")
+    grid = np.linspace(0.0, 1.0, steps + 1)
     gaps = gap(grid)
     below = gaps <= 0.0
     brackets = np.nonzero(below[:-1] != below[1:])[0]

@@ -27,8 +27,9 @@ _KERNEL_POINTS = 8192
 def _grid_steps(span: float, step: float, label: str, unit: str = "THz") -> int:
     """Whole steps of ``step`` in ``span``, a step short by 1e-9 counting as whole.
 
-    The one step/count rule of every frequency or wavelength grid; the caller checks
-    the shape of its range, lays out its own points and names its step in ``label``.
+    The one step/count rule of every grid (frequency, wavelength, pump_balance's ratio);
+    the caller checks the shape of its range first, lays out its own points and names
+    its step in ``label``.
     """
     if not (0 < step < math.inf and -math.inf < span < math.inf):
         raise DomainError(f"{label}: grid span must be finite and its step finite and positive")
@@ -37,6 +38,16 @@ def _grid_steps(span: float, step: float, label: str, unit: str = "THz") -> int:
         raise DomainError(f"{label}: grid of {steps:.17g} steps of {step:g} {unit} over "
                           f"{span:g} {unit} exceeds {_MAX_GRID_POINTS} steps")
     return int(steps)
+
+
+def _peak_index(efficiency) -> int:
+    """Index of the first highest defined efficiency of a grid, the one ``np.nanargmax``
+    gives: the one peak rule. A NaN point (n^2 < 0 when extrapolating) is never the
+    peak, and a grid with no point above 0, or none defined, has none."""
+    peak = np.fmax.reduce(efficiency)  # nanmax, without its warning where all are NaN
+    if not peak > 0.0:
+        raise DomainError("efficiency is zero or undefined over the whole range")
+    return int(np.argmax(efficiency == peak))  # no grid-sized copy: a bool per point
 
 
 @dataclass(frozen=True)
@@ -72,7 +83,7 @@ def _triple_um(nu_s, nu_c, lam_s_um=None, lam_c_um=None):
     """Signal, pump and converted wavelengths (um), nu_p = nu_s - nu_c; an exact wavelength
     the caller holds (one given in nm) is used as given, as c/(c/lambda) may differ."""
     nu_s, nu_c = np.asarray(nu_s, dtype=float), np.asarray(nu_c, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return (C_UM_THZ / nu_s if lam_s_um is None else lam_s_um, C_UM_THZ / (nu_s - nu_c),
                 C_UM_THZ / nu_c if lam_c_um is None else lam_c_um)
 
@@ -102,11 +113,12 @@ def _validity_bounds_nu_c(nu_s, model: SellmeierModel):
 def wavenumber_mismatch(model: SellmeierModel, temperature_c, nu_s_thz, nu_c_thz,
                         lam_s_um=None, lam_c_um=None):
     """k_s - k_p - k_c in rad/um at ``_triple_um``'s wavelengths, broadcasting.
-    Unchecked, so a scan can touch its window's edges; n^2 < 0 gives NaN."""
+    Unchecked, so a scan can touch its window's edges; n^2 < 0 gives NaN, and a
+    wavelength whose terms overflow gives inf or NaN, all without a warning."""
     def k(lam):
         return 2.0 * np.pi * np.sqrt(_n_squared(model, lam, temperature_c)) / lam
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         s, p, c = _triple_um(nu_s_thz, nu_c_thz, lam_s_um, lam_c_um)
         return k(s) - k(p) - k(c)
 

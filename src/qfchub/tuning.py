@@ -245,7 +245,7 @@ def _solve(signal_nm, target_nm: float, length_mm: float, temperature_c: float,
         raise DomainError(f"length must be finite and > 0, got {length_mm}")
     _require_validity(material, center.wavelength_um, temperature_c)
     nu_c0 = center.frequency_thz
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         nu_s = C_NM_THZ / signal_nm
         lams = _triple_um(nu_s, nu_c0, signal_nm / 1000.0, center.wavelength_um)
         d0 = wavenumber_mismatch(material, temperature_c, nu_s, nu_c0, lams[0], lams[2])

@@ -322,6 +322,13 @@ _SCAN = ["pm-scan", "--signal", "780", "--target", "1540"]
     pytest.param(["plan", "--curve", "--laser-min-nm", "1e5", "--laser-max-nm", "1e9"],
                  "efficiency is zero or undefined over the whole range\n",
                  id="curve-undefined"),
+    # the curve checks its range before it sizes its grid, so a range that reaches
+    # the signal frequency is what the error names, not the step
+    pytest.param(["plan", "--curve", "--laser-min-nm", "1e-9"],
+                 "pump range reaches the signal frequency\n", id="curve-laser-min-1e-9"),
+    # an anchor whose wavelength overflows is named, with no warning before it
+    pytest.param(["plan", "--grid-anchor-thz", "5e-324", "--grid-ports", "1"],
+                 "wavelength inf um must be finite and > 0\n", id="grid-anchor-5e-324"),
     # a value outside the fit never reads as the bound, inside the window, or at length
     pytest.param(["index", "399.99999"], "wavelength 0.39999999 um outside jundt1997 "
                  "validity [0.400, 5.000] um\n", id="index-just-below-fit"),
@@ -373,6 +380,16 @@ def test_non_finite_values_exit_2(argv, named, tmp_path, run_cli):
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stdout == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("signal, tag", [("1e160", "no_pump"), ("5e-324", "outside_fit"),
+                                         ("1e-310", "outside_fit")])
+def test_sweep_signal_whose_terms_overflow_is_a_quiet_row(signal, tag, tmp_path, run_cli):
+    # its frequency, wavelength or wavenumber overflows; the row is tagged, with no warning
+    summary = summary_of(run_cli(["hub-sweep", "--start", signal, "--stop", signal,
+                                  "--target", "1540"], tmp_path))
+    rows = read_schema_csv(tmp_path / summary["output"])
+    assert [row["limiting_constraint"] for row in rows] == [tag]
 
 
 def test_plan_up_to_the_fit(tmp_path, run_cli):
@@ -586,6 +603,18 @@ def test_fit_non_finite_or_negative_input_exits_2(tmp_path, run_cli):
         assert proc.returncode == 2, (name, proc.stderr)
         assert message in proc.stderr and len(proc.stderr.splitlines()) == 1, name
         assert proc.stdout == ""
+
+
+def test_fit_ends_in_a_fit_or_one_error_line(tmp_path, run_cli):
+    # a peak so near 0 mW that (pi/2)^2 / P overflows starts as a peak at 0 mW
+    (tmp_path / "near_zero.csv").write_text("P_mW,eta\n5e-324,0.9\n10,0.1\n20,0.2\n")
+    assert summary_of(run_cli(["fit", "--input", "near_zero.csv"], tmp_path))["eta_max"] == 1.0
+    # a Gauss-Newton step whose square overflows is a numeric error
+    (tmp_path / "steep.csv").write_text("P_mW,eta\n1e-300,1e10\n1e-10,0.52\n1e-10,0.99\n")
+    proc = run_cli(["fit", "--input", "steep.csv"], tmp_path)
+    assert proc.returncode == 3
+    assert proc.stderr == "numeric error: efficiency fit: Gauss-Newton step is not finite\n"
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -298,12 +298,32 @@ def test_curve_runs_in_bounded_slices(jundt):
 
 def test_curve_input_validation(jundt):
     # a descending laser range is LaserSpec's own check (test_grid_validation)
-    plan = plan_pumps(DwdmGrid(), SIGNAL_THZ, LaserSpec(700.0, 1600.0), 40.0, 48.0, jundt)
+    plan = plan_pumps(DwdmGrid(), SIGNAL_THZ, LaserSpec(), 40.0, 48.0, jundt)
     with pytest.raises(DomainError, match="step_ghz"):
         efficiency_curve_columns(plan, step_ghz=0.0)
-    # a pump below 780 nm lies above the signal frequency
-    with pytest.raises(DomainError, match="reaches the signal frequency"):
-        efficiency_curve_columns(plan)
+    # a pump below 780 nm lies above the signal frequency; the range is checked
+    # before the grid is sized, so the error never blames the step, and a range
+    # of 241,810 points at 1 GHz is rejected without laying them out
+    for laser_min_nm in (700.0, 1e-9, 1e-310):
+        reaching = plan_pumps(DwdmGrid(), SIGNAL_THZ, LaserSpec(laser_min_nm, 1600.0),
+                              40.0, 48.0, jundt)
+        for step_ghz in (1.0, 0.0):
+            tracemalloc.start()
+            try:
+                with pytest.raises(DomainError,
+                                   match="^pump range reaches the signal frequency$"):
+                    efficiency_curve_columns(reaching, step_ghz)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 100_000
+    # the range ends one ulp below the signal frequency, and the last point of
+    # the 1 GHz grid, which the range misses by less than 1e-9 of a step, lies past it
+    edge = LaserSpec(780.3031181676212, 788.5125144660686)
+    hi = C_NM_THZ / edge.min_wavelength_nm
+    assert hi < SIGNAL_THZ < C_NM_THZ / edge.max_wavelength_nm + 1e-3 * 4000
+    with pytest.raises(DomainError, match="^pump range reaches the signal frequency$"):
+        efficiency_curve_columns(plan_pumps(DwdmGrid(), SIGNAL_THZ, edge, 40.0, 48.0, jundt))
 
 
 def test_plan_laser_and_temperature_reach_band_and_curve(jundt):
@@ -312,6 +332,10 @@ def test_plan_laser_and_temperature_reach_band_and_curve(jundt):
     lo, hi, limits = pump_band(wide)
     assert (lo, hi) == pytest.approx((188.3901, 195.8099), abs=1e-4)
     assert limits == ("threshold", "threshold")
+    # C / 1e-310 nm overflows to an infinite laser bound, with no warning, and the
+    # threshold ends the band first
+    widest = plan_pumps(DwdmGrid(), SIGNAL_THZ, LaserSpec(1e-310, 1607.76), 40.0, 48.0, jundt)
+    assert pump_band(widest) == (188.390078125, 195.809921875, ("threshold", "threshold"))
     curve = efficiency_curve_columns(wide)
     assert curve.nu_p_thz[0] == C_NM_THZ / 1700.0
     assert C_NM_THZ / 1500.0 - 1e-3 < curve.nu_p_thz[-1] <= C_NM_THZ / 1500.0

@@ -515,6 +515,20 @@ def test_efficiency_model_rejects_non_finite_power_without_warning():
                     efficiency_model(power, params)
 
 
+def test_efficiency_model_rejects_overflowing_product_without_warning():
+    # eta_nor * P past the largest float: sin of inf would be NaN, after two warnings
+    for params, power in ((EfficiencyCurveParams(0.44, 1e300), 1e300),
+                          (EfficiencyCurveParams(0.44, 1e300), np.array([0.0, 1e10])),
+                          (EfficiencyCurveParams(0.44, np.float64(2.0)), np.float64(1e308))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^eta_nor \\* P overflows at "):
+                efficiency_model(power, params)
+    # up to the largest float the product is finite and the model defined
+    assert 0.0 <= efficiency_model(1e8, EfficiencyCurveParams(0.44, 1e300)) <= 0.44
+    assert efficiency_model(np.array([]), EfficiencyCurveParams(0.44, 1e300)).size == 0
+
+
 def test_fit_recovers_noiseless_parameters():
     powers = np.linspace(0.0, 250.0, 26)
     for eta_max, eta_nor in ((0.44, 0.013), (0.40, 0.018)):
@@ -595,6 +609,23 @@ def test_fit_converges_on_data_far_from_the_curve():
         fit = fit_efficiency(powers, rng.uniform(0.0, 2.0, n))
         assert 0.0 < fit.params.eta_max <= 1.0
         assert np.isfinite(fit.params.eta_nor_per_mw) and np.isfinite(fit.residual_norm)
+
+
+def test_fit_starts_as_at_0_mw_where_the_peak_quotient_overflows():
+    # (pi/2)^2 / P, or that times the largest power, overflows for a peak this
+    # near 0 mW: the fit starts from 1 / max P, as for a peak at 0 mW, and so
+    # gives that fit's bits (its s underflows to 0 there as at 0 mW)
+    at_zero = fit_efficiency([0.0, 10.0, 20.0], [0.9, 0.1, 0.2])
+    for near_zero in (5e-324, 1e-310, 4e-308):
+        assert fit_efficiency([near_zero, 10.0, 20.0], [0.9, 0.1, 0.2]) == at_zero
+
+
+def test_fit_non_finite_step_is_a_convergence_error():
+    # from the peak at 1e-300 mW eta_nor starts at 2.5e300 /mW, and a step's
+    # square overflows
+    with pytest.raises(ConvergenceError, match="^efficiency fit: Gauss-Newton step is "
+                                               "not finite$"):
+        fit_efficiency([1e-300, 1e-10, 1e-10], [1e10, 0.52, 0.99])
 
 
 def test_fit_singular_step_is_a_convergence_error():
@@ -731,6 +762,25 @@ def test_pump_balance_equals_full_bisection(ccw, cw, total):
     # totals below 100 mW keep both arms below saturation for eta_nor <= 0.024;
     # above it the gap has several roots
     assert pump_balance(ccw, cw, total) == pump_balance_full_bisection(ccw, cw, total)
+
+
+def test_pump_balance_ratio_grid_is_bounded():
+    # 256 steps per monotone piece of sin^2, at most 1,000,000 steps as every grid
+    ccw, cw = EfficiencyCurveParams(0.44, 1.0), EfficiencyCurveParams(0.40, 0.9)
+    inside = (3905.5 * math.pi / 2.0) ** 2  # 999,936 steps
+    assert pump_balance(ccw, cw, inside) == pump_balance_full_bisection(ccw, cw, inside)
+    past = (3906.5 * math.pi / 2.0) ** 2  # 1,000,192 steps
+    with pytest.raises(DomainError, match="^pump_balance ratio grid: grid of 1000192 "
+                                          "steps of 0.00390625 sin\\^2 pieces over 3907 "):
+        pump_balance(ccw, cw, past)
+    # eta_nor * P overflows, so the count of pieces is infinite
+    huge_ccw, huge_cw = EfficiencyCurveParams(0.44, 1e200), EfficiencyCurveParams(0.40, 1e200)
+    with pytest.raises(DomainError, match="^pump_balance ratio grid: "):
+        pump_balance(huge_ccw, huge_cw, 1e200)
+    with pytest.raises(DomainError, match="^pump_balance ratio grid: "):  # no warning first
+        pump_balance(EfficiencyCurveParams(0.44, np.float64(1e200)), huge_cw, np.float64(1e200))
+    with pytest.raises(DomainError, match="^pump_balance ratio grid: grid of 162974720 "):
+        pump_balance(EfficiencyCurveParams(0.44, 1e3), EfficiencyCurveParams(0.40, 1e3), 1e9)
 
 
 def test_curve_params_reject_non_finite():

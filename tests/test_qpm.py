@@ -11,7 +11,7 @@ from qfchub import (DeviceConfig, DomainError, SpectralPoint, ValidityError, gro
                     wavenumber_mismatch)
 from qfchub import qpm
 from qfchub.constants import C_NM_THZ, C_UM_THZ
-from qfchub.qpm import (_MAX_GRID_POINTS, _grid_steps, _in_fit, _triple_um,
+from qfchub.qpm import (_MAX_GRID_POINTS, _grid_steps, _in_fit, _peak_index, _triple_um,
                         _validity_bounds_nu_c, grating_mismatch, grid_efficiency)
 
 # Frozen from a standalone evaluation of 2*pi/(k_s - k_p - k_c) with the
@@ -88,6 +88,21 @@ def test_grid_steps_rule_and_bound():
                               (600.0, 1e-300, r"5.9999999999999997e\+302"), (1e10, 1e-310, "inf")):
         with pytest.raises(DomainError, match=f"^step_ghz: grid of {count} steps "):
             _grid_steps(span, step, "step_ghz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, float("nan")]) | st.floats(0.0, 1.0),
+                min_size=1, max_size=40))
+def test_peak_index_is_the_first_highest_defined_point(values):
+    # pm-scan's peak and the curve's divisor: np.nanargmax's index, or the
+    # whole-range error where no point is defined and above 0
+    efficiency = np.array(values)
+    if np.all(np.isnan(efficiency) | (efficiency == 0.0)):
+        with pytest.raises(DomainError, match="^efficiency is zero or undefined over the "
+                                              "whole range$"):
+            _peak_index(efficiency)
+    else:
+        assert _peak_index(efficiency) == np.nanargmax(efficiency)
 
 
 def test_grid_efficiency_slices_stitch_to_one_call(jundt, monkeypatch):
