@@ -2,10 +2,12 @@
 
 CSV files carry a versioned ``# schema=N`` comment line ahead of the header
 so downstream plot scripts break loudly when the layout changes.
-``write_csv`` and ``write_records`` format and write the rows ``_CHUNK_ROWS``
-at a time, so a file's text is never held whole. Every file is written as
-bytes (UTF-8; JSON is ASCII). A CSV chunk is handed over as bytes, no ``str``
-copy is made, and each stage of its text is freed once the next one exists.
+``write_csv`` formats the rows ``_CHUNK_ROWS`` at a time, a column at a time,
+and hands the text over ``_TEXT_ROWS`` lines at a time; ``write_records`` dumps
+``_TEXT_ROWS`` records at a time. So a file's text is never held whole, and no
+text buffer outgrows the slice. Every file is written as bytes (UTF-8; JSON is
+ASCII). A CSV slice is handed over as bytes, no ``str`` copy is made, and each
+stage of its text is freed once the next one exists.
 
 A CSV layout is one ``(column name, places)`` pair per column. Places N
 (0–18) writes ``format(x, f".{N}f")``; None writes a bool as true/false and an
@@ -28,7 +30,10 @@ import numpy as np
 from .errors import DomainError
 
 CSV_SCHEMA = 1
-_CHUNK_ROWS = 8_192
+_CHUNK_ROWS = 8_192  # rows per column kernel call: numpy's per-call cost spread thin
+# lines per text buffer: 110 KiB of padded spectrum text, under glibc's 128 KiB
+# mmap threshold, so the buffers reuse freed heap instead of fresh pages
+_TEXT_ROWS = 2_048
 
 # A chunk's text is an (rows, bytes) uint8 block with its NUL bytes dropped, so
 # every field is right-aligned text padded with NUL.
@@ -99,8 +104,10 @@ def _constant(text: bytes, rows: int) -> np.ndarray:
     return np.broadcast_to(np.frombuffer(text, np.uint8), (rows, len(text)))
 
 
-def _chunk_text(places, chunk: list) -> bytes:
-    """The lines of one chunk, each stage freed as soon as the next one exists."""
+def _chunk_text(places, chunk: list) -> Iterator[bytes]:
+    """The lines of one chunk, ``_TEXT_ROWS`` at a time: each slice of the blocks
+    is joined, copied out and stripped of its NULs, each stage freed as soon as
+    the next one exists."""
     rows = len(chunk[0])
     blocks = []
     for column, decimals in zip(chunk, places):
@@ -108,23 +115,22 @@ def _chunk_text(places, chunk: list) -> bytes:
                    else _fixed_blocks(column, decimals))
         blocks.append(_constant(b",", rows))
     blocks[-1] = _constant(b"\n", rows)
-    text = np.concatenate(blocks, axis=1)
-    del blocks
-    padded = text.tobytes()
-    del text
-    return padded.translate(None, b"\0")
+    for start in range(0, rows, _TEXT_ROWS):
+        yield np.concatenate([b[start:start + _TEXT_ROWS] for b in blocks],
+                             axis=1).tobytes().translate(None, b"\0")
 
 
 def csv_chunks(places, *columns) -> Iterator[bytes]:
     """The lines of the columns' rows, a field per entry of ``places``, joined by
-    commas; ``_CHUNK_ROWS`` lines at a time as UTF-8. Columns are arrays, lists
-    or ranges of equal length."""
+    commas; as UTF-8, in pieces of at most ``_TEXT_ROWS`` whole lines, formatted
+    ``_CHUNK_ROWS`` rows at a time. Columns are arrays, lists or ranges of equal
+    length."""
     if any(p is not None and p not in range(_MAX_PLACES + 1) for p in places):
         raise ValueError(f"places {places} are not each None or 0 to {_MAX_PLACES}")
     if len(columns) != len(places):
         raise ValueError(f"{len(columns)} columns for the {len(places)} places {places}")
     for start in range(0, len(columns[0]), _CHUNK_ROWS):
-        yield _chunk_text(places, [c[start:start + _CHUNK_ROWS] for c in columns])
+        yield from _chunk_text(places, [c[start:start + _CHUNK_ROWS] for c in columns])
 
 
 @contextmanager
@@ -140,7 +146,7 @@ def _created(path: Path):
 
 def write_csv(path: str | Path, layout, *columns) -> Path:
     """The schema line, the names of ``layout``'s (name, places) pairs as the
-    header, then the rows of the columns by ``csv_chunks``, a chunk at a time."""
+    header, then the rows of the columns by ``csv_chunks``, a piece at a time."""
     names, places = zip(*layout)
     path = Path(path)
     with _created(path) as stream:
@@ -151,13 +157,13 @@ def write_csv(path: str | Path, layout, *columns) -> Path:
 
 def write_records(path: str | Path, record, *columns) -> Path:
     """``json.dumps(records, indent=2)`` and a newline, record i being ``record`` of
-    row i of the columns, as ``tolist()`` gives it; each chunk of ``_CHUNK_ROWS``
+    row i of the columns, as ``tolist()`` gives it; each slice of ``_TEXT_ROWS``
     records is dumped as one list, written without its brackets, after a comma."""
     path = Path(path)
     with _created(path) as stream:
         stream.write(b"[")
-        for start in range(0, len(columns[0]), _CHUNK_ROWS):
-            rows = (np.asarray(c[start:start + _CHUNK_ROWS]).tolist() for c in columns)
+        for start in range(0, len(columns[0]), _TEXT_ROWS):
+            rows = (np.asarray(c[start:start + _TEXT_ROWS]).tolist() for c in columns)
             text = json.dumps(list(map(record, *rows)), indent=2)
             stream.write((("," if start else "") + text[1:-2]).encode())
         stream.write(b"\n]\n" if len(columns[0]) else b"]\n")

@@ -348,6 +348,11 @@ def _projected_fit(p: np.ndarray, e: np.ndarray, eta_nor: float):
     return s, norm, eta_max, r, float(r.dot(r))
 
 
+def _no_curve_fits(eta_nor: float) -> DegenerateError:
+    return DegenerateError(f"efficiencies do not follow the saturation curve: the best "
+                           f"eta_max at eta_nor {eta_nor:g} /mW is 0; nothing to fit")
+
+
 def fit_efficiency(power_mw, eta) -> EfficiencyFit:
     """Least-squares fit of the saturation curve to (power, efficiency) data.
 
@@ -355,11 +360,12 @@ def fit_efficiency(power_mw, eta) -> EfficiencyFit:
     eta_max in [0, 1] projected in closed form after every step, started
     from the peak of the data: eta_nor = (pi/2)^2 / P at the largest
     efficiency, or 1 / max P where that P is 0 or so near it that eta_nor * max P
-    overflows. A step or predicted reduction that is not finite is a
-    ``ConvergenceError``. It stops when a step changes eta_nor by at most
-    ``_FIT_RTOL`` relative, or lowers the cost by at most ``_FIT_FTOL``
-    relative: with large residuals Gauss-Newton converges slowly, and its
-    last steps move eta_nor within a valley that rounding makes flat.
+    overflows. A start or an accepted step whose best eta_max is 0 is a
+    ``DegenerateError`` naming its eta_nor; a step or predicted reduction that
+    is not finite is a ``ConvergenceError``. It stops when a step changes
+    eta_nor by at most ``_FIT_RTOL`` relative, or lowers the cost by at most
+    ``_FIT_FTOL`` relative: with large residuals Gauss-Newton converges slowly,
+    and its last steps move eta_nor within a valley that rounding makes flat.
     """
     p = np.asarray(power_mw, dtype=float)
     e = np.asarray(eta, dtype=float)
@@ -387,8 +393,7 @@ def fit_efficiency(power_mw, eta) -> EfficiencyFit:
         eta_nor = 1.0 / max(powers)           # eta_nor * P overflows
     s, a11, eta_max, r, cost = _projected_fit(p, e, eta_nor)
     if eta_max == 0.0:
-        raise DegenerateError("efficiencies do not follow the saturation curve: the best "
-                              "eta_max at the peak's eta_nor is 0; nothing to fit")
+        raise _no_curve_fits(eta_nor)
     damping = _FIT_DAMPING
     for _ in range(_FIT_MAX_STEPS):
         # normal equations of J = (s, eta_max * ds/deta_nor); .dot is @ without its dispatch
@@ -421,6 +426,8 @@ def fit_efficiency(power_mw, eta) -> EfficiencyFit:
                 reduction = cost - trial_fit[-1]
                 eta_nor = trial
                 s, a11, eta_max, r, cost = trial_fit
+                if eta_max == 0.0:  # the next step's normal equations would be singular
+                    raise _no_curve_fits(eta_nor)
                 # gain-ratio rule: damp more where the model overpromised
                 # (Gauss-Newton overshoots where the residuals are large)
                 if reduction < 0.25 * predicted:

@@ -615,6 +615,13 @@ def test_fit_ends_in_a_fit_or_one_error_line(tmp_path, run_cli):
     assert proc.returncode == 3
     assert proc.stderr == "numeric error: efficiency fit: Gauss-Newton step is not finite\n"
     assert proc.stdout == ""
+    # a step to eta_max = 0 is degenerate data, not a bad parameter of the caller's
+    (tmp_path / "zero.csv").write_text("P_mW,eta\n0,0\n5,1\n200,0.3\n500,-1e18\n")
+    proc = run_cli(["fit", "--input", "zero.csv"], tmp_path)
+    assert proc.returncode == 3
+    assert proc.stderr == ("numeric error: efficiencies do not follow the saturation curve: "
+                           "the best eta_max at eta_nor 265.296 /mW is 0; nothing to fit\n")
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -696,32 +703,37 @@ def _pinned_cases(kind):
     return pytest.mark.parametrize("argv, digests", cases, ids=[a[-1] for a, _ in cases])
 
 
-def _main_in_chunks(argv, digests, chunk, tmp_path, monkeypatch, capsys):
-    # a command in process, its writers working ``chunk`` rows at a time
+def _main_in_chunks(argv, digests, chunk, text, tmp_path, monkeypatch, capsys):
+    # a command in process, its CSV kernels working ``chunk`` rows at a time and
+    # its writers handing over ``text`` rows at a time
     monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(emit, "_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(emit, "_TEXT_ROWS", text)
     assert main(argv) == 0, capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(digests)
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
-@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("text", [1, 7])
 @_pinned_cases("json")
-def test_json_files_match_pinned_digests_in_any_chunk(argv, digests, chunk, tmp_path,
+def test_json_files_match_pinned_digests_in_any_chunk(argv, digests, text, tmp_path,
                                                       monkeypatch, capsys):
-    # the records writer in chunks of 1 and 7 rows: the same bytes
-    _main_in_chunks(argv, digests, chunk, tmp_path, monkeypatch, capsys)
+    # the records writer dumping 1 and 7 records at a time: the same bytes
+    _main_in_chunks(argv, digests, emit._CHUNK_ROWS, text, tmp_path, monkeypatch, capsys)
 
 
-@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("chunk, text", [pytest.param(1, 1, id="1"), pytest.param(7, 7, id="7"),
+                                         pytest.param(7, 1, id="7-1"),
+                                         pytest.param(7, 3, id="7-3")])
 @_pinned_cases("csv")
-def test_csv_files_match_pinned_digests_in_any_chunk(argv, digests, chunk, tmp_path,
+def test_csv_files_match_pinned_digests_in_any_chunk(argv, digests, chunk, text, tmp_path,
                                                      monkeypatch, capsys):
     # the column kernel in chunks of 1 and 7 rows, where the width of every
-    # field changes from chunk to chunk: the same bytes
-    _main_in_chunks(argv, digests, chunk, tmp_path, monkeypatch, capsys)
+    # field changes from chunk to chunk, its text in slices of 1, 3 and 7 rows
+    # inside them: the same bytes
+    _main_in_chunks(argv, digests, chunk, text, tmp_path, monkeypatch, capsys)
 
 
 def test_chi_payload_layout():

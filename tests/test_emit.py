@@ -21,17 +21,20 @@ def _columns(rows):
     return flags, counts, names, values
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
 @pytest.mark.parametrize("rows", [0, 1, 2, 3, 4, 7])
 def test_write_csv_chunks_give_the_same_bytes(chunk, rows, tmp_path, monkeypatch):
+    # kernels on chunks of 1 to 7 rows, their text in slices of 1, 3 or the chunk
     monkeypatch.setattr(emit, "_CHUNK_ROWS", chunk)
     columns = _columns(rows)
     lines = ["# schema=1", "flag,count,name,value"]
     lines += [f"{'true' if f else 'false'},{int(c)},{n},{v:.3f}"
               for f, c, n, v in zip(*columns)]
-    path = write_csv(tmp_path / "out" / "t.csv", _LAYOUT, *columns)
-    assert path == tmp_path / "out" / "t.csv"
-    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    for text in (1, 3, chunk):
+        monkeypatch.setattr(emit, "_TEXT_ROWS", text)
+        path = write_csv(tmp_path / "out" / "t.csv", _LAYOUT, *columns)
+        assert path == tmp_path / "out" / "t.csv"
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode(), text
 
 
 @st.composite
@@ -107,20 +110,35 @@ def test_write_csv_never_holds_the_file_text(jundt, tmp_path, monkeypatch):
     assert peak - kept < path.stat().st_size
 
 
-def test_write_csv_holds_a_chunk_once(jundt, tmp_path):
-    # the 8,001-row 934 nm paper spectrum is one chunk at the default size; its
-    # write peaks, above what the call keeps, at less than 3x the file: no more
-    # than two stages of the chunk's text (blocks, padded, final) live at once
+def _paper_spectrum_934(jundt):
+    # pm_scan_934_L40.csv: 8,001 rows, one kernel chunk and four text slices
     device = make_device(934.0, 1540.0, 40.0, 48.0, jundt)
     spectrum = pm_spectrum_columns(934.0, 1540.0, device, 20.0, 5.0)
     assert spectrum.efficiency.size == 8_001 <= emit._CHUNK_ROWS
+    return spectrum
+
+
+def test_write_csv_holds_a_chunk_once(jundt, tmp_path):
+    # the write of the 8,001-row 934 nm paper spectrum peaks, above what the call
+    # keeps, at less than 2.1x the file (2.05x measured): the chunk's field blocks
+    # (1.15x) and one column's kernel. Whole-chunk text stages (blocks, padded,
+    # final; 2.31x) would pass 2.1x; 2,048-line slices of them stay under it.
+    spectrum = _paper_spectrum_934(jundt)
     tracemalloc.start()
     try:
         path = write_csv(tmp_path / "spectrum.csv", SPECTRUM_CSV, *spectrum)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - kept < 3 * path.stat().st_size
+    assert peak - kept < 2.1 * path.stat().st_size
+
+
+def test_csv_pieces_hold_at_most_a_text_slice(jundt):
+    # csv_chunks hands the paper spectrum over as whole lines, _TEXT_ROWS at most
+    spectrum = _paper_spectrum_934(jundt)
+    places = [p for _, p in SPECTRUM_CSV]
+    lines = [piece.count(b"\n") for piece in csv_chunks(places, *spectrum)]
+    assert lines == [emit._TEXT_ROWS] * 3 + [8_001 - 3 * emit._TEXT_ROWS]
 
 
 def _record(flag, count, name, value):
@@ -128,11 +146,12 @@ def _record(flag, count, name, value):
             "value": None if np.isnan(value) else value, "pair": [count, [name, flag]]}
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("text", [1, 2, 3])
 @pytest.mark.parametrize("rows", [0, 1, 2, 3, 4, 7])
-def test_write_records_chunks_give_the_same_bytes(chunk, rows, tmp_path, monkeypatch):
-    # bool, int, str, float, NaN as null and a nested list, from arrays and lists
-    monkeypatch.setattr(emit, "_CHUNK_ROWS", chunk)
+def test_write_records_chunks_give_the_same_bytes(text, rows, tmp_path, monkeypatch):
+    # bool, int, str, float, NaN as null and a nested list, from arrays and lists,
+    # dumped 1 to 3 records at a time
+    monkeypatch.setattr(emit, "_TEXT_ROWS", text)
     flags, counts, names, values = _columns(rows)
     values[1::3] = np.nan
     records = list(map(_record, flags.tolist(), counts.tolist(), names, values.tolist()))
@@ -144,7 +163,7 @@ def test_write_records_chunks_give_the_same_bytes(chunk, rows, tmp_path, monkeyp
 
 def test_write_records_never_holds_the_file_text(jundt, tmp_path, monkeypatch):
     # as test_write_csv_never_holds_the_file_text, for the JSON records
-    monkeypatch.setattr(emit, "_CHUNK_ROWS", 1000)
+    monkeypatch.setattr(emit, "_TEXT_ROWS", 1000)
     device = make_device(780.0, 1540.0, 40.0, 48.0, jundt)
     spectrum = pm_spectrum_columns(780.0, 1540.0, device, 5.0, 0.1)
     assert spectrum.efficiency.size == 100_001

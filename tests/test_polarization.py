@@ -599,6 +599,23 @@ def test_fit_without_positive_overlap_is_degenerate():
         fit_efficiency(powers, etas)
 
 
+@pytest.mark.parametrize("powers, etas, eta_nor", [
+    pytest.param([0.0, 5.0, 200.0, 500.0], [0.0, 1.0, 0.3, -1e18], "265.296", id="simple"),
+    pytest.param([1933.5125533217058, 5.566830267895918e-216, 0.0, 659.3578274061222,
+                  912.3526995193558, 1e-310],
+                 [-0.7389560321512372, 0.65563955944659, 0.5210225040441936,
+                  1.4345381711129792, 3.071411419221875e-63, -4.255983499541892e+22],
+                 "0.00968011", id="fuzzed")])
+def test_fit_step_to_zero_eta_max_is_degenerate(powers, etas, eta_nor):
+    # the start has eta_max > 0; a step whose cost rounds to that of the zero curve
+    # is accepted at eta_max = 0, which no saturation curve can continue from
+    with pytest.raises(DegenerateError, match=rf"^efficiencies do not follow the saturation "
+                                              rf"curve: the best eta_max at eta_nor "
+                                              rf"{eta_nor} /mW is 0; nothing to fit$"):
+        fit_efficiency(powers, etas)
+    assert_fit_as_reference(powers, etas)
+
+
 def test_fit_converges_on_data_far_from_the_curve():
     # large residuals: Gauss-Newton overshoots or crawls, and rounding
     # flattens the last steps; the fit must still stop, inside its bounds
@@ -895,9 +912,10 @@ def fit_efficiency_reference(power_mw, eta):
     p_at_max = float(p[int(np.argmax(e))])
     eta_nor = (np.pi / 2.0) ** 2 / p_at_max if p_at_max > 0 else 1.0 / float(np.max(p))
     s, a11, eta_max, r, cost = _projected_fit_reference(p, e, eta_nor)
+    no_curve_fits = ("efficiencies do not follow the saturation curve: the best eta_max "
+                     "at eta_nor {:g} /mW is 0; nothing to fit")
     if eta_max == 0.0:
-        raise DegenerateError("efficiencies do not follow the saturation curve: the best "
-                              "eta_max at the peak's eta_nor is 0; nothing to fit")
+        raise DegenerateError(no_curve_fits.format(eta_nor))
     damping = _FIT_DAMPING
     for _ in range(_FIT_MAX_STEPS):
         # normal equations J^T J, J^T r of J = (s, eta_max * ds/deta_nor)
@@ -924,6 +942,8 @@ def fit_efficiency_reference(power_mw, eta):
                 reduction = cost - trial_fit[-1]
                 eta_nor = trial
                 s, a11, eta_max, r, cost = trial_fit
+                if eta_max == 0.0:
+                    raise DegenerateError(no_curve_fits.format(eta_nor))
                 # gain-ratio rule: damp more where the model overpromised
                 # (Gauss-Newton overshoots where the residuals are large)
                 if reduction < 0.25 * predicted:
