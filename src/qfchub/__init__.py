@@ -22,8 +22,8 @@ from .errors import (ConfigError, ConvergenceError, DegenerateError, DomainError
 from .qpm import (DeviceConfig, group_index_mismatch, make_device,
                   phase_mismatch_vs_converted, pm_efficiency, pump_for,
                   solve_poling_period, wavenumber_mismatch)
-from .tuning import (HubSweepPoint, Spectrum, SweetSpotReport, TuningConstraints,
-                     TuningResult, hub_sweep, pm_spectrum_columns,
+from .tuning import (HubSweepPoint, Spectrum, Sweep, SweetSpotReport, TuningConstraints,
+                     TuningResult, hub_sweep, hub_sweep_columns, pm_spectrum_columns,
                      sweet_spot_report, tuning_range)
 
 __version__ = "0.1.0"
@@ -58,8 +58,8 @@ __all__ = [
     "phase_mismatch_vs_converted", "pm_efficiency", "pump_for",
     "solve_poling_period", "wavenumber_mismatch",
     # tuning
-    "HubSweepPoint", "Spectrum", "SweetSpotReport", "TuningConstraints",
-    "TuningResult", "hub_sweep", "pm_spectrum_columns",
+    "HubSweepPoint", "Spectrum", "Sweep", "SweetSpotReport", "TuningConstraints",
+    "TuningResult", "hub_sweep", "hub_sweep_columns", "pm_spectrum_columns",
     "sweet_spot_report", "tuning_range",
 ]
 

@@ -28,7 +28,7 @@ from .emit import csv_chunks, read_two_column_csv, write_csv, write_json, write_
 from .errors import (ConfigError, ConvergenceError, DegenerateError, DomainError,
                      RangeError, SingularityError, ValidityError)
 from .qpm import _peak_index, make_device
-from .tuning import (HubSweepPoint, TuningResult, hub_sweep, pm_spectrum_columns,
+from .tuning import (_LIMITS, Sweep, TuningResult, hub_sweep_columns, pm_spectrum_columns,
                      sweet_spot_report, tuning_range)
 
 # the polarization layer is imported by the handlers that model the channel,
@@ -76,17 +76,28 @@ SPECTRUM_JSON = _spectrum_record
 PLAN_JSON = _rounded(PLAN_CSV, nu_c_THz=6, nu_p_THz=6)
 
 
-def tuning_result_payload(result: TuningResult, threshold: float) -> dict:
-    """A tuning result, rounded as ``SWEEP_CSV`` is, with the threshold convention noted."""
+def _tuning_record(threshold: float, lo, hi, width_nm, width_thz, channels, limit) -> dict:
+    """A tuning interval's row, rounded as ``SWEEP_CSV`` is, with the threshold
+    convention noted."""
     places = dict(SWEEP_CSV)
-    lo, hi = result.converted_interval_nm
     return {"converted_interval_nm": [round(lo, places["lo_nm"]), round(hi, places["hi_nm"])],
-            "width_nm": round(result.width_nm, places["width_nm"]),
-            "width_THz": round(result.width_thz, places["width_THz"]),
-            "channels": result.channel_count,
-            "limiting_constraint": result.limiting_constraint,
+            "width_nm": round(width_nm, places["width_nm"]),
+            "width_THz": round(width_thz, places["width_THz"]),
+            "channels": channels,
+            "limiting_constraint": limit,
             "threshold": threshold,
             "threshold_reference": "fraction of peak efficiency within the scan window"}
+
+
+def tuning_result_payload(result: TuningResult, threshold: float) -> dict:
+    """A tuning result, rounded as ``SWEEP_CSV`` is, with the threshold convention noted."""
+    return _tuning_record(threshold, *result.converted_interval_nm, result.width_nm,
+                          result.width_thz, result.channel_count, result.limiting_constraint)
+
+
+def _sweep_table(sweep: Sweep) -> tuple:
+    """The columns of ``SWEEP_CSV``: the sweep's, its limit codes written as their names."""
+    return (*sweep[:-1], np.array(_LIMITS)[sweep.limit])
 
 
 def chi_payload(process: ProcessMatrix) -> dict:
@@ -278,6 +289,7 @@ def cmd_pm_scan(config: RunConfig, args: argparse.Namespace) -> dict:
         write_csv(out, SPECTRUM_CSV, *spectrum)
     return {"signal_nm": args.signal, "target_nm": args.target,
             "points": spectrum.efficiency.size,
+            "extrapolated_points": int(np.count_nonzero(spectrum.extrapolated)),
             "peak_lambda_c_nm": round(float(spectrum.lambda_c_nm[peak]), 4),
             "poling_period_um": round(device.poling_period_um, 6),
             "output": str(out)}
@@ -297,8 +309,10 @@ def cmd_tuning_range(config: RunConfig, args: argparse.Namespace) -> dict:
         if config.output_format == "json":
             write_json(config.output, summary)
         else:
-            point = HubSweepPoint(args.signal, result)
-            write_csv(config.output, SWEEP_CSV, *_sweep_columns([point]))
+            lo, hi = result.converted_interval_nm
+            write_csv(config.output, SWEEP_CSV, *([value] for value in (
+                args.signal, lo, hi, result.width_nm, result.width_thz,
+                result.channel_count, result.limiting_constraint)))
         summary["output"] = config.output
     return summary
 
@@ -310,28 +324,26 @@ def cmd_sweet_spot(config: RunConfig, args: argparse.Namespace) -> dict:
             "midpoint_nm": round(report.midpoint_nm, 4)}
 
 
-def _sweep_columns(points: list[HubSweepPoint]) -> list[tuple]:
-    """The columns of ``SWEEP_CSV``, transposed from the sweep's points."""
-    return list(zip(*((p.signal_nm, *p.tuning.converted_interval_nm, p.tuning.width_nm,
-                       p.tuning.width_thz, p.tuning.channel_count,
-                       p.tuning.limiting_constraint) for p in points)))
-
-
 def cmd_hub_sweep(config: RunConfig, args: argparse.Namespace) -> dict:
     model = config.model()
     constraints = config.tuning_constraints()
-    points = hub_sweep((args.start, args.stop), args.step, args.target,
-                       config.length_mm, config.temperature_c, model, constraints)
+    sweep = hub_sweep_columns((args.start, args.stop), args.step, args.target,
+                              config.length_mm, config.temperature_c, model, constraints)
     out = Path(config.output or f"hub_sweep.{config.output_format}")
+    threshold = constraints.efficiency_threshold
     if config.output_format == "json":
-        write_records(out, lambda p: {"signal_nm": p.signal_nm, **tuning_result_payload(
-            p.tuning, constraints.efficiency_threshold)}, points)
+        write_records(out, lambda signal, *row: {"signal_nm": signal,
+                                                 **_tuning_record(threshold, *row)},
+                      *_sweep_table(sweep))
     else:
-        write_csv(out, SWEEP_CSV, *_sweep_columns(points))
-    widest = max(points, key=lambda p: p.tuning.width_nm)
-    return {"target_nm": args.target, "points": len(points),
-            "max_width_nm": round(widest.tuning.width_nm, 4),
-            "max_width_signal_nm": widest.signal_nm, "output": str(out)}
+        write_csv(out, SWEEP_CSV, *_sweep_table(sweep))
+    widest = int(np.argmax(sweep.width_nm))  # the first widest row, as max() picks
+    counts = np.bincount(sweep.limit, minlength=len(_LIMITS)).tolist()
+    return {"target_nm": args.target, "points": sweep.signal_nm.size,
+            "max_width_nm": round(float(sweep.width_nm[widest]), 4),
+            "max_width_signal_nm": float(sweep.signal_nm[widest]),
+            "limit_counts": {name: n for name, n in zip(_LIMITS, counts) if n},
+            "output": str(out)}
 
 
 def _pump_plan(config: RunConfig, model, center_frequency_thz: float | None) -> PumpPlan:
@@ -370,6 +382,7 @@ def cmd_plan(config: RunConfig, args: argparse.Namespace) -> dict:
         summary["curve_output"] = str(curve_out)
         summary["band_90_THz"] = [round(lo, 4), round(hi, 4)]
         summary["band_limits"] = list(limits)
+        summary["extrapolated_points"] = int(np.count_nonzero(curve.extrapolated))
     return summary
 
 
@@ -438,9 +451,9 @@ def cmd_reproduce_paper(config: RunConfig, args: argparse.Namespace) -> dict:
 
     sweep_constraints = replace(config.tuning_constraints(), constraint_value_nm=20.0,
                                 constraint_mode="min_pump_converted_separation")
-    sweeps = [(name, _sweep_columns(hub_sweep((400.0, 1000.0), args.sweep_step, target,
-                                              config.length_mm, config.temperature_c,
-                                              model, sweep_constraints)))
+    sweeps = [(name, _sweep_table(hub_sweep_columns((400.0, 1000.0), args.sweep_step, target,
+                                                    config.length_mm, config.temperature_c,
+                                                    model, sweep_constraints)))
               for target, name in ((1540.0, "sweep_cband.csv"),
                                    (1310.0, "sweep_oband.csv"))]
 

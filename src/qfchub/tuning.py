@@ -78,7 +78,7 @@ class TuningConstraints:
                     "channel_spacing_ghz")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TuningResult:
     """A converted-wavelength tuning interval and its DWDM capacity."""
 
@@ -93,10 +93,24 @@ class TuningResult:
         return self.width_nm == 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HubSweepPoint:
     signal_nm: float
     tuning: TuningResult
+
+
+class Sweep(NamedTuple):
+    """Tuning intervals as columns, one array entry per signal: the converted
+    interval [lo_nm, hi_nm], its widths, its channel count and the ``_LIMITS``
+    code of its limiting constraint."""
+
+    signal_nm: np.ndarray
+    lo_nm: np.ndarray
+    hi_nm: np.ndarray
+    width_nm: np.ndarray
+    width_thz: np.ndarray
+    channels: np.ndarray
+    limit: np.ndarray
 
 
 class Spectrum(NamedTuple):
@@ -226,8 +240,9 @@ def _band(material: SellmeierModel, temperature_c: float, length_mm: float, peri
 
 
 def _solve(signal_nm, target_nm: float, length_mm: float, temperature_c: float,
-           material: SellmeierModel, constraints: TuningConstraints) -> list[TuningResult]:
-    """Tuning intervals of many signals around one target, all solved together.
+           material: SellmeierModel, constraints: TuningConstraints) -> Sweep:
+    """Tuning intervals of many signals around one target, all solved together, as
+    the columns of a ``Sweep``.
 
     What every signal shares is checked once, and a fault raises for the whole
     call: the target, the length, and the target and temperature against the
@@ -283,10 +298,16 @@ def _solve(signal_nm, target_nm: float, length_mm: float, temperature_c: float,
     width_thz[live] = edge[1] - edge[0]
     channels = np.floor(width_thz * 1000.0 / constraints.channel_spacing_ghz)
     limit[live] = tag.max(axis=0)
-    return [TuningResult((lo, hi), width_nm, width, count, _LIMITS[code])
-            for lo, hi, width_nm, width, count, code in zip(
-                lam_lo.tolist(), lam_hi.tolist(), (lam_hi - lam_lo).tolist(),
-                width_thz.tolist(), channels.astype(int).tolist(), limit.tolist())]
+    return Sweep(signal_nm, lam_lo, lam_hi, lam_hi - lam_lo, width_thz, channels.astype(int),
+                 limit)
+
+
+def _points(sweep: Sweep) -> list[HubSweepPoint]:
+    """The rows of a sweep as points of plain Python values."""
+    return [HubSweepPoint(signal, TuningResult((lo, hi), width_nm, width_thz, channels,
+                                               _LIMITS[code]))
+            for signal, lo, hi, width_nm, width_thz, channels, code in zip(
+                *(column.tolist() for column in sweep))]
 
 
 def tuning_range(signal_nm: float, target_center_nm: float, length_mm: float,
@@ -301,8 +322,8 @@ def tuning_range(signal_nm: float, target_center_nm: float, length_mm: float,
     with the violated constraint, never an exception.
     """
     make_device(signal_nm, target_center_nm, length_mm, temperature_c, material)
-    return _solve([signal_nm], target_center_nm, length_mm, temperature_c,
-                  material, constraints)[0]
+    return _points(_solve([signal_nm], target_center_nm, length_mm, temperature_c,
+                          material, constraints))[0].tuning
 
 
 def pm_spectrum_columns(signal_nm: float, target_center_nm: float, device: DeviceConfig,
@@ -328,29 +349,36 @@ def pm_spectrum_columns(signal_nm: float, target_center_nm: float, device: Devic
     return Spectrum(nu_c, C_NM_THZ / nu_c, lam_p, eff, extrapolated)
 
 
-def hub_sweep(signal_range_nm: tuple[float, float], signal_step_nm: float,
-              target_center_nm: float, length_mm: float, temperature_c: float,
-              material: SellmeierModel, constraints: TuningConstraints,
-              workers: int = 1) -> list[HubSweepPoint]:
-    """One tuning range per signal wavelength, ordered by signal wavelength.
+def hub_sweep_columns(signal_range_nm: tuple[float, float], signal_step_nm: float,
+                      target_center_nm: float, length_mm: float, temperature_c: float,
+                      material: SellmeierModel, constraints: TuningConstraints) -> Sweep:
+    """One tuning range per signal wavelength, ordered by signal wavelength, as columns.
 
     A target, length or temperature that ``tuning_range`` would reject raises
     as it does there, for the whole sweep; a signal whose own working point
-    it would reject is an empty point tagged ``no_pump``, ``outside_fit`` or
+    it would reject is an empty row tagged ``no_pump``, ``outside_fit`` or
     ``no_qpm``, after what ``tuning_range`` would raise for it (see ``_solve``).
-    ``workers`` is accepted for compatibility and ignored.
+    The signals are solved ``_SIGNAL_BATCH`` at a time.
     """
     lo, hi = signal_range_nm
     if not -math.inf < lo <= hi < math.inf:
         raise DomainError("signal range must be finite and ascending")
     count = _grid_steps(hi - lo, signal_step_nm, "signal_step_nm", "nm") + 1
-    points: list[HubSweepPoint] = []
-    for first in range(0, count, _SIGNAL_BATCH):
-        signals = lo + signal_step_nm * np.arange(first, min(first + _SIGNAL_BATCH, count),
-                                                  dtype=float)
-        points += map(HubSweepPoint, signals.tolist(), _solve(
-            signals, target_center_nm, length_mm, temperature_c, material, constraints))
-    return points
+    batches = [_solve(lo + signal_step_nm * np.arange(first, min(first + _SIGNAL_BATCH, count),
+                                                      dtype=float),
+                      target_center_nm, length_mm, temperature_c, material, constraints)
+               for first in range(0, count, _SIGNAL_BATCH)]
+    return Sweep(*map(np.concatenate, zip(*batches)))
+
+
+def hub_sweep(signal_range_nm: tuple[float, float], signal_step_nm: float,
+              target_center_nm: float, length_mm: float, temperature_c: float,
+              material: SellmeierModel, constraints: TuningConstraints,
+              workers: int = 1) -> list[HubSweepPoint]:
+    """The rows of ``hub_sweep_columns`` as points. ``workers`` is accepted for
+    compatibility and ignored."""
+    return _points(hub_sweep_columns(signal_range_nm, signal_step_nm, target_center_nm,
+                                     length_mm, temperature_c, material, constraints))
 
 
 def sweet_spot_report(signal_nm: float, target_center_nm: float,

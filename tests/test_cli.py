@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import subprocess
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +17,9 @@ import qfchub
 from qfchub import (ConfigError, DwdmGrid, EfficiencyCurveParams, LaserSpec,
                     QfcChannelModel, TuningConstraints, efficiency_model, emit,
                     kraus_to_chi)
-from qfchub.cli import _resolve_config, build_parser, chi_payload, main, run
+from qfchub import tuning
+from qfchub.cli import (SWEEP_CSV, _resolve_config, _sweep_table, build_parser, chi_payload,
+                        main, run)
 from qfchub.config import ENV_CONFIG_PATH, RunConfig, apply_overrides, load_config
 
 
@@ -766,6 +769,74 @@ def test_hub_sweep_json_format(tmp_path, run_cli):
     payload = read_json(tmp_path / "sweep.json")
     assert [p["signal_nm"] for p in payload] == [780.0, 782.0, 784.0]
     assert all(p["threshold"] == 0.9 for p in payload)
+
+
+def test_hub_sweep_counts_its_limits(tmp_path, run_cli):
+    # from 300 nm the sweep leaves jundt1997's 400 nm edge: every row is counted
+    # once, under its own limiting_constraint, and no absent code is listed
+    summary = summary_of(run_cli(["hub-sweep", "--start", "300", "--stop", "1000",
+                                  "--step", "5", "--target", "1310"], tmp_path))
+    rows = read_schema_csv(tmp_path / summary["output"])
+    counts = summary["limit_counts"]
+    assert sum(counts.values()) == summary["points"] == len(rows) == 141
+    assert counts == {name: n for name in tuning._LIMITS
+                      if (n := [r["limiting_constraint"] for r in rows].count(name))}
+    assert counts["outside_fit"] == 20
+    # max_width_nm and max_width_signal_nm name the first of the widest rows
+    widths = [float(r["width_nm"]) for r in rows]
+    first = widths.index(max(widths))
+    assert (summary["max_width_nm"], summary["max_width_signal_nm"]) == (
+        widths[first], float(rows[first]["signal_nm"]))
+
+
+def test_extrapolated_points_are_counted(tmp_path, run_cli):
+    # a 380 nm signal lies below jundt1997's 400 nm edge: every point of its scan
+    # is extrapolated; the default plan's curve stays inside the fit
+    summary = summary_of(run_cli(["pm-scan", "--signal", "380", "--target", "1540",
+                                  "--allow-extrapolation"], tmp_path))
+    rows = read_schema_csv(tmp_path / summary["output"])
+    assert summary["extrapolated_points"] == summary["points"] == len(rows) == 6001
+    assert {r["extrapolated"] for r in rows} == {"true"}
+    summary = summary_of(run_cli(["plan", "--curve"], tmp_path))
+    rows = read_schema_csv(tmp_path / summary["curve_output"])
+    assert summary["extrapolated_points"] == 0
+    assert {r["extrapolated"] for r in rows} == {"false"}
+
+
+def test_hub_sweep_command_holds_its_columns_once(tmp_path, monkeypatch, capsys):
+    # The command's peak is the larger of its two stages, so it stays under the sum of:
+    # - the sweep's 7 columns of 8-byte entries, held from the solve to the file;
+    # - the solver's bound of test_hub_sweep_memory_is_bounded, whose arrays are
+    #   freed before the file is written and which covers the limit names (44 B a row);
+    # - the writer's transient for this table, measured here.
+    # Points of the sweep (about 300 B each) held beside the columns would pass it.
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    monkeypatch.chdir(tmp_path)
+    argv = ["hub-sweep", "--start", "400", "--stop", "1000", "--step", "0.1",
+            "--target", "1540", "--output", "sweep.csv"]
+    assert main([*argv[:5], "--step", "100", *argv[7:]]) == 0  # warm the caches
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    points = json.loads(capsys.readouterr().out.splitlines()[-1])["points"]
+    assert points == 6001
+    config = RunConfig()
+    sweep = tuning.hub_sweep_columns((400.0, 1000.0), 0.1, 1540.0, config.length_mm,
+                                     config.temperature_c, config.model(),
+                                     config.tuning_constraints())
+    table = _sweep_table(sweep)
+    tracemalloc.start()
+    try:
+        emit.write_csv(tmp_path / "again.csv", SWEEP_CSV, *table)
+        kept, writer = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "sweep.csv").read_bytes()
+    solver = 8 * (16 * 2 * tuning._SIGNAL_BATCH + 12 * tuning._KERNEL_POINTS)
+    assert peak <= 7 * 8 * points + solver + (writer - kept)
 
 
 def test_config_file_with_flag_override(tmp_path, run_cli):

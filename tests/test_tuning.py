@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
@@ -7,16 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfchub import (DomainError, TuningConstraints, group_index_mismatch, hub_sweep,
-                    make_device, pm_efficiency, pm_spectrum_columns,
+                    hub_sweep_columns, make_device, pm_efficiency, pm_spectrum_columns,
                     sweet_spot_report, tuning_range, wavenumber_mismatch)
 from qfchub.qpm import grid_efficiency
 from qfchub import qpm, tuning
 from qfchub.dwdm import DwdmGrid, LaserSpec, plan_pumps, pump_band
 from qfchub.dispersion import SellmeierModel, SpectralPoint
 from qfchub.errors import QfcHubError, ValidityError
-from qfchub.cli import SWEEP_CSV, _sweep_columns
+from qfchub.cli import SWEEP_CSV, _sweep_table
 from qfchub.emit import write_csv
-from qfchub.tuning import TuningResult, _separation_bound, _solve, _walk
+from qfchub.tuning import (_LIMITS, Sweep, TuningResult, _points, _separation_bound, _solve,
+                           _walk)
 from qfchub.constants import C_NM_THZ
 
 
@@ -250,9 +252,9 @@ def test_sweet_spot_report_examples(jundt):
 
 
 def test_sweep_csv_rows_format(jundt, separation_20, tmp_path):
-    points = hub_sweep((780.0, 782.0), 1.0, 1540.0, 40.0, 48.0, jundt,
-                       separation_20)
-    path = write_csv(tmp_path / "sweep.csv", SWEEP_CSV, *_sweep_columns(points))
+    sweep = hub_sweep_columns((780.0, 782.0), 1.0, 1540.0, 40.0, 48.0, jundt,
+                              separation_20)
+    path = write_csv(tmp_path / "sweep.csv", SWEEP_CSV, *_sweep_table(sweep))
     lines = path.read_text().splitlines()
     assert lines[:2] == ["# schema=1", ",".join(name for name, _ in SWEEP_CSV)]
     rows = [line.split(",") for line in lines[2:]]
@@ -377,13 +379,25 @@ def test_walk_prefixes_change_nothing(jundt, signals, target, length, temperatur
     def solve():
         return _solve(signals, target, length, temperature, jundt, constraints)
 
-    assert solve() == _whole_blocks(solve)
+    assert _bits(solve()) == _bits(_whole_blocks(solve))
 
 
 def test_constraint_value_must_be_positive():
     for value in (0.0, -20.0):
         with pytest.raises(DomainError):
             TuningConstraints(constraint_value_nm=value)
+
+
+def _bits(sweep):
+    """Each column's dtype, shape and bytes: equal only where every entry is the same bits."""
+    return [(column.dtype.str, column.shape, column.tobytes()) for column in sweep]
+
+
+def _as_columns(signals, results) -> Sweep:
+    """The columns ``_solve`` gives for ``signals``, built from their ``results``."""
+    rows = [(*r.converted_interval_nm, r.width_nm, r.width_thz, r.channel_count,
+             _LIMITS.index(r.limiting_constraint)) for r in results]
+    return Sweep(np.array(signals, dtype=float), *map(np.array, zip(*rows)))
 
 
 def _failure_code(error):
@@ -419,7 +433,8 @@ def test_batched_solver_matches_single_signal(jundt, signals, target, cutoff):
                    else TuningConstraints(constraint_mode="min_pump_converted_separation",
                                           constraint_value_nm=20.0))
     batched = _solve(signals, target, 40.0, 48.0, jundt, constraints)
-    assert batched == [_alone(s, target, jundt, constraints) for s in signals]
+    alone = [_alone(s, target, jundt, constraints) for s in signals]
+    assert _bits(batched) == _bits(_as_columns(signals, alone))
 
 
 _SWEEPS = dict(
@@ -466,9 +481,38 @@ def test_hub_sweep_rows_match_tuning_range(jundt, start, count, step, target, cu
         assert p.tuning == _alone(p.signal_nm, target, jundt, constraints)
 
 
+def _hex(row):
+    """A row's values with each float as its exact hex text, so that == compares bits."""
+    return [v.hex() if type(v) is float else v for v in row]
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_SWEEPS)
+def test_hub_sweep_columns_rows_are_the_points(jundt, start, count, step, target, cutoff,
+                                              threshold, coarse, halfwidth):
+    # row i of the columns is point i of hub_sweep and tuning_range alone, bit for bit
+    args, constraints = _sweep_args(start, count, step, target, cutoff, threshold,
+                                    coarse, halfwidth)
+    sweep = hub_sweep_columns(*args, jundt, constraints)
+    points = hub_sweep(*args, jundt, constraints)
+    assert [column.size for column in sweep] == [count] * len(Sweep._fields)
+    for row, p in zip(zip(*(column.tolist() for column in sweep)), points, strict=True):
+        signal, lo, hi, width_nm, width_thz, channels, code = row
+        t = p.tuning
+        assert _hex(row) == _hex((p.signal_nm, *t.converted_interval_nm, t.width_nm,
+                                  t.width_thz, t.channel_count,
+                                  _LIMITS.index(t.limiting_constraint)))
+        alone = _alone(signal, target, jundt, constraints)
+        assert _hex((lo, hi, width_nm, width_thz, channels, _LIMITS[code])) == _hex((
+            *alone.converted_interval_nm, alone.width_nm, alone.width_thz,
+            alone.channel_count, alone.limiting_constraint))
+
+
 def test_hub_sweep_memory_is_bounded(jundt, separation_20):
-    # A sweep holds one batch of signals at a time, so its peak above what the
-    # returned points keep does not grow with the sweep. Counted from the code:
+    # A sweep solves one batch of signals at a time, and the columns of the solved
+    # batches (56 B a signal) are smaller than the points returned (about 300 B),
+    # so its peak above what the points keep does not grow with the sweep.
+    # Counted from the code:
     # - _solve and _walk hold at most 16 arrays of one 8-byte entry per walk row
     #   (signal and pump columns, period, direction, bound, tags, the walk's
     #   edges, the result columns), and a batch has 2 * _SIGNAL_BATCH rows;
@@ -544,7 +588,8 @@ def test_empty_results_match_the_center_rule(jundt, signals, target, cutoff, off
         constraint_mode="max_converted_wavelength" if cutoff
         else "min_pump_converted_separation",
         constraint_value_nm=target + offset / 2.0 if cutoff else separation)
-    results = _solve(signals, target, 40.0, 48.0, jundt, constraints)
+    results = [p.tuning for p in _points(_solve(signals, target, 40.0, 48.0, jundt,
+                                                 constraints))]
     for signal, result in zip(signals, results):
         try:
             make_device(signal, target, 40.0, 48.0, jundt)
@@ -632,6 +677,18 @@ def test_results_are_plain_python_types(jundt, cutoff_1550, separation_20):
         _assert_plain_types(p.tuning)
 
 
+def test_points_are_frozen_slotted_dataclasses(jundt, separation_20):
+    # no per-instance __dict__; asdict, replace and == work as on any dataclass
+    point = hub_sweep((780.0, 780.0), 1.0, 1540.0, 40.0, 48.0, jundt, separation_20)[0]
+    result = point.tuning
+    assert not hasattr(point, "__dict__") and not hasattr(result, "__dict__")
+    assert asdict(point) == {"signal_nm": 780.0, "tuning": asdict(result)}
+    assert asdict(result)["converted_interval_nm"] == result.converted_interval_nm
+    assert replace(result) == result and replace(result, width_nm=0.0).is_empty
+    with pytest.raises(FrozenInstanceError):
+        result.width_nm = 0.0
+
+
 def test_failed_signals_carry_the_code_of_their_error(jundt, separation_20):
     # one signal per code: below the fit's 400 nm edge, at or past the target's
     # wavelength, not a wavelength, and in a drawn material whose index rises with
@@ -643,8 +700,9 @@ def test_failed_signals_carry_the_code_of_their_error(jundt, separation_20):
              ["outside_fit", "no_pump", "no_pump", "no_pump", "outside_fit", "outside_fit"]),
             (anomalous, [780.0], ["no_qpm"])):
         results = _solve(signals, 1540.0, 40.0, 48.0, material, separation_20)
-        assert [r.limiting_constraint for r in results] == codes
-        assert results == [_alone(s, 1540.0, material, separation_20) for s in signals]
+        assert [_LIMITS[code] for code in results.limit.tolist()] == codes
+        alone = [_alone(s, 1540.0, material, separation_20) for s in signals]
+        assert _bits(results) == _bits(_as_columns(signals, alone))
 
 
 def test_band_solver_work_is_pinned(jundt, separation_20, monkeypatch):
