@@ -96,8 +96,8 @@ def tuning_result_payload(result: TuningResult, threshold: float) -> dict:
 
 
 def _sweep_table(sweep: Sweep) -> tuple:
-    """The columns of ``SWEEP_CSV``: the sweep's, its limit codes written as their names."""
-    return (*sweep[:-1], np.array(_LIMITS)[sweep.limit])
+    """The columns of ``SWEEP_CSV``: the sweep's, its limit codes as their names' bytes."""
+    return (*sweep[:-1], np.array(_LIMITS, "S")[sweep.limit])
 
 
 def chi_payload(process: ProcessMatrix) -> dict:
@@ -312,7 +312,7 @@ def cmd_tuning_range(config: RunConfig, args: argparse.Namespace) -> dict:
             lo, hi = result.converted_interval_nm
             write_csv(config.output, SWEEP_CSV, *([value] for value in (
                 args.signal, lo, hi, result.width_nm, result.width_thz,
-                result.channel_count, result.limiting_constraint)))
+                result.channel_count, result.limiting_constraint.encode())))
         summary["output"] = config.output
     return summary
 
@@ -332,9 +332,8 @@ def cmd_hub_sweep(config: RunConfig, args: argparse.Namespace) -> dict:
     out = Path(config.output or f"hub_sweep.{config.output_format}")
     threshold = constraints.efficiency_threshold
     if config.output_format == "json":
-        write_records(out, lambda signal, *row: {"signal_nm": signal,
-                                                 **_tuning_record(threshold, *row)},
-                      *_sweep_table(sweep))
+        write_records(out, lambda signal, *row: {"signal_nm": signal, **_tuning_record(
+            threshold, *row[:-1], _LIMITS[row[-1]])}, *sweep)
     else:
         write_csv(out, SWEEP_CSV, *_sweep_table(sweep))
     widest = int(np.argmax(sweep.width_nm))  # the first widest row, as max() picks

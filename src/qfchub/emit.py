@@ -10,13 +10,13 @@ ASCII). A CSV slice is handed over as bytes, no ``str`` copy is made, and each
 stage of its text is freed once the next one exists.
 
 A CSV layout is one ``(column name, places)`` pair per column. Places N
-(0–18) writes ``format(x, f".{N}f")``; None writes a bool as true/false and an
-integer or str as ``format`` does. The text is made a column at a time
-(``csv_chunks``). A fixed field of N places writes the digits of ``rint(y)``,
-y = |x|·10^N in float64. That product is one rounding, within y·2⁻⁵² of the
-exact |x|·10^N, so ``rint(y)`` is the correctly rounded result ``format``
-prints unless y lies within y·2⁻⁵¹ of a half-integer, or y ≥ 2⁵², or x is
-NaN or ±inf. Only those elements are formatted by ``format(x, ".Nf")``.
+(0–18) writes ``format(x, f".{N}f")``; None writes a bool as true/false, an
+integer as ``format`` does and bytes as they are. The text is made a column
+at a time (``csv_chunks``). A fixed field of N places writes the digits of
+``rint(y)``, y = |x|·10^N in float64. That product is one rounding, within
+y·2⁻⁵² of the exact |x|·10^N, so ``rint(y)`` is the correctly rounded result
+``format`` prints unless y lies within y·2⁻⁵¹ of a half-integer, or y ≥ 2⁵²,
+or x is NaN or ±inf. Only those elements are formatted by ``format(x, ".Nf")``.
 """
 from __future__ import annotations
 
@@ -87,17 +87,16 @@ def _fixed_blocks(column, places: int) -> list[np.ndarray]:
 
 
 def _plain_blocks(column) -> list[np.ndarray]:
-    """The blocks of ``format(v)`` for each v of a bool (written true/false),
-    integer or str column."""
+    """The blocks of each v of a bool (written true/false), integer (as ``format``
+    writes it) or bytes (written as they are) column."""
     v = np.asarray(column)
     if v.dtype == bool:
         return [_BOOL_TEXT[v.view(np.uint8)].view(np.uint8).reshape(v.size, 8)]
     if v.dtype.kind in "iu":
         return [_marks(v < 0, "-"), _digits(np.abs(v).astype(np.uint64))]
-    if v.dtype.kind == "U":
-        text = np.array([s.encode() for s in v.tolist()], "S")  # np.char would import numpy.char
-        return [text.view(np.uint8).reshape(v.size, text.itemsize)]
-    raise ValueError(f"a column without places takes bool, integer or str, not {v.dtype}")
+    if v.dtype.kind == "S":
+        return [v[:, None].view(np.uint8)]
+    raise ValueError(f"a column without places takes bool, integer or bytes, not {v.dtype}")
 
 
 def _constant(text: bytes, rows: int) -> np.ndarray:
@@ -181,10 +180,11 @@ def read_two_column_csv(path: str | Path) -> tuple[list[float], list[float]]:
     """Read (x, y) pairs, skipping blank and comment lines and a leading header row.
 
     Any later row that does not start with two numbers raises DomainError, as
-    does a file that cannot be read as UTF-8 text.
+    does a file that cannot be read as UTF-8 text. A leading byte-order mark is
+    dropped.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path}: {type(exc).__name__}: {exc}") from None
     xs: list[float] = []

@@ -574,6 +574,21 @@ def test_fit_round_trip(tmp_path, run_cli):
     assert summary["eta_nor_per_mW"] == pytest.approx(0.013, rel=0.01)
 
 
+def test_fit_ignores_a_byte_order_mark(tmp_path, monkeypatch, capsys):
+    # a spreadsheet's "CSV UTF-8" starts with U+FEFF: with or without a header
+    # row, the file fits the same points as the file without the mark
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    rows = "10,0.12\n40,0.31\n80,0.41\n120,0.43\n200,0.35\n"
+    fits = []
+    for text in (rows, "\ufeff" + rows, "P_mW,eta\n" + rows, "\ufeffP_mW,eta\n" + rows):
+        (tmp_path / "fit.csv").write_text(text, encoding="utf-8")
+        assert main(["fit", "--input", str(tmp_path / "fit.csv")]) == 0
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+        fits.append({k: v for k, v in summary.items() if k != "elapsed_s"})
+    assert fits[0]["points"] == 5
+    assert fits == [fits[0]] * 4
+
+
 def test_fit_empty_input_exits_2(tmp_path, run_cli):
     (tmp_path / "empty.csv").write_text("# nothing here\n")
     proc = run_cli(["fit", "--input", "empty.csv"], tmp_path)
@@ -807,7 +822,7 @@ def test_hub_sweep_command_holds_its_columns_once(tmp_path, monkeypatch, capsys)
     # The command's peak is the larger of its two stages, so it stays under the sum of:
     # - the sweep's 7 columns of 8-byte entries, held from the solve to the file;
     # - the solver's bound of test_hub_sweep_memory_is_bounded, whose arrays are
-    #   freed before the file is written and which covers the limit names (44 B a row);
+    #   freed before the file is written and which covers the limit names (11 B a row);
     # - the writer's transient for this table, measured here.
     # Points of the sweep (about 300 B each) held beside the columns would pass it.
     monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
